@@ -20,11 +20,12 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import max_control_bound
+from .dynamics import bound_within_limit, max_control_bound, theta_in_design_range
 from .errors import (
     ConfigError,
     ConnectivityError,
@@ -37,52 +38,23 @@ from .errors import (
     SingularTransformError,
     SymmetryError,
 )
-from .game import (
-    QuadraticGame,
-    check_game,
-    ring_game,
-    solve_nash_closed_form,
-    solve_nash_gradient_play,
-)
-from .graph import Digraph, cycle_digraph, is_strongly_connected, pinning_diagnostic
+from .game import check_game, solve_nash_closed_form, solve_nash_gradient_play
+from .graph import is_strongly_connected, pinning_diagnostic
 from .scenario import (
     ScenarioConfig,
-    _game_size,
     build,
+    game_from_block,
+    graph_from_block,
     load_config,
     parse_config,
+    read_json,
     reference_scenario,
 )
-from .sim import Summary, Trajectory, run
+from .sim import Summary, Trajectory, run, validate_run_inputs
 
 __all__ = ["main"]
 
 _SATURATION_CAP = 13.0 / 27.0  # worked-example certified bound, order 3, theta 1/3
-
-
-def _read_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
-
-
-def _game_from_block(block: dict) -> QuadraticGame:
-    if "type" in block:
-        return ring_game(block["n"])
-    return QuadraticGame(
-        jacobian=np.asarray(block["jacobian"], dtype=float),
-        offset=np.asarray(block["offset"], dtype=float),
-    )
-
-
-def _graph_from_block(block: dict) -> Digraph:
-    if "type" in block:
-        return cycle_digraph(block["n"])
-    return Digraph(weights=np.asarray(block["weights"], dtype=float))
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
@@ -107,21 +79,9 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
 
 
 def write_summary_json(path: Path, summary: Summary, cfg: ScenarioConfig) -> None:
-    payload = {
-        "converged": summary.converged,
-        "t_converge": summary.t_converge,
-        "final_err": summary.final_err,
-        "max_abs_u": [float(v) for v in summary.max_abs_u],
-        "certified_bounds": [float(v) for v in summary.certified_bounds],
-        "bound_violated": summary.bound_violated,
-        "c_final_range": list(summary.c_final_range),
-        "c_monotone": summary.c_monotone,
-        "unsaturated_entry_time": summary.unsaturated_entry_time,
-        "c_trailing_drift": summary.c_trailing_drift,
-        "resolved_config": cfg.to_dict(),
-    }
+    payload = {**asdict(summary), "resolved_config": cfg.to_dict()}
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, default=np.ndarray.tolist)
         fh.write("\n")
 
 
@@ -160,7 +120,7 @@ def _replicate_worker(task: tuple[dict, str]) -> str:
 
 
 def cmd_run(args) -> int:
-    raw = _read_json(args.config)
+    raw = read_json(args.config)
     if args.allow_large_theta:
         raw = {**raw, "allow_large_theta": True}
     out = Path(args.out)
@@ -169,9 +129,7 @@ def cmd_run(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     if args.replicates == 1:
-        cfg = parse_config(raw)
-        _, summary = _execute(cfg, out)
-        print(_verdict_line(summary))
+        print(_replicate_worker((raw, str(out))))
         print(f"wrote {out / 'trajectory.csv'} and {out / 'summary.json'}")
         return 0
     base_seed = raw.get("seed")
@@ -252,11 +210,10 @@ def cmd_paper_example(args) -> int:
 
 
 def cmd_solve_ne(args) -> int:
-    data = _read_json(args.config)
-    if not isinstance(data, dict) or "game" not in data or not isinstance(data["game"], dict):
+    data = read_json(args.config)
+    if not isinstance(data, dict) or not isinstance(data.get("game"), dict):
         raise ConfigError("config needs a game block")
-    _game_size(data["game"])
-    game = _game_from_block(data["game"])
+    game = game_from_block(data["game"])
     y_closed = solve_nash_closed_form(game)
     y_play = solve_nash_gradient_play(game)
     deviation = float(np.abs(y_closed - y_play).max())
@@ -268,9 +225,9 @@ def cmd_solve_ne(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = load_config(args.config, construct=False)
-    game = _game_from_block(cfg.game)
-    graph = _graph_from_block(cfg.graph)
+    cfg = load_config(args.config)
+    game = game_from_block(cfg.game)
+    graph = graph_from_block(cfg.graph)
     cert = check_game(game)
 
     checks: list[tuple[str, bool, str]] = []
@@ -286,7 +243,7 @@ def cmd_check(args) -> int:
         ("lipschitz", bool(np.isfinite(cert.lipschitz).all()), f"row bounds l_i = [{lip}]")
     )
     for i, p in enumerate(cfg.players, start=1):
-        in_range = 0.0 < p["theta"] < 0.5
+        in_range = theta_in_design_range(p["theta"])
         note = "" if in_range else (" [override]" if cfg.allow_large_theta else "")
         checks.append(
             (
@@ -299,10 +256,12 @@ def cmd_check(args) -> int:
         checks.append(
             (
                 f"actuator-bound player {i}",
-                bound <= p["u_limit"] + 1e-12,
+                bound_within_limit(bound, p["u_limit"]),
                 f"certified sum theta^k * delta = {bound:.6g} vs limit {p['u_limit']:.6g}",
             )
         )
+    if cfg.mode == "UndirectedAdaptive":  # the one mode that assumes symmetric weights
+        checks.append(("symmetry", graph.symmetric, "weights[i][j] == weights[j][i] for all i, j"))
     connected = is_strongly_connected(graph)
     checks.append(
         (
@@ -326,7 +285,11 @@ def cmd_check(args) -> int:
     for name, ok, detail in checks:
         all_ok &= ok
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    return 0 if all_ok else 3
+    if not all_ok:
+        return 3
+    built = build(cfg)  # raise what run raises before integrating
+    validate_run_inputs(built.game, built.graph, built.specs, built.mode)
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -41,6 +41,8 @@ __all__ = [
     "max_control_bound",
     "geometric_control_bound",
     "delta_for_limit",
+    "theta_in_design_range",
+    "bound_within_limit",
     "FORM_STANDARD",
     "FORM_ALTERNATE",
 ]
@@ -107,6 +109,16 @@ def controllability_matrix(a: NDArray[np.floating], b: NDArray[np.floating]) -> 
     return np.column_stack(cols)
 
 
+def theta_in_design_range(theta: float) -> bool:
+    """Whether theta lies in (0, 1/2), the range the convergence guarantee covers."""
+    return 0.0 < theta < 0.5
+
+
+def bound_within_limit(bound: float, u_limit: float) -> bool:
+    """Whether a certified control bound meets the actuator limit, up to relative rounding."""
+    return bound <= u_limit + 1e-12 * max(1.0, u_limit)
+
+
 @dataclass(frozen=True)
 class PlayerSpec:
     """Per-player design parameters.
@@ -132,7 +144,7 @@ class PlayerSpec:
         object.__setattr__(self, "order", int(self.order))
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
-        if self.theta >= 0.5:
+        if not theta_in_design_range(self.theta):
             if not self.allow_large_theta:
                 raise ValueError(
                     f"theta = {self.theta} is outside the guaranteed range (0, 0.5); "
@@ -153,8 +165,7 @@ class PlayerSpec:
         if self.form not in (FORM_STANDARD, FORM_ALTERNATE):
             raise ValueError(f"form must be {FORM_STANDARD!r} or {FORM_ALTERNATE!r}")
         bound = max_control_bound(self.order, self.theta, self.delta)
-        slack = 1e-12 * max(1.0, self.u_limit)
-        if bound > self.u_limit + slack:
+        if not bound_within_limit(bound, self.u_limit):
             raise ValueError(
                 f"control bound sum(theta^k)*delta = {bound:.6g} exceeds the "
                 f"actuator limit u_limit = {self.u_limit:.6g}; shrink delta "

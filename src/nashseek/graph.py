@@ -5,10 +5,11 @@ player j (j is an in-neighbor of i). Self-loops are forbidden. The
 estimator analysis rests on two matrices derived from the weights:
 
 * the directed Laplacian L = diag(row sums) - weights, and
-* the pinned Laplacian kron(L, I_N) + diag(weights row-major), whose
-  column-j diagonal block is L pinned at the in-neighbors of j. For a
-  strongly connected digraph every node has an out-edge, so each block is
-  a nonsingular M-matrix and the whole estimation loop is a contraction.
+* the pinned Laplacian kron(L, I_N) + diag(weights row-major), block
+  diagonal up to a permutation with column-j block L + diag(weights[:, j]),
+  L pinned at the in-neighbors of j. For a strongly connected digraph every
+  node has an out-edge, so each block is a nonsingular M-matrix and the
+  whole estimation loop is a contraction.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from numpy.typing import NDArray
 
 __all__ = [
     "Digraph",
-    "LaplacianBundle",
     "PinningDiagnostic",
     "laplacian",
     "pinning_diagnostic",
@@ -68,12 +68,6 @@ class Digraph:
 
 
 @dataclass(frozen=True)
-class LaplacianBundle:
-    laplacian: NDArray[np.float64]
-    pinned_laplacian: NDArray[np.float64]
-
-
-@dataclass(frozen=True)
 class PinningDiagnostic:
     """Spectral health of the pinned Laplacian."""
 
@@ -85,16 +79,10 @@ class PinningDiagnostic:
         return bool(np.isfinite(self.condition) and self.condition < _COND_LIMIT)
 
 
-def laplacian(g: Digraph) -> LaplacianBundle:
-    """Directed Laplacian plus the pinned (n^2 x n^2) estimator matrix.
-
-    The pinning diagonal is the weight matrix flattened row-major, i.e. in
-    the same order as the estimate matrix is flattened by the simulator.
-    """
+def laplacian(g: Digraph) -> NDArray[np.float64]:
+    """Directed Laplacian L = diag(row sums) - weights."""
     w = g.weights
-    lap = np.diag(w.sum(axis=1)) - w
-    pinned = np.kron(lap, np.eye(g.n)) + np.diag(w.ravel())
-    return LaplacianBundle(laplacian=lap, pinned_laplacian=pinned)
+    return np.diag(w.sum(axis=1)) - w
 
 
 def pinning_diagnostic(g: Digraph) -> PinningDiagnostic:
@@ -102,13 +90,15 @@ def pinning_diagnostic(g: Digraph) -> PinningDiagnostic:
 
     A positive minimal real eigenvalue part with a finite, moderate
     condition number certifies that the consensus estimator's error
-    dynamics are a contraction for strongly connected graphs.
+    dynamics are a contraction for strongly connected graphs. Solved over
+    the n diagonal blocks stacked, O(n^4) instead of O(n^6) work.
     """
-    pinned = laplacian(g).pinned_laplacian
-    eigs = np.linalg.eigvals(pinned)
+    blocks = laplacian(g) + np.eye(g.n) * g.weights.T[:, None, :]
+    eigs = np.linalg.eigvals(blocks)
+    sv = np.linalg.svd(blocks, compute_uv=False)
     return PinningDiagnostic(
         min_real_eig=float(eigs.real.min()),
-        condition=float(np.linalg.cond(pinned)),
+        condition=float(sv.max() / sv.min()) if sv.min() > 0 else float("inf"),
     )
 
 

@@ -19,10 +19,10 @@ A scenario file is one JSON object with the blocks
 
 Parsing materializes every default and resolves every random draw, so a
 parsed config is plain data: equal configs mean bit-identical runs, and
-``to_dict`` round-trips through JSON unchanged. With ``construct=False``
-parsing validates structure only and skips the gain-range and actuator
-checks done by PlayerSpec, which lets preflight tooling report those as
-named verdicts instead of dying on the first one.
+``to_dict`` round-trips through JSON unchanged. Parsing validates
+structure only; :func:`build` constructs the run objects and raises what
+PlayerSpec, SimConfig, the game and the graph reject, so preflight tooling
+can report the gain-range and actuator checks as named verdicts first.
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ from .sim import SimConfig
 __all__ = [
     "ScenarioConfig",
     "BuiltScenario",
+    "read_json",
+    "game_from_block",
+    "graph_from_block",
     "parse_config",
     "load_config",
     "build",
@@ -112,6 +115,20 @@ def _numeric(obj, name: str) -> np.ndarray:
     return arr
 
 
+def read_json(path: str | Path):
+    """Parse a JSON file; unreadable, malformed or non-finite input is a ConfigError."""
+    def reject_constant(name: str):
+        raise ConfigError(f"{path}: non-finite number {name} is not allowed")
+
+    try:
+        with open(path) as fh:
+            return json.load(fh, parse_constant=reject_constant)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
+
+
 def _game_size(game: dict) -> int:
     if "type" in game:
         if game.get("type") != "ring":
@@ -151,12 +168,37 @@ def _graph_size(graph: dict) -> int:
     return w.shape[0]
 
 
+def game_from_block(block: dict) -> QuadraticGame:
+    """Validate a game block and construct its game."""
+    _game_size(block)
+    if "type" in block:
+        return ring_game(block["n"])
+    return QuadraticGame(
+        jacobian=np.asarray(block["jacobian"], dtype=float),
+        offset=np.asarray(block["offset"], dtype=float),
+    )
+
+
+def graph_from_block(block: dict) -> Digraph:
+    """Construct the digraph of a graph block that parse_config accepted."""
+    if "type" in block:
+        return cycle_digraph(block["n"])
+    return Digraph(weights=np.asarray(block["weights"], dtype=float))
+
+
 def _is_random(value) -> bool:
     return isinstance(value, dict) and "random" in value
 
 
 def _is_scalar(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(block: dict, key: str, where: str, default: float | None = None) -> float:
+    value = block.get(key, default)
+    if not _is_scalar(value):
+        raise ConfigError(f"{where} {key} must be a number, got {value!r}")
+    return float(value)
 
 
 def _random_bounds(value, where: str) -> tuple[float, float]:
@@ -173,44 +215,42 @@ def _random_bounds(value, where: str) -> tuple[float, float]:
 
 
 def _resolve_player(p, i: int) -> dict:
+    where = f"players[{i}]"
     if not isinstance(p, dict):
-        raise ConfigError(f"players[{i}] must be an object")
-    _reject_unknown(p, _PLAYER_KEYS, f"players[{i}]")
+        raise ConfigError(f"{where} must be an object")
+    _reject_unknown(p, _PLAYER_KEYS, where)
     for key in ("order", "theta"):
         if key not in p:
-            raise ConfigError(f"players[{i}] is missing {key!r}")
+            raise ConfigError(f"{where} is missing {key!r}")
     order = p["order"]
-    if not isinstance(order, int) or order < 1:
-        raise ConfigError(f"players[{i}] order must be a positive integer")
-    theta = float(p["theta"])
+    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
+        raise ConfigError(f"{where} order must be a positive integer, got {order!r}")
+    theta = _number(p, "theta", where)
     if ("delta" in p) == ("auto_delta_margin" in p):
-        raise ConfigError(
-            f"players[{i}] needs exactly one of delta or auto_delta_margin"
-        )
+        raise ConfigError(f"{where} needs exactly one of delta or auto_delta_margin")
     if "auto_delta_margin" in p:
         if "u_limit" not in p:
-            raise ConfigError(f"players[{i}] auto_delta_margin requires u_limit")
+            raise ConfigError(f"{where} auto_delta_margin requires u_limit")
         try:
-            delta = delta_for_limit(
-                order, theta, float(p["u_limit"]), float(p["auto_delta_margin"])
-            )
+            u_limit = _number(p, "u_limit", where)
+            delta = delta_for_limit(order, theta, u_limit, _number(p, "auto_delta_margin", where))
         except ValueError as exc:
-            raise ConfigError(f"players[{i}]: {exc}") from None
+            raise ConfigError(f"{where}: {exc}") from None
     else:
-        delta = float(p["delta"])
+        delta = _number(p, "delta", where)
     form = p.get("form", "standard")
     if not isinstance(form, str):
-        raise ConfigError(f"players[{i}] form must be a string")
+        raise ConfigError(f"{where} form must be a string")
     return {
         "order": order,
         "theta": theta,
         "delta": delta,
-        "u_limit": float(p.get("u_limit", delta)),
+        "u_limit": _number(p, "u_limit", where, delta),
         "form": form,
     }
 
 
-def parse_config(data: dict, construct: bool = True) -> ScenarioConfig:
+def parse_config(data: dict) -> ScenarioConfig:
     """Validate raw JSON data and resolve every default and random draw.
 
     Random init blocks are drawn in the fixed order x0, z0, c0 from one
@@ -310,14 +350,14 @@ def parse_config(data: dict, construct: bool = True) -> ScenarioConfig:
     if not isinstance(log_every, int) or isinstance(log_every, bool):
         raise ConfigError("sim.log_every must be an integer")
     sim_resolved = {
-        "step_size": float(sim.get("step_size", 1e-3)),
-        "t_end": float(sim.get("t_end", 100.0)),
+        "step_size": _number(sim, "step_size", "sim", 1e-3),
+        "t_end": _number(sim, "t_end", "sim", 100.0),
         "log_every": log_every,
-        "conv_tol": float(sim.get("conv_tol", 1e-2)),
-        "conv_window": float(sim.get("conv_window", 10.0)),
+        "conv_tol": _number(sim, "conv_tol", "sim", 1e-2),
+        "conv_window": _number(sim, "conv_window", "sim", 10.0),
     }
 
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         game=game,
         graph=graph,
         players=players,
@@ -329,36 +369,17 @@ def parse_config(data: dict, construct: bool = True) -> ScenarioConfig:
         seed=seed,
         allow_large_theta=allow_large_theta,
     )
-    if construct:
-        build(cfg)  # surface PlayerSpec/graph/game validation now, not mid-run
-    return cfg
 
 
-def load_config(path: str | Path, construct: bool = True) -> ScenarioConfig:
+def load_config(path: str | Path) -> ScenarioConfig:
     """Read and resolve a scenario JSON file."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
-    return parse_config(data, construct=construct)
+    return parse_config(read_json(path))
 
 
 def build(cfg: ScenarioConfig) -> BuiltScenario:
     """Construct run-ready objects; raises the underlying validation errors."""
-    if "type" in cfg.game:
-        game = ring_game(cfg.game["n"])
-    else:
-        game = QuadraticGame(
-            jacobian=np.asarray(cfg.game["jacobian"], dtype=float),
-            offset=np.asarray(cfg.game["offset"], dtype=float),
-        )
-    if "type" in cfg.graph:
-        graph = cycle_digraph(cfg.graph["n"])
-    else:
-        graph = Digraph(weights=np.asarray(cfg.graph["weights"], dtype=float))
+    game = game_from_block(cfg.game)
+    graph = graph_from_block(cfg.graph)
     specs = tuple(
         PlayerSpec(
             order=p["order"],

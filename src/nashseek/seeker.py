@@ -30,7 +30,7 @@ from numpy.typing import NDArray
 from .dynamics import FORM_ALTERNATE, FORM_STANDARD, PlayerSpec, saturation
 from .errors import GainIntegrityError, ModeOrderError
 from .game import GameModel
-from .graph import Digraph
+from .graph import Digraph, laplacian
 
 __all__ = [
     "SeekerMode",
@@ -127,13 +127,9 @@ def innovation_matrix(
     z: NDArray[np.floating],
     eta: NDArray[np.floating],
     g: Digraph,
-    lap: NDArray[np.floating] | None = None,
 ) -> NDArray[np.float64]:
     """All innovations at once: L @ z + weights * (z + eta per column)."""
-    w = g.weights
-    if lap is None:
-        lap = np.diag(w.sum(axis=1)) - w
-    return lap @ z + w * (z + eta)
+    return laplacian(g) @ z + g.weights * (z + eta)
 
 
 def consensus_rhs(
@@ -141,7 +137,6 @@ def consensus_rhs(
     g: Digraph,
     game: GameModel,
     mode: SeekerMode,
-    lap: NDArray[np.floating] | None = None,
 ) -> ConsensusRates:
     """Time derivatives of the estimator variables (z, c, eta).
 
@@ -152,7 +147,7 @@ def consensus_rhs(
         raise GainIntegrityError(
             f"non-positive adaptive gain (min {state.c.min():.3e}); state is corrupted"
         )
-    xi = innovation_matrix(state.z, state.eta, g, lap)
+    xi = innovation_matrix(state.z, state.eta, g)
     rho = xi * xi
     gain = state.c + rho if mode in _RHO_AUGMENTED else state.c
     return ConsensusRates(

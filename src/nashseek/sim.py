@@ -31,7 +31,7 @@ from .errors import (
     SymmetryError,
 )
 from .game import GameModel, QuadraticGame, check_game, solve_nash_closed_form
-from .graph import Digraph, is_strongly_connected
+from .graph import Digraph, is_strongly_connected, laplacian
 from .seeker import SeekerMode, SeekerState
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "pack_state",
     "unpack_state",
     "rk4_step",
+    "validate_run_inputs",
     "run",
     "detect_convergence",
     "unsaturated_entry",
@@ -214,7 +215,7 @@ class _Tables:
         self.saturated = mode is not SeekerMode.UNSATURATED
         self.rho_augmented = mode is not SeekerMode.UNDIRECTED_ADAPTIVE
         self.weights = g.weights
-        self.lap = np.diag(g.weights.sum(axis=1)) - g.weights
+        self.lap = laplacian(g)
         self.certified = np.array([_seeker.certified_bound(s, mode) for s in specs])
 
     def plant(self, flat: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -248,12 +249,13 @@ class _Tables:
         return x[:, 0] + self.pvec * eta
 
 
-def _validate_run_inputs(
+def validate_run_inputs(
     game: GameModel,
     g: Digraph,
     specs: Sequence[PlayerSpec],
     mode: SeekerMode,
 ) -> None:
+    """Raise what :func:`run` rejects about its inputs before integrating."""
     n = g.n
     if game.n_players != n:
         raise ConfigError(f"game has {game.n_players} players but graph has {n}")
@@ -299,7 +301,7 @@ def run(
     used for the error column; by default it is solved in closed form for
     quadratic games and left NaN otherwise.
     """
-    _validate_run_inputs(game, g, specs, mode)
+    validate_run_inputs(game, g, specs, mode)
     n = g.n
     tables = _Tables(specs, mode, g)
 

@@ -113,6 +113,38 @@ class TestExitCodes:
         assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 3
         assert "strongly connected" in capsys.readouterr().err
 
+    def test_non_numeric_theta_is_2(self, tmp_path, capsys):
+        data = dict(BASE, players={"order": 1, "theta": "abc", "delta": 1.0})
+        cfg_path = write_config(tmp_path, data)
+        assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert "theta must be a number" in capsys.readouterr().err
+
+    def test_boolean_order_is_2(self, tmp_path, capsys):
+        data = dict(BASE, players={"order": True, "theta": 0.3, "delta": 1.0})
+        cfg_path = write_config(tmp_path, data)
+        assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert "order must be a positive integer" in capsys.readouterr().err
+
+    def test_nan_step_size_is_2(self, tmp_path, capsys):
+        data = dict(BASE, sim=dict(BASE["sim"], step_size=float("nan")))
+        cfg_path = write_config(tmp_path, data)
+        assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert main(["check", cfg_path]) == 2
+        assert "non-finite number NaN" in capsys.readouterr().err
+
+    def test_infinite_initial_estimate_is_2(self, tmp_path, capsys):
+        data = dict(BASE, init={"z0": float("inf")})
+        cfg_path = write_config(tmp_path, data)
+        assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert main(["check", cfg_path]) == 2
+        assert "non-finite number Infinity" in capsys.readouterr().err
+
+    def test_nan_game_offset_is_2(self, tmp_path, capsys):
+        data = {"game": {"jacobian": [[2.0, 0.0], [0.0, 2.0]], "offset": [float("nan"), 1.0]}}
+        cfg_path = write_config(tmp_path, data)
+        assert main(["solve-ne", cfg_path]) == 2
+        assert "non-finite number NaN" in capsys.readouterr().err
+
     def test_numerical_fault_is_4(self, tmp_path, capsys):
         data = dict(
             BASE,
@@ -185,3 +217,52 @@ class TestCheck:
         cfg_path = write_config(tmp_path, data)
         assert main(["check", cfg_path]) == 3
         assert "[FAIL] strong-connectivity" in capsys.readouterr().out
+
+
+# Ring game on a directed 3-cycle with second-order players, and one change
+# each that run rejects (or, in the last-but-one case, accepts) before it
+# integrates. check must give the same exit code for every one of them.
+AGREEMENT_BASE = {
+    "game": {"type": "ring", "n": 3},
+    "graph": {"type": "cycle", "n": 3},
+    "players": {"order": 2, "theta": 0.3, "delta": 1.0},
+    "sim": {"step_size": 0.01, "t_end": 0.1, "log_every": 1, "conv_window": 0.05},
+}
+AGREEMENT_CASES = {
+    "first-order-mode": {"mode": "FirstOrder"},
+    "alternate-form-mode": {"mode": "AlternateForm"},
+    "undirected-adaptive-mode": {"mode": "UndirectedAdaptive"},
+    "negative-delta": {"players": {"order": 2, "theta": 0.3, "delta": -1.0, "u_limit": 1.0}},
+    "unknown-form": {"players": {"order": 2, "theta": 0.3, "delta": 1.0, "form": "weird"}},
+    "negative-step": {"sim": dict(AGREEMENT_BASE["sim"], step_size=-0.01)},
+    "window-beyond-horizon": {"sim": dict(AGREEMENT_BASE["sim"], conv_window=5.0)},
+    # certified bound 1000 * (1 + 5e-13): inside the relative slack on the limit
+    "bound-at-limit": {
+        "players": {
+            "order": 1,
+            "theta": 0.3,
+            "delta": 1000.0 * (1 + 5e-13) / 0.3,
+            "u_limit": 1000.0,
+        }
+    },
+    "theta-beyond-one": {
+        "players": {"order": 2, "theta": 1.5, "delta": 1.0},
+        "allow_large_theta": True,
+    },
+}
+
+
+class TestCheckRunAgreement:
+    @pytest.mark.parametrize(
+        "overrides", AGREEMENT_CASES.values(), ids=AGREEMENT_CASES.keys()
+    )
+    def test_same_exit_code(self, tmp_path, capsys, overrides):
+        cfg_path = write_config(tmp_path, {**AGREEMENT_BASE, **overrides})
+        checked = main(["check", cfg_path])
+        check_out = capsys.readouterr()
+        ran = main(["run", cfg_path, "--out", str(tmp_path / "o")])
+        run_err = capsys.readouterr().err
+        assert checked == ran
+        if "[FAIL]" not in check_out.out:
+            # every verdict passed, so check went on to run's own validation
+            assert check_out.err == run_err

@@ -1,5 +1,7 @@
 """Digraph model, Laplacians, and connectivity checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -58,25 +60,31 @@ class TestDigraph:
 
 class TestLaplacian:
     def test_three_cycle(self):
-        bundle = laplacian(cycle_digraph(3))
-        np.testing.assert_allclose(
-            bundle.laplacian, [[1, 0, -1], [-1, 1, 0], [0, -1, 1]]
-        )
-        assert bundle.pinned_laplacian.shape == (9, 9)
+        lap = laplacian(cycle_digraph(3))
+        np.testing.assert_allclose(lap, [[1, 0, -1], [-1, 1, 0], [0, -1, 1]])
         # row sums of a Laplacian vanish
-        np.testing.assert_allclose(bundle.laplacian.sum(axis=1), np.zeros(3), atol=0)
+        np.testing.assert_allclose(lap.sum(axis=1), np.zeros(3), atol=0)
 
-    def test_pinned_matrix_two_cycle(self):
-        bundle = laplacian(cycle_digraph(2))
-        expected = np.array(
-            [
-                [1.0, 0.0, -1.0, 0.0],
-                [0.0, 2.0, 0.0, -1.0],
-                [-1.0, 0.0, 2.0, 0.0],
-                [0.0, -1.0, 0.0, 1.0],
-            ]
-        )
-        np.testing.assert_allclose(bundle.pinned_laplacian, expected)
+    def test_pinned_diagnostic_matches_dense_oracle(self, rng):
+        # the full n^2 x n^2 pinned matrix, row-major like the estimate matrix
+        for n in range(2, 11):
+            g = random_strongly_connected(n, rng)
+            w = g.weights
+            lap = np.diag(w.sum(axis=1)) - w
+            pinned = np.kron(lap, np.eye(n)) + np.diag(w.ravel())
+            diag = pinning_diagnostic(g)
+            want_eig = np.linalg.eigvals(pinned).real.min()
+            assert diag.min_real_eig == pytest.approx(want_eig, rel=1e-9)
+            assert diag.condition == pytest.approx(np.linalg.cond(pinned), rel=1e-9)
+            assert diag.nonsingular
+        # one-way chain: column 2 is pinned nowhere, so its block is singular
+        w = np.zeros((3, 3))
+        w[1, 0] = 1.0
+        w[2, 1] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            diag = pinning_diagnostic(Digraph(weights=w))
+        assert diag.nonsingular is False
 
     def test_pinning_diagnostic_two_cycle(self):
         diag = pinning_diagnostic(cycle_digraph(2))
@@ -85,7 +93,7 @@ class TestLaplacian:
 
     def test_unpinned_laplacian_is_singular_alone(self):
         # without the pinning diagonal the Laplacian itself has eigenvalue 0
-        lap = laplacian(cycle_digraph(4)).laplacian
+        lap = laplacian(cycle_digraph(4))
         eigs = np.linalg.eigvals(lap)
         assert np.abs(eigs).min() < 1e-12
 

@@ -178,11 +178,12 @@ class TestValidation:
             )
 
     def test_construct_gate_for_theta(self):
+        # parsing checks structure only; the theta gate fires on construction
         data = minimal(players={"order": 1, "theta": 0.6, "delta": 1.0})
-        cfg = parse_config(data, construct=False)
+        cfg = parse_config(data)
         assert cfg.players[0]["theta"] == 0.6
         with pytest.raises(ValueError, match="0.5"):
-            parse_config(data)
+            build(parse_config(data))
 
 
 class TestBuild:

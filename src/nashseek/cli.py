@@ -288,7 +288,7 @@ def cmd_check(args) -> int:
     if not all_ok:
         return 3
     built = build(cfg)  # raise what run raises before integrating
-    validate_run_inputs(built.game, built.graph, built.specs, built.mode)
+    validate_run_inputs(built.game, built.graph, built.specs, built.mode, built.sim)
     return 0
 
 

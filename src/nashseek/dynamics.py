@@ -38,6 +38,7 @@ __all__ = [
     "build_transformation",
     "similarity_residual",
     "output_coefficients",
+    "gain_row",
     "max_control_bound",
     "geometric_control_bound",
     "delta_for_limit",
@@ -59,12 +60,15 @@ def saturation(value, delta: float):
     return float(clipped) if np.isscalar(value) or np.ndim(value) == 0 else clipped
 
 
-def _exact_column_coeffs(m: int, theta: Fraction, form: str) -> dict[int, Fraction]:
-    """Above-diagonal column value of the canonical system matrix, per 1-based column."""
+def _column_coeffs(m: int, theta, form: str) -> dict:
+    """Per 1-based column: above-diagonal canonical value (l >= 2), innermost gain (l = 1).
+
+    Generic in the number type: Fractions give T exactly, floats the gains.
+    """
     if form == FORM_STANDARD:
-        return {l: theta ** (m - l + 1) for l in range(2, m + 1)}
+        return {l: theta ** (m - l + 1) for l in range(1, m + 1)}
     if form == FORM_ALTERNATE:
-        return {l: theta for l in range(2, m + 1)}
+        return {l: theta for l in range(1, m + 1)}
     raise ValueError(f"unknown canonical form {form!r}")
 
 
@@ -76,7 +80,7 @@ def canonical_a(m: int, theta: float, form: str = FORM_STANDARD) -> NDArray[np.f
     """
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
-    coeffs = _exact_column_coeffs(m, Fraction(theta), form)
+    coeffs = _column_coeffs(m, Fraction(theta), form)
     a = np.zeros((m, m))
     for l, val in coeffs.items():
         a[: l - 1, l - 1] = float(val)
@@ -126,9 +130,10 @@ class PlayerSpec:
     theta must lie in (0, 1/2): the boundedness argument for the tail states
     needs theta/(1-theta) < 1. Values in [1/2, 1) are admitted only with
     ``allow_large_theta`` and a warning, since the convergence guarantee is
-    void there. The finite-sum control bound sum_k theta^k * delta must not
+    void there. The control bound :func:`max_control_bound`, delta times the
+    sum of the standard :func:`gain_row` (delta itself at order 1), must not
     exceed the actuator limit ``u_limit`` (defaults to delta, which always
-    satisfies the check when theta < 1).
+    satisfies the check when theta < 1/2).
     """
 
     order: int
@@ -167,7 +172,7 @@ class PlayerSpec:
         bound = max_control_bound(self.order, self.theta, self.delta)
         if not bound_within_limit(bound, self.u_limit):
             raise ValueError(
-                f"control bound sum(theta^k)*delta = {bound:.6g} exceeds the "
+                f"control bound delta*sum(gain_row) = {bound:.6g} exceeds the "
                 f"actuator limit u_limit = {self.u_limit:.6g}; shrink delta "
                 f"(e.g. via delta_for_limit) or raise the limit"
             )
@@ -200,7 +205,7 @@ def _exact_t_rows(m: int, theta: Fraction, form: str) -> list[list[Fraction]]:
     T[k+1, l] = c_l * (prefix sum of row k through column l-1) determines
     row k's prefix sums, and the zero row sum closes the last entry.
     """
-    coeffs = _exact_column_coeffs(m, theta, form)
+    coeffs = _column_coeffs(m, theta, form)
     rows = [[Fraction(0)] * m for _ in range(m)]
     rows[m - 1][m - 1] = Fraction(1)
     for k in range(m - 2, -1, -1):
@@ -218,7 +223,7 @@ def _exact_t_inverse_rows(m: int, theta: Fraction, form: str) -> list[list[Fract
     Follows from T = R(chain) @ R(canonical)^-1 and R(chain) being the
     column-reversed identity, which is its own inverse.
     """
-    coeffs = _exact_column_coeffs(m, theta, form)
+    coeffs = _column_coeffs(m, theta, form)
     a_rows = [
         [coeffs[l + 1] if l > k else Fraction(0) for l in range(m)] for k in range(m)
     ]
@@ -253,10 +258,11 @@ def build_transformation(spec: PlayerSpec) -> Transformation:
         )
     t_rows = _exact_t_rows(m, theta, spec.form)
     tinv_rows = _exact_t_inverse_rows(m, theta, spec.form)
-    t_f = _to_float(t_rows)
-    tinv_f = _to_float(tinv_rows)
-    if not (np.isfinite(t_f).all() and np.isfinite(tinv_f).all()):
-        raise SingularTransformError(m, spec.theta)
+    try:
+        t_f = _to_float(t_rows)
+        tinv_f = _to_float(tinv_rows)
+    except OverflowError:
+        raise SingularTransformError(m, spec.theta) from None
     return Transformation(
         order=m,
         theta=spec.theta,
@@ -280,7 +286,7 @@ def similarity_residual(tr: Transformation) -> tuple[float, float]:
     """
     m = tr.order
     theta = Fraction(tr.theta)
-    coeffs = _exact_column_coeffs(m, theta, tr.form) if m > 1 else {}
+    coeffs = _column_coeffs(m, theta, tr.form)
     t = tr.exact_t
     res_a = Fraction(0)
     for k in range(m):
@@ -300,27 +306,39 @@ def output_coefficients(tr: Transformation) -> NDArray[np.float64]:
     return tr.t_matrix[0].copy()
 
 
+def gain_row(order: int, theta: float, form: str = FORM_STANDARD) -> list[float]:
+    """Gains of the saturated law on sat(xbar_1 + p eta), sat(xbar_2), ..., sat(xbar_m).
+
+    theta^m, ..., theta (standard form), all theta (alternate form), [1.0] at
+    order 1. Callers sum and multiply it in ascending powers (``row[::-1]``),
+    the order that keeps runs bit-identical to the term-by-term laws.
+    """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if order == 1:
+        return [1.0]
+    return list(_column_coeffs(order, theta, form).values())
+
+
 def max_control_bound(m: int, theta: float, delta: float) -> float:
-    """Finite-sum certified bound for the standard high-order law: sum_{k=1}^m theta^k * delta."""
-    if m < 1:
-        raise ValueError(f"order must be >= 1, got {m}")
-    return float(sum(theta**k for k in range(1, m + 1)) * delta)
+    """Certified |u| bound of the standard law, delta * sum(gain_row): delta at order 1."""
+    return float(sum(gain_row(m, theta)[::-1]) * delta)
 
 
 def geometric_control_bound(theta: float, delta: float) -> float:
     """Order-independent geometric-series bound theta/(1-theta) * delta.
 
-    Looser than :func:`max_control_bound` for any finite order, but handy as
-    the sufficient condition for choosing delta independently of the order.
+    Covers the high-order law only: looser than :func:`max_control_bound` for
+    any finite order m >= 2, but handy as the sufficient condition for choosing
+    delta independently of the order. The first-order law reaches delta itself.
     """
     return theta / (1.0 - theta) * delta
 
 
 def delta_for_limit(m: int, theta: float, u_limit: float, margin: float = 1.0) -> float:
-    """Largest delta (scaled by margin) whose finite-sum bound meets u_limit."""
+    """Largest delta (scaled by margin) whose :func:`max_control_bound` meets u_limit."""
     if not 0 < margin <= 1:
         raise ValueError(f"margin must lie in (0, 1], got {margin}")
     if u_limit <= 0:
         raise ValueError(f"u_limit must be positive, got {u_limit}")
-    series = sum(theta**k for k in range(1, m + 1))
-    return float(margin * u_limit / series)
+    return float(margin * u_limit / sum(gain_row(m, theta)[::-1]))

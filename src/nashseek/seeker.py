@@ -16,7 +16,9 @@ every fed-back state through a saturation, which is what certifies the
 actuator bound a priori. Scalar, per-player implementations live here and
 are the reference the vectorized simulator path is tested against; they are
 also written to touch only one-hop information so an access audit can poison
-everything else and observe no difference.
+everything else and observe no difference. :func:`control` writes its gains
+out term by term as an independent oracle; :func:`integral_scale` and
+:func:`certified_bound` derive from :func:`nashseek.dynamics.gain_row`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import FORM_ALTERNATE, FORM_STANDARD, PlayerSpec, saturation
+from .dynamics import FORM_ALTERNATE, FORM_STANDARD, PlayerSpec, gain_row, saturation
 from .errors import GainIntegrityError, ModeOrderError
 from .game import GameModel
 from .graph import Digraph, laplacian
@@ -158,17 +160,12 @@ def consensus_rhs(
 
 
 def integral_scale(spec: PlayerSpec) -> float:
-    """Coefficient on eta inside the innermost control term.
+    """Coefficient on eta inside the innermost control term: the product of gain_row[1:].
 
     prod_{k=1}^{m-1} theta^k for the standard form, theta^(m-1) for the
     alternate form, 1 for a first-order player.
     """
-    m = spec.order
-    if m == 1:
-        return 1.0
-    if spec.form == FORM_ALTERNATE:
-        return spec.theta ** (m - 1)
-    return float(np.prod([spec.theta**k for k in range(1, m)]))
+    return float(np.prod(gain_row(spec.order, spec.theta, spec.form)[1:][::-1]))
 
 
 def _check_mode(spec: PlayerSpec, mode: SeekerMode) -> None:
@@ -221,7 +218,7 @@ def tilde_x1(i: int, state: SeekerState, spec: PlayerSpec) -> float:
 
 
 def certified_bound(spec: PlayerSpec, mode: SeekerMode) -> float:
-    """Tight a-priori sup-bound of |control| for arbitrary states.
+    """Tight a-priori sup-bound of |control| for arbitrary states: delta * sum(gain_row).
 
     Mode- and order-aware: the degenerate first-order law saturates at
     delta; the standard law at sum_k theta^k * delta; the alternate form at
@@ -229,9 +226,4 @@ def certified_bound(spec: PlayerSpec, mode: SeekerMode) -> float:
     """
     if mode is SeekerMode.UNSATURATED:
         return float("inf")
-    m, theta, delta = spec.order, spec.theta, spec.delta
-    if m == 1:
-        return delta
-    if spec.form == FORM_ALTERNATE:
-        return m * theta * delta
-    return float(sum(theta**k for k in range(1, m + 1)) * delta)
+    return float(sum(gain_row(spec.order, spec.theta, spec.form)[::-1]) * spec.delta)

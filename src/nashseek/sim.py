@@ -10,8 +10,9 @@ step-halving consistency check meaningful; the dynamics are smooth and
 non-stiff at the default step for the parameter ranges this package targets.
 
 The hot loop uses a fused, vectorized right-hand side over padded
-(N, max_order) plant arrays. Its agreement with the scalar per-player laws
-in :mod:`nashseek.seeker` is pinned by tests, not assumed.
+(N, max_order) plant arrays whose control gains are each player's
+:func:`nashseek.dynamics.gain_row`. Its agreement with the scalar per-player
+laws in :mod:`nashseek.seeker` is pinned by tests, not assumed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import seeker as _seeker
-from .dynamics import PlayerSpec, build_transformation, output_coefficients
+from .dynamics import PlayerSpec, build_transformation, gain_row, output_coefficients
 from .errors import (
     ConfigError,
     ConnectivityError,
@@ -48,6 +49,9 @@ __all__ = [
 ]
 
 _C_MONOTONE_SLACK = 1e-12
+# Checked before anything is allocated; a logged row holds 2N + 5 doubles.
+_MAX_STEPS = 10**9
+_MAX_LOG_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -73,8 +77,12 @@ class SimConfig:
             )
         if self.conv_tol <= 0:
             raise ConfigError(f"conv_tol must be positive, got {self.conv_tol}")
+        if not self.t_end / self.step_size <= _MAX_STEPS:
+            raise ConfigError(f"t_end / step_size exceeds the cap of {_MAX_STEPS:.0e} steps")
         if self.steps < 1:
             raise ConfigError("t_end shorter than one step")
+        if self.log_every > self.steps:
+            raise ConfigError(f"log_every > {self.steps} steps: no row would be logged")
 
     @property
     def steps(self) -> int:
@@ -200,16 +208,10 @@ class _Tables:
             self.abar[i, :m, :m] = tr.a_bar
             self.bmask[i, :m] = 1.0
             self.out_rows[i, :m] = output_coefficients(tr)
+            row = gain_row(m, spec.theta, spec.form)
+            self.thm[i] = row[0]
+            self.wmat[i, 1:m] = row[1:]
             self.pvec[i] = _seeker.integral_scale(spec)
-            if m == 1:
-                self.thm[i] = 1.0
-            elif spec.form == "alternate":
-                self.wmat[i, 1:m] = spec.theta
-                self.thm[i] = spec.theta
-            else:
-                for l in range(1, m):
-                    self.wmat[i, l] = spec.theta ** (m - l)
-                self.thm[i] = spec.theta**spec.order
         self.deltas = np.array([s.delta for s in specs])
         self.delta_col = self.deltas[:, None]
         self.saturated = mode is not SeekerMode.UNSATURATED
@@ -254,11 +256,18 @@ def validate_run_inputs(
     g: Digraph,
     specs: Sequence[PlayerSpec],
     mode: SeekerMode,
+    config: SimConfig,
 ) -> None:
     """Raise what :func:`run` rejects about its inputs before integrating."""
     n = g.n
     if game.n_players != n:
         raise ConfigError(f"game has {game.n_players} players but graph has {n}")
+    log_bytes = (config.steps // config.log_every) * (2 * n + 5) * 8
+    if log_bytes > _MAX_LOG_BYTES:
+        raise ConfigError(
+            f"logged arrays would take {log_bytes / 2**30:.3g} GiB, over the 1 GiB cap; "
+            "raise log_every or shorten t_end"
+        )
     if len(specs) != n:
         raise ConfigError(f"got {len(specs)} player specs for {n} players")
     for spec in specs:
@@ -301,7 +310,7 @@ def run(
     used for the error column; by default it is solved in closed form for
     quadratic games and left NaN otherwise.
     """
-    validate_run_inputs(game, g, specs, mode)
+    validate_run_inputs(game, g, specs, mode, config)
     n = g.n
     tables = _Tables(specs, mode, g)
 
@@ -418,14 +427,14 @@ def run(
         c_snapshot=c_final,
     )
     converged, t_conv = detect_convergence(traj, config.conv_tol, config.conv_window)
-    max_abs_u = np.abs(u_log).max(axis=0) if n_logs else np.zeros(n)
+    max_abs_u = np.abs(u_log).max(axis=0)
     drift = (
         float(np.abs(c_final - c_at_mark).max()) if c_at_mark is not None else float("nan")
     )
     summary = Summary(
         converged=converged,
         t_converge=t_conv,
-        final_err=float(err_log[-1]) if n_logs else float("nan"),
+        final_err=float(err_log[-1]),
         max_abs_u=max_abs_u,
         certified_bounds=tables.certified,
         bound_violated=bool((max_abs_u > tables.certified + 1e-9).any()),

@@ -80,6 +80,21 @@ class TestRun:
             s0["resolved_config"]["init"]["z0"] != s1["resolved_config"]["init"]["z0"]
         )
 
+    def test_first_order_auto_delta_meets_limit(self, tmp_path):
+        # margin 1 sizes delta to the limit itself; x0 = 5 drives |u| to delta
+        data = dict(
+            BASE,
+            players={"order": 1, "theta": 0.3, "auto_delta_margin": 1.0, "u_limit": 1.0},
+            init={"x0": 5.0},
+        )
+        cfg_path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["run", cfg_path, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert [p["delta"] for p in summary["resolved_config"]["players"]] == [1.0, 1.0]
+        assert max(summary["max_abs_u"]) == 1.0
+        assert not summary["bound_violated"]
+
     def test_allow_large_theta_flag(self, tmp_path):
         data = dict(BASE, players={"order": 1, "theta": 0.6, "delta": 1.0})
         cfg_path = write_config(tmp_path, data)
@@ -145,6 +160,15 @@ class TestExitCodes:
         assert main(["solve-ne", cfg_path]) == 2
         assert "non-finite number NaN" in capsys.readouterr().err
 
+    def test_transformation_overflow_is_4(self, tmp_path, capsys):
+        # T's entries grow like theta^(-m(m-1)/2) and overflow double precision
+        data = dict(BASE, players={"order": 9, "theta": 1e-10, "delta": 1.0})
+        cfg_path = write_config(tmp_path, data)
+        assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical fault: coordinate change is not representable")
+        assert err.count("\n") == 1
+
     def test_numerical_fault_is_4(self, tmp_path, capsys):
         data = dict(
             BASE,
@@ -198,15 +222,16 @@ class TestCheck:
         assert "[FAIL] theta-range player 1" in capsys.readouterr().out
 
     def test_actuator_bound_failure(self, tmp_path, capsys):
-        data = dict(
-            BASE,
-            players={"order": 3, "theta": 1.0 / 3.0, "delta": 1.0, "u_limit": 0.4},
-        )
-        cfg_path = write_config(tmp_path, data)
-        assert main(["check", cfg_path]) == 3
-        out = capsys.readouterr().out
-        assert "[FAIL] actuator-bound player 1" in out
-        assert "0.481481" in out
+        for players, bound in (
+            ({"order": 3, "theta": 1.0 / 3.0, "delta": 1.0, "u_limit": 0.4}, "0.481481"),
+            # the first-order law u = -sat(x + eta) reaches delta, not theta * delta
+            ({"order": 1, "theta": 0.3, "delta": 2.0, "u_limit": 1.0}, "= 2 vs limit 1"),
+        ):
+            cfg_path = write_config(tmp_path, dict(BASE, players=players))
+            assert main(["check", cfg_path]) == 3
+            out = capsys.readouterr().out
+            assert "[FAIL] actuator-bound player 1" in out
+            assert bound in out
 
     def test_disconnected_graph_failure(self, tmp_path, capsys):
         data = dict(
@@ -220,8 +245,9 @@ class TestCheck:
 
 
 # Ring game on a directed 3-cycle with second-order players, and one change
-# each that run rejects (or, in the last-but-one case, accepts) before it
-# integrates. check must give the same exit code for every one of them.
+# each that run rejects (or, in the bound-at-limit case, accepts) before it
+# integrates. check must give the same exit code for every one of them, and
+# that code is the one listed with the change.
 AGREEMENT_BASE = {
     "game": {"type": "ring", "n": 3},
     "graph": {"type": "cycle", "n": 3},
@@ -229,40 +255,45 @@ AGREEMENT_BASE = {
     "sim": {"step_size": 0.01, "t_end": 0.1, "log_every": 1, "conv_window": 0.05},
 }
 AGREEMENT_CASES = {
-    "first-order-mode": {"mode": "FirstOrder"},
-    "alternate-form-mode": {"mode": "AlternateForm"},
-    "undirected-adaptive-mode": {"mode": "UndirectedAdaptive"},
-    "negative-delta": {"players": {"order": 2, "theta": 0.3, "delta": -1.0, "u_limit": 1.0}},
-    "unknown-form": {"players": {"order": 2, "theta": 0.3, "delta": 1.0, "form": "weird"}},
-    "negative-step": {"sim": dict(AGREEMENT_BASE["sim"], step_size=-0.01)},
-    "window-beyond-horizon": {"sim": dict(AGREEMENT_BASE["sim"], conv_window=5.0)},
+    "first-order-mode": (2, {"mode": "FirstOrder"}),
+    "alternate-form-mode": (2, {"mode": "AlternateForm"}),
+    "undirected-adaptive-mode": (3, {"mode": "UndirectedAdaptive"}),
+    "negative-delta": (3, {"players": {"order": 2, "theta": 0.3, "delta": -1.0, "u_limit": 1.0}}),
+    "unknown-form": (3, {"players": {"order": 2, "theta": 0.3, "delta": 1.0, "form": "weird"}}),
+    "negative-step": (2, {"sim": dict(AGREEMENT_BASE["sim"], step_size=-0.01)}),
+    "window-beyond-horizon": (2, {"sim": dict(AGREEMENT_BASE["sim"], conv_window=5.0)}),
     # certified bound 1000 * (1 + 5e-13): inside the relative slack on the limit
-    "bound-at-limit": {
-        "players": {
-            "order": 1,
-            "theta": 0.3,
-            "delta": 1000.0 * (1 + 5e-13) / 0.3,
-            "u_limit": 1000.0,
-        }
-    },
-    "theta-beyond-one": {
-        "players": {"order": 2, "theta": 1.5, "delta": 1.0},
-        "allow_large_theta": True,
-    },
+    "bound-at-limit": (
+        0,
+        {"players": {"order": 1, "theta": 0.3, "delta": 1000.0 * (1 + 5e-13), "u_limit": 1000.0}},
+    ),
+    "theta-beyond-one": (
+        3,
+        {"players": {"order": 2, "theta": 1.5, "delta": 1.0}, "allow_large_theta": True},
+    ),
+    # the first-order law reaches delta = 2, over the limit of 1
+    "first-order-over-limit": (
+        3,
+        {"mode": "FirstOrder", "players": {"order": 1, "theta": 0.3, "delta": 2.0, "u_limit": 1.0}},
+    ),
+    "log-every-beyond-steps": (2, {"sim": dict(AGREEMENT_BASE["sim"], log_every=50)}),
+    "steps-beyond-cap": (2, {"sim": dict(AGREEMENT_BASE["sim"], t_end=1e15)}),
+    # 2e7 logged rows of 2 * 3 + 5 doubles: 1.6 GiB
+    "log-beyond-1gib": (2, {"sim": dict(AGREEMENT_BASE["sim"], t_end=2e5)}),
 }
 
 
 class TestCheckRunAgreement:
     @pytest.mark.parametrize(
-        "overrides", AGREEMENT_CASES.values(), ids=AGREEMENT_CASES.keys()
+        "code, overrides", AGREEMENT_CASES.values(), ids=AGREEMENT_CASES.keys()
     )
-    def test_same_exit_code(self, tmp_path, capsys, overrides):
+    def test_same_exit_code(self, tmp_path, capsys, code, overrides):
         cfg_path = write_config(tmp_path, {**AGREEMENT_BASE, **overrides})
         checked = main(["check", cfg_path])
         check_out = capsys.readouterr()
         ran = main(["run", cfg_path, "--out", str(tmp_path / "o")])
         run_err = capsys.readouterr().err
-        assert checked == ran
+        assert checked == ran == code
         if "[FAIL]" not in check_out.out:
             # every verdict passed, so check went on to run's own validation
             assert check_out.err == run_err

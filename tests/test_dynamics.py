@@ -195,6 +195,10 @@ class TestTransformation:
         exact_theta = Fraction(1.0 / 3.0)
         assert tr.exact_t[0][0] == 1 / (exact_theta * exact_theta**2)
 
+    def test_overflow_is_singular_transform(self):
+        with pytest.raises(SingularTransformError):
+            build_transformation(PlayerSpec(order=9, theta=1e-10, delta=1.0))
+
     def test_inverse_maps_original_initial_state(self):
         tr = build_transformation(PlayerSpec(order=3, theta=1.0 / 3.0, delta=1.0))
         xbar = tr.t_inverse @ np.array([1.0, 1.0, 1.0])
@@ -205,11 +209,13 @@ class TestBounds:
     def test_reference_bound(self):
         assert max_control_bound(3, 1.0 / 3.0, 1.0) == pytest.approx(13.0 / 27.0)
 
-    def test_first_order_bound_is_theta_delta(self):
-        assert max_control_bound(1, 0.3, 2.0) == pytest.approx(0.6)
+    def test_first_order_bound_is_delta(self):
+        # the first-order law u = -sat(x + eta) reaches delta itself
+        assert max_control_bound(1, 0.3, 2.0) == 2.0
 
     def test_geometric_dominates_finite_sum(self):
-        for m in range(1, 7):
+        # the geometric series covers the high-order law only
+        for m in range(2, 7):
             for theta in THETAS:
                 assert (
                     max_control_bound(m, theta, 1.0)

@@ -10,10 +10,12 @@ from nashseek import (
     PlayerSpec,
     SeekerMode,
     SeekerState,
+    canonical_a,
     certified_bound,
     consensus_rhs,
     control,
     cycle_digraph,
+    gain_row,
     innovation,
     innovation_matrix,
     integral_scale,
@@ -206,6 +208,24 @@ class TestScalesAndBounds:
         assert integral_scale(
             PlayerSpec(order=3, theta=0.3, delta=1.0, form="alternate")
         ) == pytest.approx(0.09)
+
+    def test_gain_row_is_the_law_and_the_canonical_columns(self):
+        # unit bar vectors inside the saturation level read the gains off the
+        # hand-written law; the tail gains are canonical_a's column values
+        for m in range(1, 7):
+            for theta in (0.1, 0.2, 1.0 / 3.0, 0.45):
+                for form, mode in (("standard", SAT), ("alternate", SeekerMode.ALTERNATE_FORM)):
+                    spec = PlayerSpec(order=m, theta=theta, delta=2.0, form=form)
+                    row = gain_row(m, theta, form)
+                    probed = []
+                    for l in range(m):
+                        state = make_state(1, (m,))
+                        state.xbar[0][l] = 1.0
+                        probed.append(control(0, state, spec, mode))
+                    assert probed == [-g for g in row], (m, theta, form)
+                    np.testing.assert_array_max_ulp(
+                        np.array(row[1:]), canonical_a(m, theta, form)[0, 1:], maxulp=1
+                    )
 
     def test_tilde_links_integral_to_first_state(self):
         state = make_state(1, (3,))

@@ -65,6 +65,10 @@ class TestSimConfig:
             SimConfig(t_end=5.0, conv_window=10.0)
         with pytest.raises(ConfigError):
             SimConfig(conv_tol=-1.0)
+        with pytest.raises(ConfigError, match="no row would be logged"):
+            SimConfig(step_size=0.01, t_end=1.0, log_every=500, conv_window=0.5)
+        with pytest.raises(ConfigError, match="exceeds the cap"):
+            SimConfig(t_end=1e15)
 
 
 class TestStateLayout:
@@ -151,12 +155,12 @@ class TestDetectors:
         assert unsaturated_entry(synthetic_traj(t, tail=[1.0, 0.0, 0.0, 0.0])) == 0.2
 
 
-def small_setup(n=3, orders=(1, 2, 3)):
+def small_setup(n=3, orders=(1, 2, 3), form="standard"):
     game = ring_game(n)
     g = cycle_digraph(n)
     thetas = (0.2, 0.3, 1.0 / 3.0)
     specs = tuple(
-        PlayerSpec(order=m, theta=thetas[i % 3], delta=1.0)
+        PlayerSpec(order=m, theta=thetas[i % 3], delta=1.0, form=form)
         for i, m in enumerate(orders)
     )
     return game, g, specs
@@ -199,10 +203,15 @@ class TestRunValidation:
 class TestRunBehavior:
     CFG = SimConfig(step_size=1e-3, t_end=0.05, log_every=1, conv_window=0.05)
 
-    def test_matches_scalar_reference(self, rng):
+    @pytest.mark.parametrize("mode", list(SeekerMode), ids=lambda mode: mode.value)
+    def test_matches_scalar_reference(self, rng, mode):
         """Fused vectorized right-hand side against the per-player scalar laws."""
-        game, g, specs = small_setup()
-        mode = SAT
+        game, g, specs = small_setup(
+            orders=(1, 1, 1) if mode is SeekerMode.FIRST_ORDER else (1, 2, 3),
+            form="alternate" if mode is SeekerMode.ALTERNATE_FORM else "standard",
+        )
+        if mode is SeekerMode.UNDIRECTED_ADAPTIVE:
+            g = Digraph(weights=np.ones((3, 3)) - np.eye(3))
         x0 = [rng.uniform(-1, 1, size=s.order) for s in specs]
         z0 = rng.uniform(-0.5, 0.5, size=(3, 3))
         c0 = rng.uniform(0.5, 1.5, size=(3, 3))

@@ -18,6 +18,7 @@ so the similarity identities can be certified without rounding.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -69,7 +70,7 @@ def _column_coeffs(m: int, theta, form: str) -> dict:
         return {l: theta ** (m - l + 1) for l in range(1, m + 1)}
     if form == FORM_ALTERNATE:
         return {l: theta for l in range(1, m + 1)}
-    raise ValueError(f"unknown canonical form {form!r}")
+    raise ValueError(f"form must be {FORM_STANDARD!r} or {FORM_ALTERNATE!r}, got {form!r}")
 
 
 def canonical_a(m: int, theta: float, form: str = FORM_STANDARD) -> NDArray[np.float64]:
@@ -130,10 +131,12 @@ class PlayerSpec:
     theta must lie in (0, 1/2): the boundedness argument for the tail states
     needs theta/(1-theta) < 1. Values in [1/2, 1) are admitted only with
     ``allow_large_theta`` and a warning, since the convergence guarantee is
-    void there. The control bound :func:`max_control_bound`, delta times the
-    sum of the standard :func:`gain_row` (delta itself at order 1), must not
-    exceed the actuator limit ``u_limit`` (defaults to delta, which always
-    satisfies the check when theta < 1/2).
+    void there. The control bound :func:`max_control_bound` of the player's
+    own form, delta times the sum of its :func:`gain_row` (delta itself at
+    order 1, m * theta * delta for the alternate form), must not exceed the
+    actuator limit ``u_limit``. The limit defaults to delta, which the
+    standard form always meets when theta < 1/2 and the alternate form only
+    when m * theta <= 1.
     """
 
     order: int
@@ -168,8 +171,10 @@ class PlayerSpec:
         elif self.u_limit <= 0:
             raise ValueError(f"u_limit must be positive, got {self.u_limit}")
         if self.form not in (FORM_STANDARD, FORM_ALTERNATE):
-            raise ValueError(f"form must be {FORM_STANDARD!r} or {FORM_ALTERNATE!r}")
-        bound = max_control_bound(self.order, self.theta, self.delta)
+            raise ValueError(
+                f"form must be {FORM_STANDARD!r} or {FORM_ALTERNATE!r}, got {self.form!r}"
+            )
+        bound = max_control_bound(self.order, self.theta, self.delta, self.form)
         if not bound_within_limit(bound, self.u_limit):
             raise ValueError(
                 f"control bound delta*sum(gain_row) = {bound:.6g} exceeds the "
@@ -320,9 +325,21 @@ def gain_row(order: int, theta: float, form: str = FORM_STANDARD) -> list[float]
     return list(_column_coeffs(order, theta, form).values())
 
 
-def max_control_bound(m: int, theta: float, delta: float) -> float:
-    """Certified |u| bound of the standard law, delta * sum(gain_row): delta at order 1."""
-    return float(sum(gain_row(m, theta)[::-1]) * delta)
+def _gain_sum(m: int, theta: float, form: str) -> float:
+    """sum(gain_row) in ascending powers; inf when a power of |theta| > 1 overflows."""
+    try:
+        return sum(gain_row(m, theta, form)[::-1])
+    except OverflowError:
+        return math.inf
+
+
+def max_control_bound(m: int, theta: float, delta: float, form: str = FORM_STANDARD) -> float:
+    """Certified |u| bound of the saturated law, delta * sum(gain_row(m, theta, form)).
+
+    sum_k theta^k * delta for the standard form, m * theta * delta for the
+    alternate form, delta at order 1.
+    """
+    return float(_gain_sum(m, theta, form) * delta)
 
 
 def geometric_control_bound(theta: float, delta: float) -> float:
@@ -335,10 +352,12 @@ def geometric_control_bound(theta: float, delta: float) -> float:
     return theta / (1.0 - theta) * delta
 
 
-def delta_for_limit(m: int, theta: float, u_limit: float, margin: float = 1.0) -> float:
+def delta_for_limit(
+    m: int, theta: float, u_limit: float, margin: float = 1.0, form: str = FORM_STANDARD
+) -> float:
     """Largest delta (scaled by margin) whose :func:`max_control_bound` meets u_limit."""
     if not 0 < margin <= 1:
         raise ValueError(f"margin must lie in (0, 1], got {margin}")
     if u_limit <= 0:
         raise ValueError(f"u_limit must be positive, got {u_limit}")
-    return float(margin * u_limit / sum(gain_row(m, theta)[::-1]))
+    return float(margin * u_limit / _gain_sum(m, theta, form))

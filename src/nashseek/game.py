@@ -53,9 +53,13 @@ class GameModel:
     def self_gradients(self, profiles: NDArray[np.floating]) -> NDArray[np.float64]:
         """Each player's gradient at its *own* estimated profile.
 
-        ``profiles`` is (N, N); row i is the profile player i believes in.
-        Unlike :meth:`pseudo_gradient` the evaluation point differs per player.
+        ``profiles`` is (..., N, N); row i is the profile player i believes in,
+        and the result is (..., N). Unlike :meth:`pseudo_gradient` the
+        evaluation point differs per player.
         """
+        profiles = np.asarray(profiles)
+        if profiles.ndim > 2:
+            return np.array([self.self_gradients(p) for p in profiles])
         return np.array([self.gradient(i, profiles[i]) for i in range(self.n_players)])
 
 
@@ -104,7 +108,7 @@ class QuadraticGame(GameModel):
 
     def self_gradients(self, profiles: NDArray[np.floating]) -> NDArray[np.float64]:
         # row i of profiles dotted with row i of the jacobian
-        return (self.jacobian * profiles).sum(axis=1) + self.offset
+        return (self.jacobian * profiles).sum(axis=-1) + self.offset
 
 
 @dataclass(frozen=True)

@@ -207,8 +207,8 @@ def _random_bounds(value, where: str) -> tuple[float, float]:
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} random block must be an object")
     _reject_unknown(spec, {"low", "high"}, where)
-    low = float(spec.get("low", -1.0))
-    high = float(spec.get("high", 1.0))
+    low = _number(spec, "low", where, -1.0)
+    high = _number(spec, "high", where, 1.0)
     if not low < high:
         raise ConfigError(f"{where} random bounds need low < high, got [{low}, {high}]")
     return low, high
@@ -226,6 +226,9 @@ def _resolve_player(p, i: int) -> dict:
     if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise ConfigError(f"{where} order must be a positive integer, got {order!r}")
     theta = _number(p, "theta", where)
+    form = p.get("form", "standard")
+    if not isinstance(form, str):
+        raise ConfigError(f"{where} form must be a string")
     if ("delta" in p) == ("auto_delta_margin" in p):
         raise ConfigError(f"{where} needs exactly one of delta or auto_delta_margin")
     if "auto_delta_margin" in p:
@@ -233,14 +236,12 @@ def _resolve_player(p, i: int) -> dict:
             raise ConfigError(f"{where} auto_delta_margin requires u_limit")
         try:
             u_limit = _number(p, "u_limit", where)
-            delta = delta_for_limit(order, theta, u_limit, _number(p, "auto_delta_margin", where))
+            margin = _number(p, "auto_delta_margin", where)
+            delta = delta_for_limit(order, theta, u_limit, margin, form)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
     else:
         delta = _number(p, "delta", where)
-    form = p.get("form", "standard")
-    if not isinstance(form, str):
-        raise ConfigError(f"{where} form must be a string")
     return {
         "order": order,
         "theta": theta,
@@ -274,7 +275,7 @@ def parse_config(data: dict) -> ScenarioConfig:
         raise ConfigError(f"game has {n} players but graph has {n_graph} nodes")
 
     mode = data.get("mode", "SaturatedDirected")
-    if mode not in _MODE_VALUES:
+    if not isinstance(mode, str) or mode not in _MODE_VALUES:
         raise ConfigError(
             f"unknown mode {mode!r}; expected one of {sorted(_MODE_VALUES)}"
         )
@@ -288,8 +289,8 @@ def parse_config(data: dict) -> ScenarioConfig:
     players = [_resolve_player(p, i) for i, p in enumerate(raw_players)]
 
     seed = data.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
     init = data.get("init", {})
     if not isinstance(init, dict):

@@ -29,7 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import FORM_ALTERNATE, FORM_STANDARD, PlayerSpec, gain_row, saturation
+from .dynamics import (
+    FORM_ALTERNATE,
+    FORM_STANDARD,
+    PlayerSpec,
+    gain_row,
+    max_control_bound,
+    saturation,
+)
 from .errors import GainIntegrityError, ModeOrderError
 from .game import GameModel
 from .graph import Digraph, laplacian
@@ -222,8 +229,9 @@ def certified_bound(spec: PlayerSpec, mode: SeekerMode) -> float:
 
     Mode- and order-aware: the degenerate first-order law saturates at
     delta; the standard law at sum_k theta^k * delta; the alternate form at
-    m * theta * delta; the unsaturated law is unbounded.
+    m * theta * delta (:func:`nashseek.dynamics.max_control_bound`); the
+    unsaturated law is unbounded.
     """
     if mode is SeekerMode.UNSATURATED:
         return float("inf")
-    return float(sum(gain_row(spec.order, spec.theta, spec.form)[::-1]) * spec.delta)
+    return max_control_bound(spec.order, spec.theta, spec.delta, spec.form)

@@ -1,24 +1,31 @@
 """Fixed-step closed-loop simulation and convergence diagnostics.
 
-The full state is one flat vector laid out as
+The state of one scenario is documented as one flat vector laid out as
 
     [ xbar_1 | ... | xbar_N | z row-major | c row-major | eta ]
 
-of length sum(m_i) + 2 N^2 + N, advanced by classical Runge-Kutta 4 with a
-constant step. A fixed-step scheme keeps reruns bit-identical and makes the
-step-halving consistency check meaningful; the dynamics are smooth and
-non-stiff at the default step for the parameter ranges this package targets.
+of length L = sum(m_i) + 2 N^2 + N (:func:`pack_state`), advanced by
+classical Runge-Kutta 4 with a constant step. A fixed-step scheme keeps
+reruns bit-identical and makes the step-halving consistency check
+meaningful; the dynamics are smooth and non-stiff at the default step for
+the parameter ranges this package targets.
 
-The hot loop uses a fused, vectorized right-hand side over padded
-(N, max_order) plant arrays whose control gains are each player's
-:func:`nashseek.dynamics.gain_row`. Its agreement with the scalar per-player
-laws in :mod:`nashseek.seeker` is pinned by tests, not assumed.
+The integrator advances a state of shape (..., L): the fused, vectorized
+right-hand side and :func:`rk4_step` act on the last axis alone, so
+:func:`run_batch` steps B scenarios that share game, graph, players, mode
+and :class:`SimConfig` as one (B, L) array, and each member's numbers are
+bit-identical to its solo :func:`run`, which is the B = 1 case. Inside the
+loop the plant block is padded to (N, max_order), whose control gains are
+each player's :func:`nashseek.dynamics.gain_row`; fault components are
+still reported in the documented layout. The agreement of the fused
+right-hand side with the scalar per-player laws in :mod:`nashseek.seeker`
+is pinned by tests, not assumed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -44,12 +51,15 @@ __all__ = [
     "rk4_step",
     "validate_run_inputs",
     "run",
+    "run_batch",
     "detect_convergence",
     "unsaturated_entry",
 ]
 
 _C_MONOTONE_SLACK = 1e-12
 # Checked before anything is allocated; a logged row holds 2N + 5 doubles.
+# The log cap holds per scenario, and run_batch integrates its members in
+# chunks whose logs together stay within it.
 _MAX_STEPS = 10**9
 _MAX_LOG_BYTES = 2**30
 
@@ -112,7 +122,11 @@ class Trajectory:
 
 @dataclass
 class Summary:
-    """Scalar verdicts of one run; everything a test or a report gates on."""
+    """Scalar verdicts of one run; everything a test or a report gates on.
+
+    ``c_trailing_drift`` is max |c_final - c| against the first logged row
+    at or after 0.9 t_end, and None when no row is logged there.
+    """
 
     converged: bool
     t_converge: float | None
@@ -123,7 +137,7 @@ class Summary:
     c_final_range: tuple[float, float]
     c_monotone: bool
     unsaturated_entry_time: float | None
-    c_trailing_drift: float
+    c_trailing_drift: float | None
 
 
 def pack_state(state: SeekerState) -> NDArray[np.float64]:
@@ -162,15 +176,28 @@ def rk4_step(
 ) -> NDArray[np.float64]:
     """One classical Runge-Kutta 4 step; raises on a non-finite result.
 
-    Overflow inside the stage evaluations is silenced: a diverging state is
-    reported once through IntegrationError instead of a warning per stage.
+    Works on a state of any shape. Overflow inside the stage evaluations is
+    silenced: a diverging state is reported once through IntegrationError,
+    whose ``component`` is the flat index of its first non-finite entry,
+    instead of a warning per stage.
+
+    The arithmetic is state + (h/6) (k1 + 2 k2 + 2 k3 + k4) in that order,
+    with the sum accumulated in place. The returned array is allocated last,
+    after the step's temporaries are freed, so for a large state the next
+    step reuses their memory instead of the allocator returning it to the
+    operating system and faulting it in again.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = rhs(state)
-        k2 = rhs(state + (0.5 * h) * k1)
-        k3 = rhs(state + (0.5 * h) * k2)
-        k4 = rhs(state + h * k3)
-        out = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = rhs(_stage(state, 0.5 * h, k1))
+        k3 = rhs(_stage(state, 0.5 * h, k2))
+        k4 = rhs(_stage(state, h, k3))
+        acc = np.multiply(k2, 2.0)
+        np.add(k1, acc, out=acc)
+        np.add(acc, np.multiply(k3, 2.0), out=acc)
+        np.add(acc, k4, out=acc)
+        np.multiply(acc, h / 6.0, out=acc)
+        out = np.add(state, acc)
     if not np.isfinite(out).all():
         bad = int(np.flatnonzero(~np.isfinite(out))[0])
         raise IntegrationError(
@@ -179,23 +206,38 @@ def rk4_step(
     return out
 
 
+def _stage(state: NDArray[np.float64], a: float, k: NDArray[np.float64]) -> NDArray[np.float64]:
+    """state + a * k in one new array."""
+    out = np.multiply(k, a)
+    return np.add(state, out, out=out)
+
+
 class _Tables:
-    """Precomputed per-run arrays for the fused right-hand side."""
+    """Precomputed arrays for the fused right-hand side, shared by a batch.
+
+    The loop's state is [x padded to (N, mmax) row-major | z | c | eta]; the
+    padded slots stay zero because their rows and columns of ``abar`` and
+    their ``bmask`` and ``wmat`` entries are zero.
+    """
 
     def __init__(self, specs: Sequence[PlayerSpec], mode: SeekerMode, g: Digraph):
         n = len(specs)
         ms = np.array([s.order for s in specs])
         mmax = int(ms.max())
         self.n = n
-        self.orders = ms
-        self.nx = int(ms.sum())
         self.mmax = mmax
-        self.uniform = bool((ms == ms[0]).all())
-        self.mask = np.zeros((n, mmax), dtype=bool)
-        for i, m in enumerate(ms):
-            self.mask[i, :m] = True
+        self.npad = n * mmax
+        self.width = self.npad + 2 * n * n + n
+        self.mask = np.arange(mmax) < ms[:, None]
+        self.tails = self.mask.copy()
+        self.tails[:, 0] = False
+        # documented-layout index of each loop-state slot (a padded slot maps
+        # to its player's last state, the one its non-finite value comes from)
+        self.packed = np.concatenate(
+            [np.cumsum(self.mask.ravel()) - 1, ms.sum() + np.arange(2 * n * n + n)]
+        )
         self.abar = np.zeros((n, mmax, mmax))
-        self.bmask = np.zeros((n, mmax))
+        self.bmask = self.mask.astype(float)
         self.wmat = np.zeros((n, mmax))
         self.thm = np.zeros(n)
         self.pvec = np.zeros(n)
@@ -206,7 +248,6 @@ class _Tables:
             tr = build_transformation(spec)
             self.transforms.append(tr)
             self.abar[i, :m, :m] = tr.a_bar
-            self.bmask[i, :m] = 1.0
             self.out_rows[i, :m] = output_coefficients(tr)
             row = gain_row(m, spec.theta, spec.form)
             self.thm[i] = row[0]
@@ -214,41 +255,67 @@ class _Tables:
             self.pvec[i] = _seeker.integral_scale(spec)
         self.deltas = np.array([s.delta for s in specs])
         self.delta_col = self.deltas[:, None]
+        self.neg_deltas = -self.deltas
+        self.neg_delta_col = -self.delta_col
         self.saturated = mode is not SeekerMode.UNSATURATED
         self.rho_augmented = mode is not SeekerMode.UNDIRECTED_ADAPTIVE
         self.weights = g.weights
         self.lap = laplacian(g)
         self.certified = np.array([_seeker.certified_bound(s, mode) for s in specs])
 
-    def plant(self, flat: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Padded (N, mmax) view/copy of the plant block."""
-        if self.uniform:
-            return flat[: self.nx].reshape(self.n, self.mmax)
-        x = np.zeros((self.n, self.mmax))
-        x[self.mask] = flat[: self.nx]
-        return x
+    def split(self, s: NDArray[np.float64]):
+        """Views x (..., N, mmax), z and c (..., N, N), eta (..., N) of a loop state."""
+        lead = s.shape[:-1]
+        n, npad = self.n, self.npad
+        z_end = npad + n * n
+        return (
+            s[..., :npad].reshape(lead + (n, self.mmax)),
+            s[..., npad:z_end].reshape(lead + (n, n)),
+            s[..., z_end : z_end + n * n].reshape(lead + (n, n)),
+            s[..., z_end + n * n :],
+        )
 
     def controls(self, x: NDArray[np.float64], eta: NDArray[np.float64]) -> NDArray[np.float64]:
+        inner = x[..., 0] + self.pvec * eta
         if self.saturated:
-            satx = np.clip(x, -self.delta_col, self.delta_col)
-            inner = np.clip(x[:, 0] + self.pvec * eta, -self.deltas, self.deltas)
-        else:
-            satx = x
-            inner = x[:, 0] + self.pvec * eta
-        return -((self.wmat * satx).sum(axis=1) + self.thm * inner)
+            x = np.minimum(np.maximum(x, self.neg_delta_col), self.delta_col)
+            inner = np.minimum(np.maximum(inner, self.neg_deltas), self.deltas)
+        return -((self.wmat * x).sum(axis=-1) + self.thm * inner)
 
     def outputs(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        return (self.out_rows * x).sum(axis=1)
+        return (self.out_rows * x).sum(axis=-1)
 
-    def tail_max(self, x: NDArray[np.float64]) -> float:
-        tails = self.mask.copy()
-        tails[:, 0] = False
-        if not tails.any():
-            return float("-inf")
-        return float((np.abs(x) - self.delta_col)[tails].max())
+    def tail_max(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
+        if not self.tails.any():
+            return np.full(x.shape[:-2], -np.inf)
+        return (np.abs(x) - self.delta_col)[..., self.tails].max(axis=-1)
 
-    def tilde(self, x: NDArray[np.float64], eta: NDArray[np.float64]) -> NDArray[np.float64]:
-        return x[:, 0] + self.pvec * eta
+    def initial_state(self, x0, z0, c0) -> NDArray[np.float64]:
+        """Loop state of one scenario from original-coordinate plant states."""
+        n = self.n
+        if x0 is None:
+            x0 = [np.zeros(tr.order) for tr in self.transforms]
+        if len(x0) != n:
+            raise ConfigError(f"x0 has {len(x0)} entries for {n} players")
+        x = np.zeros((n, self.mmax))
+        for i, tr in enumerate(self.transforms):
+            xi = np.asarray(x0[i], dtype=float).ravel()
+            if xi.shape != (tr.order,):
+                raise ConfigError(
+                    f"x0[{i}] has shape {xi.shape}, expected ({tr.order},)"
+                )
+            x[i, : tr.order] = tr.t_inverse @ xi
+        z_init = _materialize(z0, (n, n), "z0")
+        c_init = _materialize(c0, (n, n), "c0")
+        if (c_init <= 0).any():
+            raise ConfigError(
+                f"initial adaptive gains must be positive, got min {c_init.min():.6g}"
+            )
+        return np.concatenate([x.ravel(), z_init.ravel(), c_init.ravel(), np.zeros(n)])
+
+
+def _log_bytes(config: SimConfig, n: int) -> int:
+    return (config.steps // config.log_every) * (2 * n + 5) * 8
 
 
 def validate_run_inputs(
@@ -262,7 +329,7 @@ def validate_run_inputs(
     n = g.n
     if game.n_players != n:
         raise ConfigError(f"game has {game.n_players} players but graph has {n}")
-    log_bytes = (config.steps // config.log_every) * (2 * n + 5) * 8
+    log_bytes = _log_bytes(config, n)
     if log_bytes > _MAX_LOG_BYTES:
         raise ConfigError(
             f"logged arrays would take {log_bytes / 2**30:.3g} GiB, over the 1 GiB cap; "
@@ -308,142 +375,205 @@ def run(
     coordinates (converted internally); omitted pieces default to zero
     plants, zero estimates, unit gains. ``y_star`` overrides the reference
     used for the error column; by default it is solved in closed form for
-    quadratic games and left NaN otherwise.
+    quadratic games and left NaN otherwise. This is :func:`run_batch` with
+    one member; its fault is raised.
+    """
+    (result,) = run_batch(game, g, specs, mode, [x0], [z0], [c0], config, y_star=y_star)
+    if isinstance(result, IntegrationError):
+        raise result
+    return result
+
+
+def run_batch(
+    game: GameModel,
+    g: Digraph,
+    specs: Sequence[PlayerSpec],
+    mode: SeekerMode,
+    x0s: Sequence,
+    z0s: Sequence,
+    c0s: Sequence,
+    config: SimConfig,
+    y_star: NDArray[np.floating] | None = None,
+) -> Iterator[tuple[Trajectory, Summary] | IntegrationError]:
+    """Integrate B scenarios that differ only in their initial x0, z0 and c0.
+
+    Member b starts from ``x0s[b]``, ``z0s[b]`` and ``c0s[b]``, each taking
+    what :func:`run` takes. Inputs are validated, and rejected as by
+    :func:`run`, before this returns. The result is an iterator that yields,
+    in member order, each member's ``(Trajectory, Summary)`` or, when its
+    state stopped being finite, its IntegrationError; a faulted member
+    leaves the batch and the others go on, bit-identical to their solo runs.
+    Members are integrated in consecutive chunks as the iterator is
+    consumed, so the logs of one chunk stay within the 1 GiB cap of one
+    scenario.
     """
     validate_run_inputs(game, g, specs, mode, config)
-    n = g.n
-    tables = _Tables(specs, mode, g)
-
-    if x0 is None:
-        x0 = [np.zeros(s.order) for s in specs]
-    if len(x0) != n:
-        raise ConfigError(f"x0 has {len(x0)} entries for {n} players")
-    xbar0 = []
-    for i, spec in enumerate(specs):
-        xi = np.asarray(x0[i], dtype=float).ravel()
-        if xi.shape != (spec.order,):
-            raise ConfigError(
-                f"x0[{i}] has shape {xi.shape}, expected ({spec.order},)"
-            )
-        xbar0.append(tables.transforms[i].t_inverse @ xi)
-    z_init = _materialize(z0, (n, n), "z0")
-    c_init = _materialize(c0, (n, n), "c0")
-    if (c_init <= 0).any():
+    if not len(x0s) == len(z0s) == len(c0s):
         raise ConfigError(
-            f"initial adaptive gains must be positive, got min {c_init.min():.6g}"
+            f"got {len(x0s)} x0, {len(z0s)} z0 and {len(c0s)} c0 batch members"
         )
-
+    tables = _Tables(specs, mode, g)
+    states = np.array(
+        [tables.initial_state(*init) for init in zip(x0s, z0s, c0s)]
+    ).reshape(-1, tables.width)
     if y_star is None and isinstance(game, QuadraticGame):
         if check_game(game).strongly_monotone:
             y_star = solve_nash_closed_form(game)
-    ref = np.full(n, np.nan) if y_star is None else np.asarray(y_star, dtype=float)
+    ref = np.full(g.n, np.nan) if y_star is None else np.asarray(y_star, dtype=float)
+    chunk = max(1, _MAX_LOG_BYTES // _log_bytes(config, g.n))
+    return _chunks(tables, game, ref, states, config, chunk)
 
-    state = np.concatenate(
-        [np.concatenate(xbar0), z_init.ravel(), c_init.ravel(), np.zeros(n)]
-    )
 
-    nx, n2 = tables.nx, n * n
-    zo, co, eo = nx, nx + n2, nx + 2 * n2
+def _chunks(tables, game, ref, states, config, chunk):
+    for start in range(0, len(states), chunk):
+        yield from _integrate(tables, game, ref, states[start : start + chunk], config)
+
+
+def _integrate(
+    tables: _Tables,
+    game: GameModel,
+    ref: NDArray[np.float64],
+    state: NDArray[np.float64],
+    config: SimConfig,
+) -> list[tuple[Trajectory, Summary] | IntegrationError]:
+    """The RK4 loop over one chunk: a (B, L) state, one result per row."""
+    n, width = tables.n, tables.width
     lap, w = tables.lap, tables.weights
     rho_aug = tables.rho_augmented
     self_gradients = game.self_gradients
-    plant, controls = tables.plant, tables.controls
-    abar, bmask, mask, uniform = tables.abar, tables.bmask, tables.mask, tables.uniform
+    split, controls = tables.split, tables.controls
+    abar, bmask = tables.abar, tables.bmask
 
     def rhs(s: NDArray[np.float64]) -> NDArray[np.float64]:
-        x = plant(s)
-        z = s[zo:co].reshape(n, n)
-        c = s[co:eo].reshape(n, n)
-        eta = s[eo:]
-        xi = lap @ z + w * (z + eta)
-        rho = xi * xi
-        gain = c + rho if rho_aug else c
-        u = controls(x, eta)
-        xdot = (abar @ x[:, :, None])[:, :, 0] + u[:, None] * bmask
+        # in place where the n^2 blocks allow it, in the order of
+        # xi = L z + w (z + eta), zdot = -(c + xi^2) xi, cdot = xi^2
+        x, z, c, eta = split(s)
         out = np.empty_like(s)
-        out[:nx] = xdot.ravel() if uniform else xdot[mask]
-        out[zo:co] = (-gain * xi).ravel()
-        out[co:eo] = rho.ravel()
-        out[eo:] = self_gradients(z)
+        xdot, zdot, cdot, etadot = split(out)
+        xi = lap @ z
+        pinned = z + eta[..., None, :]
+        np.multiply(pinned, w, out=pinned)
+        np.add(xi, pinned, out=xi)
+        np.multiply(xi, xi, out=cdot)
+        if rho_aug:
+            np.add(c, cdot, out=zdot)
+        else:
+            zdot[...] = c
+        np.multiply(zdot, xi, out=zdot)
+        np.negative(zdot, out=zdot)
+        xdot[...] = (abar @ x[..., None])[..., 0] + controls(x, eta)[..., None] * bmask
+        etadot[...] = self_gradients(z)
         return out
 
+    members = len(state)
+    c_prev = split(state)[2].copy()
+    if members == 1:
+        # a lone member steps as one (L,) vector: numpy's fixed cost per call
+        # grows with every broadcast axis
+        state = state[0]
     h = config.step_size
     steps = config.steps
     log_every = config.log_every
     n_logs = steps // log_every
-    times = np.empty(n_logs)
-    y_log = np.empty((n_logs, n))
-    u_log = np.empty((n_logs, n))
-    err_log = np.empty(n_logs)
-    tail_log = np.empty(n_logs)
-    tilde_log = np.empty(n_logs)
-    zres_log = np.empty(n_logs)
-    c_monotone = True
-    c_prev = c_init.copy()
+    # one (n_logs, 2N + 5) block per member: t | y | u | err | tail | tilde | zres
+    logs = [np.empty((n_logs, 2 * n + 5)) for _ in range(members)]
+    rows = np.empty((members, 2 * n + 5))
+    faults: dict[int, IntegrationError] = {}
+    live = np.arange(members)
+    c_monotone = np.ones(members, dtype=bool)
+    c_mark = np.empty_like(c_prev)
     drift_mark_t = 0.9 * config.t_end
-    c_at_mark: NDArray[np.float64] | None = None
+    marked = False
 
+    k = 0
     row = 0
-    for k in range(1, steps + 1):
+    while k < steps and live.size:
         try:
             state = rk4_step(rhs, state, h)
         except IntegrationError as exc:
-            raise IntegrationError(
-                f"integration fault at t = {k * h:.6g}: {exc}",
-                time=k * h,
-                component=exc.component,
-            ) from None
+            # record the first faulted member, drop it, retry the step
+            pos, slot = divmod(exc.component, width)
+            t = (k + 1) * h
+            comp = int(tables.packed[slot])
+            faults[int(live[pos])] = IntegrationError(
+                f"integration fault at t = {t:.6g}: non-finite state component {comp} "
+                "after a step",
+                time=t,
+                component=comp,
+            )
+            keep = np.arange(live.size) != pos
+            live = live[keep]
+            if live.size:
+                state = state[keep]
+            continue
+        k += 1
         if k % log_every:
             continue
         t = k * h
-        x = plant(state)
-        z = state[zo:co].reshape(n, n)
-        c = state[co:eo].reshape(n, n)
-        eta = state[eo:]
-        times[row] = t
+        x, z, c, eta = split(state)
         y = tables.outputs(x)
-        y_log[row] = y
-        u_log[row] = controls(x, eta)
-        err_log[row] = np.abs(y - ref).max()
-        tail_log[row] = tables.tail_max(x)
-        tilde_log[row] = np.abs(tables.tilde(x, eta)).max()
-        zres_log[row] = np.abs(z + eta).max()
-        if c_monotone and (c < c_prev - _C_MONOTONE_SLACK).any():
-            c_monotone = False
-        c_prev = c.copy()
-        if c_at_mark is None and t >= drift_mark_t:
-            c_at_mark = c.copy()
+        block = rows[: live.size]
+        block[:, 0] = t
+        block[:, 1 : n + 1] = y
+        block[:, n + 1 : 2 * n + 1] = controls(x, eta)
+        block[:, 2 * n + 1] = np.abs(y - ref).max(axis=-1)
+        block[:, 2 * n + 2] = tables.tail_max(x)
+        block[:, 2 * n + 3] = np.abs(x[..., 0] + tables.pvec * eta).max(axis=-1)
+        block[:, 2 * n + 4] = np.abs(z + eta[..., None, :]).max(axis=(-2, -1))
+        for j, b in enumerate(live):
+            logs[b][row] = block[j]
+        c_monotone[live] &= ~(c < c_prev[live] - _C_MONOTONE_SLACK).any(axis=(-2, -1))
+        c_prev[live] = c
+        if not marked and t >= drift_mark_t:
+            c_mark[live] = c
+            marked = True
         row += 1
 
-    c_final = state[co:eo].reshape(n, n).copy()
-    traj = Trajectory(
-        times=times,
-        y=y_log,
-        u=u_log,
-        err=err_log,
-        xbar_tail_max=tail_log,
-        tilde_norm=tilde_log,
-        z_residual=zres_log,
-        c_snapshot=c_final,
-    )
+    c_final = dict(zip(live.tolist(), split(state.reshape(-1, width))[2].copy()))
+    results: list[tuple[Trajectory, Summary] | IntegrationError] = []
+    for b in range(members):
+        if b in faults:
+            results.append(faults[b])
+            continue
+        log = logs[b]
+        traj = Trajectory(
+            times=log[:, 0],
+            y=log[:, 1 : n + 1],
+            u=log[:, n + 1 : 2 * n + 1],
+            err=log[:, 2 * n + 1],
+            xbar_tail_max=log[:, 2 * n + 2],
+            tilde_norm=log[:, 2 * n + 3],
+            z_residual=log[:, 2 * n + 4],
+            c_snapshot=c_final[b],
+        )
+        mark = c_mark[b] if marked else None
+        results.append((traj, _summarize(traj, tables, config, c_monotone[b], mark)))
+    return results
+
+
+def _summarize(
+    traj: Trajectory,
+    tables: _Tables,
+    config: SimConfig,
+    c_monotone: bool,
+    c_at_mark: NDArray[np.float64] | None,
+) -> Summary:
+    c_final = traj.c_snapshot
     converged, t_conv = detect_convergence(traj, config.conv_tol, config.conv_window)
-    max_abs_u = np.abs(u_log).max(axis=0)
-    drift = (
-        float(np.abs(c_final - c_at_mark).max()) if c_at_mark is not None else float("nan")
-    )
-    summary = Summary(
+    max_abs_u = np.abs(traj.u).max(axis=0)
+    drift = None if c_at_mark is None else float(np.abs(c_final - c_at_mark).max())
+    return Summary(
         converged=converged,
         t_converge=t_conv,
-        final_err=float(err_log[-1]),
+        final_err=float(traj.err[-1]),
         max_abs_u=max_abs_u,
-        certified_bounds=tables.certified,
+        certified_bounds=tables.certified.copy(),
         bound_violated=bool((max_abs_u > tables.certified + 1e-9).any()),
         c_final_range=(float(c_final.min()), float(c_final.max())),
-        c_monotone=c_monotone,
+        c_monotone=bool(c_monotone),
         unsaturated_entry_time=unsaturated_entry(traj),
         c_trailing_drift=drift,
     )
-    return traj, summary
 
 
 def detect_convergence(

@@ -214,8 +214,9 @@ def test_criterion_04_transformation_identities():
     for m in range(1, 7):
         for theta in (0.1, 1.0 / 3.0, 0.45):
             for form in (FORM_STANDARD, FORM_ALTERNATE):
+                # u_limit m covers the alternate bound m * theta * delta
                 tr = build_transformation(
-                    PlayerSpec(order=m, theta=theta, delta=1.0, form=form)
+                    PlayerSpec(order=m, theta=theta, delta=1.0, u_limit=float(m), form=form)
                 )
                 res_a, res_b = similarity_residual(tr)
                 worst_a = max(worst_a, res_a)

@@ -22,6 +22,13 @@ def write_config(tmp_path, data, name="cfg.json"):
     return str(path)
 
 
+def read_strict_json(path):
+    def reject(name):
+        raise ValueError(f"non-finite constant {name} in {path}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 class TestRun:
     def test_writes_contracted_files(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, BASE)
@@ -79,6 +86,60 @@ class TestRun:
         assert (
             s0["resolved_config"]["init"]["z0"] != s1["resolved_config"]["init"]["z0"]
         )
+
+    def test_replicates_match_single_runs(self, tmp_path, capsys):
+        data = dict(
+            BASE,
+            players=[{"order": 1, "theta": 0.3, "delta": 1.0}, {"order": 3, "theta": 0.3, "delta": 1.0}],
+            init={"x0": {"random": {"low": -1, "high": 1}}, "z0": {"random": {"low": -1, "high": 1}}},
+            seed=4,
+        )
+        out = tmp_path / "reps"
+        # --jobs is accepted and ignored: the replicates integrate as one batch
+        argv = ["run", write_config(tmp_path, data), "--out", str(out), "--replicates", "3"]
+        assert main(argv + ["--jobs", "2"]) == 0
+        for r in range(3):
+            single = write_config(tmp_path, dict(data, seed=4 + r), name=f"single_{r}.json")
+            assert main(["run", single, "--out", str(tmp_path / f"single_{r}")]) == 0
+            for name in ("trajectory.csv", "summary.json"):
+                batched = (out / f"replicate_{r:02d}" / name).read_bytes()
+                assert batched == (tmp_path / f"single_{r}" / name).read_bytes(), (r, name)
+
+    def test_faulted_replicate_exits_4_and_keeps_the_others(self, tmp_path, capsys):
+        # z0 drawn from [0, 6]: seeds 5 and 7 diverge at this step, seed 6 does not
+        data = dict(
+            BASE,
+            init={"z0": {"random": {"low": 0.0, "high": 6.0}}},
+            seed=5,
+            sim={"step_size": 0.05, "t_end": 2.0, "log_every": 1, "conv_window": 1.0},
+        )
+        out = tmp_path / "reps"
+        argv = ["run", write_config(tmp_path, data), "--out", str(out), "--replicates", "3"]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical fault: integration fault at t = ")
+        assert captured.err.count("\n") == 1
+        assert "replicate 00 (seed 5): numerical fault: integration fault" in captured.out
+        assert (out / "replicate_01" / "trajectory.csv").exists()
+        assert read_strict_json(out / "replicate_01" / "summary.json")["resolved_config"]["seed"] == 6
+        assert not (out / "replicate_00").exists() and not (out / "replicate_02").exists()
+
+    def test_jobs_below_one_is_2(self, tmp_path):
+        cfg_path = write_config(tmp_path, BASE)
+        assert main(["run", cfg_path, "--out", str(tmp_path / "o"), "--jobs", "0"]) == 2
+
+    def test_drift_without_a_late_row_is_null(self, tmp_path):
+        # t_end 1 with a row every 0.6: no row at or after 0.9 * t_end
+        data = dict(BASE, sim={"step_size": 0.01, "t_end": 1.0, "log_every": 60, "conv_window": 1.0})
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, data), "--out", str(out)]) == 0
+        assert read_strict_json(out / "summary.json")["c_trailing_drift"] is None
+
+    def test_unbounded_certified_bounds_are_null(self, tmp_path):
+        data = dict(BASE, mode="Unsaturated")
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, data), "--out", str(out)]) == 0
+        assert read_strict_json(out / "summary.json")["certified_bounds"] == [None, None]
 
     def test_first_order_auto_delta_meets_limit(self, tmp_path):
         # margin 1 sizes delta to the limit itself; x0 = 5 drives |u| to delta
@@ -226,6 +287,11 @@ class TestCheck:
             ({"order": 3, "theta": 1.0 / 3.0, "delta": 1.0, "u_limit": 0.4}, "0.481481"),
             # the first-order law u = -sat(x + eta) reaches delta, not theta * delta
             ({"order": 1, "theta": 0.3, "delta": 2.0, "u_limit": 1.0}, "= 2 vs limit 1"),
+            # the alternate law reaches m * theta * delta, not the standard series
+            (
+                {"order": 3, "theta": 0.4, "delta": 1.0, "u_limit": 0.7, "form": "alternate"},
+                "= 1.2 vs limit 0.7",
+            ),
         ):
             cfg_path = write_config(tmp_path, dict(BASE, players=players))
             assert main(["check", cfg_path]) == 3
@@ -280,6 +346,20 @@ AGREEMENT_CASES = {
     "steps-beyond-cap": (2, {"sim": dict(AGREEMENT_BASE["sim"], t_end=1e15)}),
     # 2e7 logged rows of 2 * 3 + 5 doubles: 1.6 GiB
     "log-beyond-1gib": (2, {"sim": dict(AGREEMENT_BASE["sim"], t_end=2e5)}),
+    # malformed fields that once ended in a traceback (exit 1)
+    "mode-not-a-string": (2, {"mode": ["SaturatedDirected"]}),
+    "random-bound-not-a-number": (2, {"init": {"z0": {"random": {"low": [1]}}}, "seed": 1}),
+    "theta-overflows-the-bound": (3, {"players": {"order": 3, "theta": 1e300, "delta": 1.0}}),
+    "negative-seed": (2, {"seed": -1}),
+    # the alternate law reaches m * theta * delta = 1.2, over the limit of 0.7
+    # (the standard series would give 0.624)
+    "alternate-over-own-bound": (
+        3,
+        {
+            "mode": "AlternateForm",
+            "players": {"order": 3, "theta": 0.4, "delta": 1.0, "u_limit": 0.7, "form": "alternate"},
+        },
+    ),
 }
 
 

@@ -141,8 +141,9 @@ class TestTransformation:
         for m in range(1, 7):
             for theta in THETAS:
                 for form in (FORM_STANDARD, FORM_ALTERNATE):
+                    # u_limit m covers the alternate bound m * theta * delta
                     tr = build_transformation(
-                        PlayerSpec(order=m, theta=theta, delta=1.0, form=form)
+                        PlayerSpec(order=m, theta=theta, delta=1.0, u_limit=float(m), form=form)
                     )
                     res_a, res_b = similarity_residual(tr)
                     assert res_a == 0.0, (m, theta, form)
@@ -170,7 +171,7 @@ class TestTransformation:
                 )
                 expected = r_chain @ np.linalg.inv(r_canon)
                 tr = build_transformation(
-                    PlayerSpec(order=m, theta=theta, delta=1.0, form=form)
+                    PlayerSpec(order=m, theta=theta, delta=1.0, u_limit=float(m), form=form)
                 )
                 np.testing.assert_allclose(tr.t_matrix, expected, rtol=1e-9, atol=1e-9)
 

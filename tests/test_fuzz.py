@@ -1,0 +1,124 @@
+"""Mutated scenario files: run and check end in a classified exit with strict JSON output.
+
+Each example takes a small valid scenario in one of the five modes,
+replaces, adds or deletes a few of its fields with values of the wrong
+type, out of range or extreme, and drives the command line on it. Every outcome must be an exit
+code in {0, 2, 3, 4}, never an uncaught exception, and every summary.json
+written must parse as strict JSON. Values stay small enough that a run
+finishes in milliseconds.
+"""
+
+import copy
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nashseek.cli import main
+
+BASE = {
+    "game": {"type": "ring", "n": 3},
+    "graph": {"type": "cycle", "n": 3},
+    "mode": "SaturatedDirected",
+    "players": [
+        {"order": 1, "theta": 0.3, "delta": 1.0},
+        {"order": 2, "theta": 0.25, "delta": 1.0},
+        {"order": 3, "theta": 0.4, "delta": 1.0, "u_limit": 2.0},
+    ],
+    "init": {"x0": {"random": {"low": -1.0, "high": 1.0}}, "z0": 0.5, "c0": 1.0},
+    "sim": {"step_size": 0.01, "t_end": 0.2, "log_every": 2, "conv_window": 0.1},
+    "seed": 3,
+}
+# One valid scenario per mode, so that mutations start from a run that succeeds.
+_COMPLETE = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+BASES = {
+    "SaturatedDirected": BASE,
+    "Unsaturated": {**BASE, "mode": "Unsaturated"},
+    "FirstOrder": {**BASE, "mode": "FirstOrder", "players": {"order": 1, "theta": 0.3, "delta": 1.0}},
+    "AlternateForm": {
+        **BASE,
+        "mode": "AlternateForm",
+        "players": [dict(p, form="alternate") for p in BASE["players"]],
+    },
+    "UndirectedAdaptive": {**BASE, "mode": "UndirectedAdaptive", "graph": {"weights": _COMPLETE}},
+}
+
+# Every field of BASE, plus keys it leaves out; a path ends at the key to mutate.
+PATHS = [
+    ("game",), ("game", "type"), ("game", "n"), ("game", "jacobian"), ("game", "offset"),
+    ("graph",), ("graph", "type"), ("graph", "n"), ("graph", "weights"),
+    ("mode",), ("players",), ("players", 0), ("seed",), ("allow_large_theta",),
+    ("init",), ("init", "x0"), ("init", "z0"), ("init", "c0"),
+    ("sim",), ("sim", "step_size"), ("sim", "t_end"), ("sim", "log_every"),
+    ("sim", "conv_tol"), ("sim", "conv_window"), ("extra",),
+] + [
+    ("players", i, key)
+    for i in range(3)
+    for key in ("order", "theta", "delta", "u_limit", "form", "auto_delta_margin")
+]
+
+DELETE = object()
+# Deleting these falls back to t_end = 100 s of simulated time: slow, not wrong.
+SLOW_DELETES = {("sim",), ("sim", "t_end")}
+
+# Wrong types, out-of-range and extreme numbers, and well-formed blocks
+# placed where they do not belong.
+values = st.sampled_from(
+    [
+        None, True, False, 0, 1, 2, 3, 7, -1, 0.0, 0.3, 0.5, 0.7, 1.5, -0.2,
+        1e-300, 1e300, -1e300, "", "x", "ring", "cycle", "standard", "alternate",
+        "AlternateForm", "Unsaturated", "FirstOrder", "UndirectedAdaptive",
+        [], [1], ["a"], [[1]], [[0, 1, 1], [1, 0, 1], [1, 1, 0]], [[1, 2], [3]],
+        {}, {"n": 3}, {"type": "ring", "n": 3}, {"type": "cycle", "n": 3},
+        {"random": {}}, {"random": 5}, {"random": {"low": [1]}},
+        {"random": {"low": "a", "high": 1}}, {"random": {"low": 2, "high": 1}},
+        {"random": {"low": -1e300, "high": 1e300}},
+        {"order": 2, "theta": 0.3, "delta": 1.0},
+    ]
+)
+mutations = st.lists(
+    st.tuples(st.sampled_from(PATHS), st.one_of(st.just(DELETE), values)),
+    min_size=1,
+    max_size=3,
+)
+
+
+def mutate(data: dict, path: tuple, value) -> None:
+    node = data
+    for key in path[:-1]:
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return  # an earlier mutation replaced the parent; nothing to change
+    last = path[-1]
+    if isinstance(node, dict) or (isinstance(node, list) and isinstance(last, int) and last < len(node)):
+        if value is DELETE:
+            if isinstance(node, dict) and path not in SLOW_DELETES:
+                node.pop(last, None)
+        else:
+            node[last] = copy.deepcopy(value)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(BASES)), mutations, st.sampled_from(["run", "check"]))
+def test_mutated_scenarios_exit_classified(mode, changes, command):
+    data = copy.deepcopy(BASES[mode])
+    for path, value in changes:
+        mutate(data, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        argv = [command, str(cfg)] + (["--out", str(Path(tmp) / "out")] if command == "run" else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # theta >= 0.5 warns by design
+            code = main(argv)
+        assert code in (0, 2, 3, 4), (code, data)
+        for summary in Path(tmp).rglob("summary.json"):
+            json.loads(summary.read_text(), parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"summary.json holds the non-finite constant {name}")

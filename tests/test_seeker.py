@@ -183,7 +183,8 @@ class TestControl:
             (PlayerSpec(order=1, theta=0.2, delta=0.7), SAT),
             (PlayerSpec(order=2, theta=0.45, delta=2.0), SAT),
             (PlayerSpec(order=4, theta=0.3, delta=1.5), SAT),
-            (PlayerSpec(order=3, theta=0.4, delta=0.5, form="alternate"),
+            # the alternate law reaches m * theta * delta = 0.6, over delta
+            (PlayerSpec(order=3, theta=0.4, delta=0.5, u_limit=0.6, form="alternate"),
              SeekerMode.ALTERNATE_FORM),
             (PlayerSpec(order=1, theta=0.4, delta=0.5), SeekerMode.FIRST_ORDER),
         ]
@@ -215,7 +216,10 @@ class TestScalesAndBounds:
         for m in range(1, 7):
             for theta in (0.1, 0.2, 1.0 / 3.0, 0.45):
                 for form, mode in (("standard", SAT), ("alternate", SeekerMode.ALTERNATE_FORM)):
-                    spec = PlayerSpec(order=m, theta=theta, delta=2.0, form=form)
+                    # u_limit m * delta covers the alternate bound m * theta * delta
+                    spec = PlayerSpec(
+                        order=m, theta=theta, delta=2.0, u_limit=2.0 * m, form=form
+                    )
                     row = gain_row(m, theta, form)
                     probed = []
                     for l in range(m):

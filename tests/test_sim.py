@@ -1,8 +1,11 @@
 """Integrator, state layout, detectors, and whole-loop consistency."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from nashseek import sim
 from nashseek import (
     ConfigError,
     ConnectivityError,
@@ -27,6 +30,8 @@ from nashseek import (
     ring_game,
     rk4_step,
     run,
+    run_batch,
+    Summary,
     tilde_x1,
     unpack_state,
     unsaturated_entry,
@@ -309,3 +314,102 @@ class TestRunBehavior:
             assert summary.c_monotone, trial
             bounds = np.array([certified_bound(s, SAT) for s in specs])
             assert (np.abs(traj.u) <= bounds + 1e-9).all(), trial
+
+
+def assert_same_result(result, solo):
+    """Every Trajectory array and Summary field equal, bit for bit."""
+    (traj, summary), (solo_traj, solo_summary) = result, solo
+    for f in fields(Trajectory):
+        np.testing.assert_array_equal(getattr(traj, f.name), getattr(solo_traj, f.name))
+    for f in fields(Summary):
+        np.testing.assert_array_equal(getattr(summary, f.name), getattr(solo_summary, f.name))
+        assert type(getattr(summary, f.name)) is type(getattr(solo_summary, f.name))
+
+
+class TestRunBatch:
+    CFG = SimConfig(step_size=1e-3, t_end=0.05, log_every=2, conv_window=0.05)
+
+    @staticmethod
+    def inits(rng, specs, members):
+        n = len(specs)
+        x0s = [[rng.uniform(-1, 1, size=s.order) for s in specs] for _ in range(members)]
+        z0s = [rng.uniform(-0.5, 0.5, size=(n, n)) for _ in range(members)]
+        c0s = [rng.uniform(0.5, 1.5, size=(n, n)) for _ in range(members)]
+        return x0s, z0s, c0s
+
+    @pytest.mark.parametrize("mode", list(SeekerMode), ids=lambda mode: mode.value)
+    def test_members_match_solo_runs(self, rng, mode):
+        game, g, specs = small_setup(
+            orders=(1, 1, 1) if mode is SeekerMode.FIRST_ORDER else (1, 2, 3),
+            form="alternate" if mode is SeekerMode.ALTERNATE_FORM else "standard",
+        )
+        if mode is SeekerMode.UNDIRECTED_ADAPTIVE:
+            g = Digraph(weights=np.ones((3, 3)) - np.eye(3))
+        x0s, z0s, c0s = self.inits(rng, specs, 4)
+        x0s[3], z0s[3], c0s[3] = None, 0.25, 2.0  # defaults and scalars batch too
+        results = list(run_batch(game, g, specs, mode, x0s, z0s, c0s, self.CFG))
+        assert len(results) == 4
+        for result, x0, z0, c0 in zip(results, x0s, z0s, c0s):
+            solo = run(game, g, specs, mode, x0=x0, z0=z0, c0=c0, config=self.CFG)
+            assert_same_result(result, solo)
+
+    def test_diverging_members_are_reported_and_the_rest_match(self):
+        game, g, specs = small_setup(orders=(1, 1, 1))
+        cfg = SimConfig(step_size=0.05, t_end=2.0, log_every=1, conv_window=1.0)
+        z0s = [0.2, 1e3, -0.3, 1e3]
+        results = list(run_batch(game, g, specs, SAT, [None] * 4, z0s, [1.0] * 4, cfg))
+        with pytest.raises(IntegrationError) as info:
+            run(game, g, specs, SAT, z0=1e3, config=cfg)
+        for b in (1, 3):
+            assert isinstance(results[b], IntegrationError)
+            assert results[b].time == info.value.time is not None
+            assert results[b].component == info.value.component
+            assert str(results[b]) == str(info.value)
+        for b in (0, 2):
+            assert_same_result(results[b], run(game, g, specs, SAT, z0=z0s[b], config=cfg))
+
+    def test_fault_component_indexes_the_documented_layout(self):
+        # orders (2, 1, 3) pad the loop's plant block to (3, 3); the third
+        # player's first state sits at 6 there and at 3 in pack_state's layout
+        game, g, specs = small_setup(orders=(2, 1, 3))
+        cfg = SimConfig(step_size=0.05, t_end=2.0, log_every=1, conv_window=1.0)
+        x0 = [np.zeros(2), np.zeros(1), np.full(3, 1.7e308)]
+        with np.errstate(over="ignore"):
+            results = list(run_batch(game, g, specs, SAT, [None, x0], [0.0] * 2, [1.0] * 2, cfg))
+        assert isinstance(results[1], IntegrationError)
+        assert results[1].component == 3
+        assert_same_result(results[0], run(game, g, specs, SAT, config=cfg))
+
+    def test_chunked_batch_matches_unchunked(self, rng, monkeypatch):
+        game, g, specs = small_setup()
+        x0s, z0s, c0s = self.inits(rng, specs, 5)
+        whole = list(run_batch(game, g, specs, SAT, x0s, z0s, c0s, self.CFG))
+        shapes = []
+        step = sim.rk4_step
+
+        def recording_step(rhs, state, h):
+            shapes.append(state.shape[:-1])
+            return step(rhs, state, h)
+
+        member_bytes = (self.CFG.steps // self.CFG.log_every) * (2 * 3 + 5) * 8
+        monkeypatch.setattr(sim, "_MAX_LOG_BYTES", 2 * member_bytes)
+        monkeypatch.setattr(sim, "rk4_step", recording_step)
+        chunked = list(run_batch(game, g, specs, SAT, x0s, z0s, c0s, self.CFG))
+        steps = self.CFG.steps
+        assert shapes == [(2,)] * steps + [(2,)] * steps + [()] * steps
+        for a, b in zip(chunked, whole, strict=True):
+            assert_same_result(a, b)
+
+    def test_input_errors_raise(self):
+        game, g, specs = small_setup()
+        with pytest.raises(ConfigError, match="batch members"):
+            run_batch(game, g, specs, SAT, [None, None], [0.0], [1.0, 1.0], self.CFG)
+        with pytest.raises(ConfigError, match="x0"):
+            run_batch(game, g, specs, SAT, [None, [np.zeros(2)] * 3], [0.0] * 2, [1.0] * 2, self.CFG)
+
+    def test_drift_is_none_without_a_row_in_the_last_tenth(self):
+        game, g, specs = small_setup()
+        cfg = SimConfig(step_size=0.01, t_end=1.0, log_every=60, conv_window=0.5)
+        traj, summary = run(game, g, specs, SAT, config=cfg)
+        assert traj.times.tolist() == [pytest.approx(0.6)]
+        assert summary.c_trailing_drift is None

@@ -45,12 +45,21 @@ __all__ = [
     "delta_for_limit",
     "theta_in_design_range",
     "bound_within_limit",
+    "order_within_cap",
+    "MAX_ORDER",
     "FORM_STANDARD",
     "FORM_ALTERNATE",
 ]
 
 FORM_STANDARD = "standard"
 FORM_ALTERNATE = "alternate"
+
+# build_transformation works in exact Fractions, whose cost climbs steeply
+# with the order: at theta 0.45 one build took 204 ms at order 20, 650 ms at
+# 25 and 1.5 s at 30, and order 60 had not finished after 100 s. A run
+# builds one per player, so the cap keeps each build near a fifth of a
+# second.
+MAX_ORDER = 20
 
 
 def saturation(value, delta: float):
@@ -119,6 +128,11 @@ def theta_in_design_range(theta: float) -> bool:
     return 0.0 < theta < 0.5
 
 
+def order_within_cap(order: int) -> bool:
+    """Whether an order is at most :data:`MAX_ORDER`, the largest one built in bounded time."""
+    return order <= MAX_ORDER
+
+
 def bound_within_limit(bound: float, u_limit: float) -> bool:
     """Whether a certified control bound meets the actuator limit, up to relative rounding."""
     return bound <= u_limit + 1e-12 * max(1.0, u_limit)
@@ -127,6 +141,8 @@ def bound_within_limit(bound: float, u_limit: float) -> bool:
 @dataclass(frozen=True)
 class PlayerSpec:
     """Per-player design parameters.
+
+    order runs from 1 to :data:`MAX_ORDER`.
 
     theta must lie in (0, 1/2): the boundedness argument for the tail states
     needs theta/(1-theta) < 1. Values in [1/2, 1) are admitted only with
@@ -150,6 +166,8 @@ class PlayerSpec:
         if not isinstance(self.order, (int, np.integer)) or self.order < 1:
             raise ValueError(f"order must be a positive integer, got {self.order!r}")
         object.__setattr__(self, "order", int(self.order))
+        if not order_within_cap(self.order):
+            raise ValueError(f"order {self.order} exceeds the cap of {MAX_ORDER}")
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         if not theta_in_design_range(self.theta):

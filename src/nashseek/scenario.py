@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import PlayerSpec, delta_for_limit
+from .dynamics import MAX_ORDER, PlayerSpec, delta_for_limit, order_within_cap
 from .errors import ConfigError
 from .game import QuadraticGame, ring_game
 from .graph import Digraph, cycle_digraph
@@ -225,6 +225,8 @@ def _resolve_player(p, i: int) -> dict:
     order = p["order"]
     if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise ConfigError(f"{where} order must be a positive integer, got {order!r}")
+    if not order_within_cap(order):
+        raise ConfigError(f"{where} order {order} exceeds the cap of {MAX_ORDER}")
     theta = _number(p, "theta", where)
     form = p.get("form", "standard")
     if not isinstance(form, str):

@@ -4,22 +4,48 @@ The state of one scenario is documented as one flat vector laid out as
 
     [ xbar_1 | ... | xbar_N | z row-major | c row-major | eta ]
 
-of length L = sum(m_i) + 2 N^2 + N (:func:`pack_state`), advanced by
-classical Runge-Kutta 4 with a constant step. A fixed-step scheme keeps
-reruns bit-identical and makes the step-halving consistency check
-meaningful; the dynamics are smooth and non-stiff at the default step for
-the parameter ranges this package targets.
+of length sum(m_i) + 2 N^2 + N (:func:`pack_state`), advanced by classical
+Runge-Kutta 4 with a constant step. A fixed-step scheme keeps reruns
+bit-identical and makes the step-halving consistency check meaningful; the
+dynamics are smooth and non-stiff at the default step for the parameter
+ranges this package targets.
 
-The integrator advances a state of shape (..., L): the fused, vectorized
-right-hand side and :func:`rk4_step` act on the last axis alone, so
+Inside the loop the plant block is padded to (N, mmax), mmax the largest
+order, so the loop state has length L = N mmax + 2 N^2 + N:
+
+    [ xbar padded to (N, mmax) row-major | z | c | eta ]
+
+Padded slots stay zero. Fault components are still reported in the
+documented layout. The integrator advances a state of shape (..., L), so
 :func:`run_batch` steps B scenarios that share game, graph, players, mode
-and :class:`SimConfig` as one (B, L) array, and each member's numbers are
-bit-identical to its solo :func:`run`, which is the B = 1 case. Inside the
-loop the plant block is padded to (N, max_order), whose control gains are
-each player's :func:`nashseek.dynamics.gain_row`; fault components are
-still reported in the documented layout. The agreement of the fused
-right-hand side with the scalar per-player laws in :mod:`nashseek.seeker`
-is pinned by tests, not assumed.
+and :class:`SimConfig` as one (B, L) array; :func:`run` is the B = 1 case.
+
+Every term of the closed loop is linear in the state except the
+saturations and the xi^2 products. So for a quadratic game whose operator
+stays within ``_DENSE_MAX_BYTES``, the right-hand side is one product with
+a dense (R, L) operator built once per batch (:func:`linear_operator`),
+whose row blocks are
+
+    [ saturation arguments (xbar_1 + p eta | xbar_2 ... xbar_m), (N, mmax)
+    | Abar xbar, (N, mmax)
+    | -xi = -(L z + W o (z + 1 eta^T)), (N, N)
+    | rowsum(J o z), N ]
+
+followed by a clip against delta per slot (delta = inf when unsaturated), a
+second product with the gain matrix built from
+:func:`nashseek.dynamics.gain_row` that forms Abar xbar + b u, and the
+elementwise xi^2 and c products. The products are stacked matrix-vector
+products, (B, 1, L) @ (L, R), never one (B, L) @ (L, R) matrix product:
+BLAS may sum a matrix product's rows in another order than a lone vector's,
+and the stacked form keeps every member bit-identical to its solo run.
+Above the byte bound the blockwise right-hand side (a Laplacian product,
+the game's self-gradients and the padded plant block) runs instead, and
+no operator is built. A dense product turns one overflowed entry into NaN
+across its member's whole row, so a faulted member's step is re-taken alone
+with the blockwise right-hand side, which names the component that
+overflowed, and the other members keep their dense step. The
+agreement of both right-hand sides with the scalar per-player laws in
+:mod:`nashseek.seeker` is pinned by tests, not assumed.
 """
 
 from __future__ import annotations
@@ -36,6 +62,7 @@ from .errors import (
     ConfigError,
     ConnectivityError,
     IntegrationError,
+    MonotonicityError,
     SymmetryError,
 )
 from .game import GameModel, QuadraticGame, check_game, solve_nash_closed_form
@@ -52,6 +79,7 @@ __all__ = [
     "validate_run_inputs",
     "run",
     "run_batch",
+    "linear_operator",
     "detect_convergence",
     "unsaturated_entry",
 ]
@@ -62,6 +90,13 @@ _C_MONOTONE_SLACK = 1e-12
 # chunks whose logs together stay within it.
 _MAX_STEPS = 10**9
 _MAX_LOG_BYTES = 2**30
+# Largest dense operator the right-hand side multiplies by; above it the
+# blockwise right-hand side runs. It sits inside the measured crossover for
+# order-3 players on a directed cycle, one BLAS thread, 2 MB of L2 per core
+# (tools/bench_record.py, rhs_per_call of BENCH_linop.json): the dense call
+# is the faster one up to n = 14 (a 1.05 MB operator) and the slower one
+# from n = 15 (1.35 MB) on, as the operator leaves the cache.
+_DENSE_MAX_BYTES = 1_200_000
 
 
 @dataclass(frozen=True)
@@ -199,11 +234,14 @@ def rk4_step(
         np.multiply(acc, h / 6.0, out=acc)
         out = np.add(state, acc)
     if not np.isfinite(out).all():
-        bad = int(np.flatnonzero(~np.isfinite(out))[0])
-        raise IntegrationError(
-            f"non-finite state component {bad} after a step", component=bad
-        )
+        raise _fault_at(int(np.flatnonzero(~np.isfinite(out))[0]))
     return out
+
+
+def _fault_at(component: int) -> IntegrationError:
+    return IntegrationError(
+        f"non-finite state component {component} after a step", component=component
+    )
 
 
 def _stage(state: NDArray[np.float64], a: float, k: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -263,6 +301,10 @@ class _Tables:
         self.lap = laplacian(g)
         self.certified = np.array([_seeker.certified_bound(s, mode) for s in specs])
 
+    def operator_bytes(self) -> int:
+        """Size of the dense (R, L) operator of :func:`linear_operator`."""
+        return 8 * (2 * self.npad + self.n * self.n + self.n) * self.width
+
     def split(self, s: NDArray[np.float64]):
         """Views x (..., N, mmax), z and c (..., N, N), eta (..., N) of a loop state."""
         lead = s.shape[:-1]
@@ -314,6 +356,132 @@ class _Tables:
         return np.concatenate([x.ravel(), z_init.ravel(), c_init.ravel(), np.zeros(n)])
 
 
+def linear_operator(
+    tables: _Tables, game: QuadraticGame
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """The closed loop's linear part as the pair (op, gain).
+
+    ``op`` is (R, L) with R = 2 N mmax + N^2 + N; its rows map a loop state
+    to the saturation arguments, Abar xbar, -xi and rowsum(J o z), in the
+    order of the module docstring. ``gain`` is (N mmax, 2 N mmax): applied
+    to [sat(arguments) | Abar xbar] it gives xbar's rate Abar xbar + b u,
+    with u = -gain_row . sat(arguments) broadcast over the player's slots.
+    """
+    n, mmax, npad = tables.n, tables.mmax, tables.npad
+    nn = n * n
+    z0, eta0 = npad, npad + 2 * nn
+    xi0, jz0 = 2 * npad, 2 * npad + nn
+    op = np.zeros((jz0 + n, tables.width))
+    # saturation arguments: every real slot of xbar, plus p_i eta_i on the first
+    slots = np.flatnonzero(tables.mask)
+    op[slots, slots] = 1.0
+    players = np.arange(n)
+    op[players * mmax, eta0 + players] = tables.pvec
+    # block-diagonal plant drift: row (i, k), column (i, l) holds abar[i, k, l]
+    i = players[:, None, None]
+    k = np.arange(mmax)[None, :, None]
+    l = np.arange(mmax)[None, None, :]
+    op[npad + i * mmax + k, i * mmax + l] = tables.abar
+    # -xi_ij = -sum_k L_ik z_kj - w_ij z_ij - w_ij eta_j
+    w = tables.weights
+    entries = np.arange(nn)
+    op[xi0 : xi0 + nn, z0 : z0 + nn] = -np.kron(tables.lap, np.eye(n))
+    op[xi0 + entries, z0 + entries] -= w.ravel()
+    op[xi0 : xi0 + nn, eta0 : eta0 + n] = -(w[:, :, None] * np.eye(n)).reshape(nn, n)
+    # eta rates without the offset: row i of J against row i of z
+    op[jz0 + players[:, None], z0 + entries.reshape(n, n)] = game.jacobian
+    # u_i = -gain_row_i . sat(arguments_i) added to each of player i's rates,
+    # plus the identity on Abar xbar
+    rows = tables.wmat.copy()
+    rows[:, 0] = tables.thm
+    gain = np.zeros((npad, 2 * npad))
+    gain[i * mmax + k, i * mmax + l] = -rows[:, None, :] * tables.bmask[:, :, None]
+    gain[slots, npad + slots] = 1.0
+    return op, gain
+
+
+def _blockwise_rhs(tables: _Tables, game: GameModel) -> Callable:
+    """Right-hand side from the Laplacian, the game and the padded plant block."""
+    lap, w = tables.lap, tables.weights
+    rho_aug = tables.rho_augmented
+    self_gradients = game.self_gradients
+    split, controls = tables.split, tables.controls
+    abar, bmask = tables.abar, tables.bmask
+
+    def rhs(s: NDArray[np.float64]) -> NDArray[np.float64]:
+        # in place where the n^2 blocks allow it, in the order of
+        # xi = L z + w (z + eta), zdot = -(c + xi^2) xi, cdot = xi^2
+        x, z, c, eta = split(s)
+        out = np.empty_like(s)
+        xdot, zdot, cdot, etadot = split(out)
+        xi = lap @ z
+        pinned = z + eta[..., None, :]
+        np.multiply(pinned, w, out=pinned)
+        np.add(xi, pinned, out=xi)
+        np.multiply(xi, xi, out=cdot)
+        if rho_aug:
+            np.add(c, cdot, out=zdot)
+        else:
+            zdot[...] = c
+        np.multiply(zdot, xi, out=zdot)
+        np.negative(zdot, out=zdot)
+        xdot[...] = (abar @ x[..., None])[..., 0] + controls(x, eta)[..., None] * bmask
+        etadot[...] = self_gradients(z)
+        return out
+
+    return rhs
+
+
+def _vecmat(v: NDArray[np.float64], m: NDArray[np.float64], out=None) -> NDArray[np.float64]:
+    """v @ m for every vector along v's last axis, one BLAS matrix-vector call each.
+
+    A stack is multiplied as (B, 1, L) @ (L, R), not as one (B, L) @ (L, R)
+    matrix product, which BLAS may sum in another order than a lone
+    vector's. np.dot of a lone vector makes the same call at a lower fixed
+    cost.
+    """
+    if v.ndim == 1:
+        return np.dot(v, m, out=out)
+    stacked = None if out is None else out[..., None, :]
+    return np.matmul(v[..., None, :], m, out=stacked)[..., 0, :]
+
+
+def _dense_rhs(tables: _Tables, game: QuadraticGame) -> Callable:
+    """Right-hand side as two stacked products with :func:`linear_operator`'s pair."""
+    op, gain = linear_operator(tables, game)
+    op_t = np.ascontiguousarray(op.T)
+    gain_t = np.ascontiguousarray(gain.T)
+    npad, nn = tables.npad, tables.n * tables.n
+    xi0, jz0 = 2 * npad, 2 * npad + nn
+    c0, eta0 = npad + nn, npad + 2 * nn
+    hi = np.repeat(tables.deltas if tables.saturated else np.full(tables.n, np.inf), tables.mmax)
+    lo = -hi
+    offset = game.offset
+    rho_aug = tables.rho_augmented
+    maximum, minimum, multiply, add = np.maximum, np.minimum, np.multiply, np.add
+
+    def rhs(s: NDArray[np.float64]) -> NDArray[np.float64]:
+        out = np.empty_like(s)
+        lin = _vecmat(s, op_t)
+        arg = lin[..., :npad]
+        maximum(arg, lo, out=arg)
+        minimum(arg, hi, out=arg)
+        _vecmat(lin[..., :xi0], gain_t, out=out[..., :npad])
+        neg_xi = lin[..., xi0:jz0]
+        cdot = out[..., c0:eta0]
+        multiply(neg_xi, neg_xi, out=cdot)
+        zdot = out[..., npad:c0]
+        if rho_aug:
+            add(s[..., c0:eta0], cdot, out=zdot)
+            multiply(zdot, neg_xi, out=zdot)
+        else:
+            multiply(s[..., c0:eta0], neg_xi, out=zdot)
+        add(lin[..., jz0:], offset, out=out[..., eta0:])
+        return out
+
+    return rhs
+
+
 def _log_bytes(config: SimConfig, n: int) -> int:
     return (config.steps // config.log_every) * (2 * n + 5) * 8
 
@@ -329,6 +497,11 @@ def validate_run_inputs(
     n = g.n
     if game.n_players != n:
         raise ConfigError(f"game has {game.n_players} players but graph has {n}")
+    if isinstance(game, QuadraticGame):
+        # the convergence proof, and the closed-form reference, need it
+        cert = check_game(game)
+        if not cert.strongly_monotone:
+            raise MonotonicityError(cert.monotonicity)
     log_bytes = _log_bytes(config, n)
     if log_bytes > _MAX_LOG_BYTES:
         raise ConfigError(
@@ -417,52 +590,63 @@ def run_batch(
         [tables.initial_state(*init) for init in zip(x0s, z0s, c0s)]
     ).reshape(-1, tables.width)
     if y_star is None and isinstance(game, QuadraticGame):
-        if check_game(game).strongly_monotone:
-            y_star = solve_nash_closed_form(game)
+        y_star = solve_nash_closed_form(game)
     ref = np.full(g.n, np.nan) if y_star is None else np.asarray(y_star, dtype=float)
+    blockwise = _blockwise_rhs(tables, game)
+    rhs = blockwise
+    if isinstance(game, QuadraticGame) and tables.operator_bytes() <= _DENSE_MAX_BYTES:
+        rhs = _dense_rhs(tables, game)
     chunk = max(1, _MAX_LOG_BYTES // _log_bytes(config, g.n))
-    return _chunks(tables, game, ref, states, config, chunk)
+    return _chunks(tables, rhs, blockwise, ref, states, config, chunk)
 
 
-def _chunks(tables, game, ref, states, config, chunk):
+def _chunks(tables, rhs, blockwise, ref, states, config, chunk):
     for start in range(0, len(states), chunk):
-        yield from _integrate(tables, game, ref, states[start : start + chunk], config)
+        yield from _integrate(tables, rhs, blockwise, ref, states[start : start + chunk], config)
 
 
 def _integrate(
     tables: _Tables,
-    game: GameModel,
+    rhs: Callable,
+    blockwise: Callable,
     ref: NDArray[np.float64],
     state: NDArray[np.float64],
     config: SimConfig,
 ) -> list[tuple[Trajectory, Summary] | IntegrationError]:
     """The RK4 loop over one chunk: a (B, L) state, one result per row."""
     n, width = tables.n, tables.width
-    lap, w = tables.lap, tables.weights
-    rho_aug = tables.rho_augmented
-    self_gradients = game.self_gradients
     split, controls = tables.split, tables.controls
-    abar, bmask = tables.abar, tables.bmask
+    h = config.step_size
 
-    def rhs(s: NDArray[np.float64]) -> NDArray[np.float64]:
-        # in place where the n^2 blocks allow it, in the order of
-        # xi = L z + w (z + eta), zdot = -(c + xi^2) xi, cdot = xi^2
-        x, z, c, eta = split(s)
+    def step(s: NDArray[np.float64]) -> NDArray[np.float64]:
+        try:
+            return rk4_step(rhs, s, h)
+        except IntegrationError as exc:
+            if rhs is blockwise:
+                raise
+            fault = exc
+        # the dense product spreads an overflow over its member's whole row
+        # (0 * inf = NaN): that member re-steps alone with the blockwise
+        # right-hand side, which locates the overflow or, where it stays
+        # finite, gives the member's step, as in its solo run
+        if s.ndim == 1:
+            return rk4_step(blockwise, s, h)
+        pos = fault.component // width
+        others = np.flatnonzero(np.arange(len(s)) != pos)
+        try:
+            alone = rk4_step(blockwise, s[pos], h)
+        except IntegrationError as located:
+            raise _fault_at(pos * width + located.component) from None
         out = np.empty_like(s)
-        xdot, zdot, cdot, etadot = split(out)
-        xi = lap @ z
-        pinned = z + eta[..., None, :]
-        np.multiply(pinned, w, out=pinned)
-        np.add(xi, pinned, out=xi)
-        np.multiply(xi, xi, out=cdot)
-        if rho_aug:
-            np.add(c, cdot, out=zdot)
-        else:
-            zdot[...] = c
-        np.multiply(zdot, xi, out=zdot)
-        np.negative(zdot, out=zdot)
-        xdot[...] = (abar @ x[..., None])[..., 0] + controls(x, eta)[..., None] * bmask
-        etadot[...] = self_gradients(z)
+        out[pos] = alone
+        if others.size:
+            # the others take the dense step of their solo runs; a further
+            # faulted member among them is handled the same way
+            try:
+                out[others] = step(s[others])
+            except IntegrationError as later:
+                b, slot = divmod(later.component, width)
+                raise _fault_at(int(others[b]) * width + slot) from None
         return out
 
     members = len(state)
@@ -471,7 +655,6 @@ def _integrate(
         # a lone member steps as one (L,) vector: numpy's fixed cost per call
         # grows with every broadcast axis
         state = state[0]
-    h = config.step_size
     steps = config.steps
     log_every = config.log_every
     n_logs = steps // log_every
@@ -489,7 +672,7 @@ def _integrate(
     row = 0
     while k < steps and live.size:
         try:
-            state = rk4_step(rhs, state, h)
+            state = step(state)
         except IntegrationError as exc:
             # record the first faulted member, drop it, retry the step
             pos, slot = divmod(exc.component, width)

@@ -351,6 +351,13 @@ AGREEMENT_CASES = {
     "random-bound-not-a-number": (2, {"init": {"z0": {"random": {"low": [1]}}}, "seed": 1}),
     "theta-overflows-the-bound": (3, {"players": {"order": 3, "theta": 1e300, "delta": 1.0}}),
     "negative-seed": (2, {"seed": -1}),
+    # the exact-rational transformation build takes seconds beyond order 20
+    "order-beyond-cap": (2, {"players": {"order": 21, "theta": 0.3, "delta": 1.0}}),
+    # skew-symmetric coupling of players 1 and 2: modulus 0, not strongly monotone
+    "non-monotone-game": (
+        3,
+        {"game": {"jacobian": [[0, 1, 0], [-1, 0, 0], [0, 0, 1]], "offset": [0, 0, 0]}},
+    ),
     # the alternate law reaches m * theta * delta = 1.2, over the limit of 0.7
     # (the standard series would give 0.624)
     "alternate-over-own-bound": (

@@ -22,6 +22,7 @@ from nashseek import (
     saturation,
     similarity_residual,
 )
+from nashseek.dynamics import MAX_ORDER
 
 THETAS = (0.1, 1.0 / 3.0, 0.45)
 
@@ -104,6 +105,11 @@ class TestPlayerSpec:
             PlayerSpec(order=2, theta=0.3, delta=-1.0)
         with pytest.raises(ValueError):
             PlayerSpec(order=2, theta=0.3, delta=1.0, form="bogus")
+
+    def test_order_cap(self):
+        PlayerSpec(order=MAX_ORDER, theta=0.3, delta=1.0)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            PlayerSpec(order=MAX_ORDER + 1, theta=0.3, delta=1.0)
 
     def test_actuator_limit_gate(self):
         # certified bound 13/27 exceeds a 0.4 limit

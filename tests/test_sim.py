@@ -12,7 +12,9 @@ from nashseek import (
     Digraph,
     IntegrationError,
     ModeOrderError,
+    MonotonicityError,
     PlayerSpec,
+    QuadraticGame,
     SeekerMode,
     SeekerState,
     SimConfig,
@@ -39,6 +41,34 @@ from nashseek import (
 from conftest import random_monotone_game
 
 SAT = SeekerMode.SATURATED_DIRECTED
+
+# _DENSE_MAX_BYTES that selects each right-hand side of the integrator
+RHS_PATHS = {"dense": 2**62, "blockwise": 0}
+# every mode on both paths; the dense cases keep the plain mode as their id
+MODES_ON_PATHS = [
+    pytest.param(mode, path, id=mode.value if path == "dense" else f"{mode.value}-{path}")
+    for path in RHS_PATHS
+    for mode in SeekerMode
+]
+
+
+@pytest.fixture
+def use_path(monkeypatch):
+    """Select a right-hand side; returns how often the dense operator was built."""
+    built = []
+    make = sim.linear_operator
+
+    def counting(*args):
+        built.append(1)
+        return make(*args)
+
+    monkeypatch.setattr(sim, "linear_operator", counting)
+
+    def select(path):
+        monkeypatch.setattr(sim, "_DENSE_MAX_BYTES", RHS_PATHS[path])
+        return built
+
+    return select
 
 
 def synthetic_traj(times, err=None, tail=None):
@@ -204,13 +234,20 @@ class TestRunValidation:
         with pytest.raises(ConfigError):
             run(game, cycle_digraph(4), specs, SAT)
 
+    def test_game_not_strongly_monotone_rejected(self):
+        _, g, specs = small_setup()
+        skew = QuadraticGame(jacobian=[[0, 1, 0], [-1, 0, 0], [0, 0, 1]], offset=np.zeros(3))
+        with pytest.raises(MonotonicityError):
+            run(skew, g, specs, SAT)
+
 
 class TestRunBehavior:
     CFG = SimConfig(step_size=1e-3, t_end=0.05, log_every=1, conv_window=0.05)
 
-    @pytest.mark.parametrize("mode", list(SeekerMode), ids=lambda mode: mode.value)
-    def test_matches_scalar_reference(self, rng, mode):
-        """Fused vectorized right-hand side against the per-player scalar laws."""
+    @pytest.mark.parametrize("mode, path", MODES_ON_PATHS)
+    def test_matches_scalar_reference(self, rng, use_path, mode, path):
+        """Each right-hand side of the integrator against the per-player scalar laws."""
+        built = use_path(path)
         game, g, specs = small_setup(
             orders=(1, 1, 1) if mode is SeekerMode.FIRST_ORDER else (1, 2, 3),
             form="alternate" if mode is SeekerMode.ALTERNATE_FORM else "standard",
@@ -221,6 +258,7 @@ class TestRunBehavior:
         z0 = rng.uniform(-0.5, 0.5, size=(3, 3))
         c0 = rng.uniform(0.5, 1.5, size=(3, 3))
         traj, _ = run(game, g, specs, mode, x0=x0, z0=z0, c0=c0, config=self.CFG)
+        assert len(built) == (path == "dense")
 
         transforms = [build_transformation(s) for s in specs]
 
@@ -337,8 +375,9 @@ class TestRunBatch:
         c0s = [rng.uniform(0.5, 1.5, size=(n, n)) for _ in range(members)]
         return x0s, z0s, c0s
 
-    @pytest.mark.parametrize("mode", list(SeekerMode), ids=lambda mode: mode.value)
-    def test_members_match_solo_runs(self, rng, mode):
+    @pytest.mark.parametrize("mode, path", MODES_ON_PATHS)
+    def test_members_match_solo_runs(self, rng, use_path, mode, path):
+        use_path(path)
         game, g, specs = small_setup(
             orders=(1, 1, 1) if mode is SeekerMode.FIRST_ORDER else (1, 2, 3),
             form="alternate" if mode is SeekerMode.ALTERNATE_FORM else "standard",
@@ -379,6 +418,78 @@ class TestRunBatch:
         assert isinstance(results[1], IntegrationError)
         assert results[1].component == 3
         assert_same_result(results[0], run(game, g, specs, SAT, config=cfg))
+
+    def test_dense_fault_matches_the_blockwise_fault(self, use_path):
+        # an overflow in one slot, and a divergence of the estimates
+        game, g, specs = small_setup(orders=(2, 1, 3))
+        cfg = SimConfig(step_size=0.05, t_end=2.0, log_every=1, conv_window=1.0)
+        x0 = [np.zeros(2), np.zeros(1), np.full(3, 1.7e308)]
+        cases = [dict(x0=x0), dict(z0=1e3)]
+        faults = {}
+        for path in RHS_PATHS:
+            use_path(path)
+            for k, case in enumerate(cases):
+                with np.errstate(over="ignore"), pytest.raises(IntegrationError) as info:
+                    run(game, g, specs, SAT, config=cfg, **case)
+                faults[path, k] = (info.value.time, info.value.component, str(info.value))
+        for k in range(len(cases)):
+            assert faults["dense", k] == faults["blockwise", k]
+        assert faults["dense", 0][1] == 3
+
+    def test_dense_fault_of_one_member_leaves_the_others_dense(self, rng, monkeypatch, use_path):
+        # a dense right-hand side that faults wherever c_11 starts high, as a
+        # dense-only overflow would, while the blockwise step stays finite;
+        # elsewhere it is off by a relative 1e-9, which tells its steps apart
+        use_path("dense")
+        make = sim._dense_rhs
+
+        def faulting(tables, game):
+            rhs = make(tables, game)
+            c11 = tables.npad + tables.n**2
+
+            def poisoned(s):
+                out = rhs(s) * (1 + 1e-9)
+                out[s[..., c11] > 5.0] = np.nan
+                return out
+
+            return poisoned
+
+        monkeypatch.setattr(sim, "_dense_rhs", faulting)
+        game, g, specs = small_setup()
+        x0s, z0s, c0s = self.inits(rng, specs, 3)
+        c0s[1] = np.full((3, 3), 10.0)
+        results = list(run_batch(game, g, specs, SAT, x0s, z0s, c0s, self.CFG))
+        solo = [run(game, g, specs, SAT, x0=x0s[b], z0=z0s[b], c0=c0s[b], config=self.CFG)
+                for b in range(3)]
+        for b in range(3):
+            assert_same_result(results[b], solo[b])
+        use_path("blockwise")
+        for b in range(3):
+            blockwise = run(game, g, specs, SAT, x0=x0s[b], z0=z0s[b], c0=c0s[b], config=self.CFG)
+            # the high-gain member stepped blockwise throughout, the others densely
+            if b == 1:
+                assert_same_result(results[b], blockwise)
+            else:
+                assert any(
+                    not np.array_equal(getattr(results[b][0], f.name), getattr(blockwise[0], f.name))
+                    for f in fields(Trajectory)
+                )
+
+    def test_state_above_the_bound_never_builds_the_operator(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense operator built")
+
+        monkeypatch.setattr(sim, "linear_operator", refuse)
+        cfg = SimConfig(step_size=1e-3, t_end=2e-3, log_every=1, conv_window=1e-3)
+        # the benchmark's large_n shape: a 1.4 GB operator at the default bound
+        n = 96
+        specs = tuple(PlayerSpec(order=2, theta=0.3, delta=1.0) for _ in range(n))
+        run(ring_game(n), cycle_digraph(n), specs, SAT, config=cfg)
+        # one byte under a small state's operator
+        game, g, specs = small_setup()
+        tables = sim._Tables(specs, SAT, g)
+        monkeypatch.setattr(sim, "_DENSE_MAX_BYTES", tables.operator_bytes() - 1)
+        run(game, g, specs, SAT, config=cfg)
 
     def test_chunked_batch_matches_unchunked(self, rng, monkeypatch):
         game, g, specs = small_setup()

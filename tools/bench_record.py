@@ -1,0 +1,272 @@
+"""Write a BENCH_<label>.json record of one checkout's performance.
+
+    python3 tools/bench_record.py --label baseline --checkout ../parent
+    python3 tools/bench_record.py --label linop --pairs-against ../parent
+
+The record is written to BENCH_<label>.json at the root of this repository.
+For every workload in BENCHMARK.json the record runs ``benchmarks/run.py``
+of the checkout once per seed 1 to 5 (``--trace 0``), each for the
+``run_seconds`` that BENCHMARK.json sets, and keeps the median and the
+quartiles of each end-to-end metric over the seeds. It also records the
+tier-1 test wall time (the command of ROADMAP.md), the wall time of
+``nashseek paper-example``, and the per-call time of the RK4 right-hand
+side on the worked example's players (order 3, theta 1/3, directed cycle)
+at several sizes n. A checkout that has both right-hand sides (dense
+operator and blockwise) is timed on each; an older one on the one it has.
+
+Everything runs in child processes with BLAS on one thread. The record
+names the checkout's git sha, a digest of its ``src/``, Python, numpy and
+``nproc``. Runs take a while: about run_seconds plus 15 s per workload and
+seed, plus the tier-1 suite.
+
+With ``--pairs-against PARENT`` it also runs 10 pairs of the ``reference``
+workload on PARENT and on the checkout, pair k with seed k on both sides,
+alternating which side runs first, and records each side's end-to-end
+metrics, the pairs the checkout won on each metric, and the quartiles of
+both sides.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider"]
+SEEDS = [1, 2, 3, 4, 5]
+PAIRS = 10
+PAIRS_WORKLOAD = "reference"
+RHS_SIZES = (3, 6, 12, 13, 14, 15, 16, 20, 24)
+RHS_CALLS = 2000
+RHS_REPEATS = 7
+
+
+def child_env(checkout: Path) -> dict:
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    env["PYTHONPATH"] = str(checkout / "src")
+    return env
+
+
+def identity(checkout: Path) -> dict:
+    digest = hashlib.sha256()
+    for path in sorted((checkout / "src" / "nashseek").rglob("*.py")):
+        digest.update(path.relative_to(checkout / "src").as_posix().encode())
+        digest.update(path.read_bytes())
+    sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+                         capture_output=True, text=True).stdout.strip()
+    dirty = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=checkout,
+                           capture_output=True, text=True).stdout.strip()
+    import numpy as np
+
+    return {
+        "git_sha": sha or "not a git checkout",
+        "src_uncommitted_changes": bool(dirty),
+        "src_sha256": digest.hexdigest()[:16],
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "nproc": os.cpu_count(),
+        "blas_threads": 1,
+    }
+
+
+def quartiles(values: list[float]) -> dict:
+    values = sorted(values)
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
+
+
+def contract(checkout: Path) -> dict:
+    return json.loads((checkout / "BENCHMARK.json").read_text())
+
+
+def workloads(checkout: Path, seeds: list[int], seconds: float) -> dict:
+    result = {}
+    for workload in (w["name"] for w in contract(checkout)["workloads"]):
+        per_metric: dict[str, list[float]] = {}
+        units, failed, attempted = {}, 0, 0
+        for seed in seeds:
+            line = bench_run(checkout, workload, seed, seconds)
+            failed += line["failed"]
+            attempted += line["attempted"]
+            for name, metric in line["metrics"].items():
+                per_metric.setdefault(name, []).append(metric["value"])
+                units[name] = metric["unit"]
+            print(f"  {workload} seed {seed}: "
+                  + ", ".join(f"{k}={v['value']:.4g}" for k, v in line["metrics"].items()),
+                  flush=True)
+        result[workload] = {
+            "seeds": seeds,
+            "seconds": seconds,
+            "failed": failed,
+            "attempted": attempted,
+            "metrics": {k: {"unit": units[k], **quartiles(v)} for k, v in per_metric.items()},
+        }
+    return result
+
+
+def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``benchmarks/run.py --trace 0`` run; its result line."""
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed",
+         str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, env=child_env(checkout), capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"{workload} seed {seed} failed:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def pairs(checkout: Path, parent: Path, workload: str, count: int, seconds: float) -> dict:
+    better = {m["name"]: m["better"] for m in contract(checkout)["end_to_end"]}
+    sides: dict[str, list[dict]] = {"parent": [], "change": []}
+    for k in range(count):
+        order = [("parent", parent), ("change", checkout)]
+        for side, path in order if k % 2 == 0 else order[::-1]:
+            line = bench_run(path, workload, k + 1, seconds)
+            sides[side].append({m: v["value"] for m, v in line["metrics"].items()}
+                               | {"failed": line["failed"]})
+        print(f"  pair {k + 1}: " + ", ".join(
+            f"{side} op_p50_s={runs[-1]['op_p50_s']:.4g}" for side, runs in sides.items()),
+            flush=True)
+    result = {"workload": workload, "seconds": seconds, "seeds": list(range(1, count + 1)),
+              "first": ["parent" if k % 2 == 0 else "change" for k in range(count)]}
+    for metric, direction in better.items():
+        a = [run[metric] for run in sides["parent"]]
+        b = [run[metric] for run in sides["change"]]
+        wins = sum((y < x) if direction == "lower" else (y > x) for x, y in zip(a, b))
+        result[metric] = {"parent": quartiles(a), "change": quartiles(b),
+                          "change_wins": wins, "pairs": count}
+    result["failed"] = {side: sum(r["failed"] for r in runs) for side, runs in sides.items()}
+    return result
+
+
+def tier1(checkout: Path) -> dict:
+    start = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=checkout, env=child_env(checkout),
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    return {"wall_s": wall, "summary": tail}
+
+
+def paper_example(checkout: Path) -> dict:
+    with tempfile.TemporaryDirectory() as out:
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "nashseek.cli", "paper-example", "--out", out],
+            cwd=checkout, env=child_env(checkout), capture_output=True, text=True,
+        )
+        wall = time.perf_counter() - start
+    verdicts = [line for line in proc.stdout.splitlines() if line.startswith("[")]
+    return {"wall_s": wall, "exit": proc.returncode, "verdicts": verdicts}
+
+
+def rhs_times(checkout: Path) -> dict:
+    proc = subprocess.run([sys.executable, __file__, "--rhs-probe"], cwd=checkout,
+                          env=child_env(checkout), capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"rhs probe failed:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def rhs_probe() -> dict:
+    """Per-call right-hand-side times on the worked example's players at each n.
+
+    Runs in a child process that imports the package under test. The rhs is
+    captured from the first ``sim.rk4_step`` call of a one-step run.
+    """
+    import timeit
+
+    import numpy as np
+    from nashseek import PlayerSpec, SeekerMode, SimConfig, cycle_digraph, ring_game, sim
+
+    # an older checkout has only the blockwise right-hand side
+    two_paths = hasattr(sim, "_DENSE_MAX_BYTES")
+    paths = {"blockwise": 0, "dense": 2**62} if two_paths else {"blockwise": None}
+    cfg = SimConfig(step_size=1e-3, t_end=1e-3, log_every=1, conv_window=1e-3)
+    rows = []
+    for n in RHS_SIZES:
+        specs = tuple(PlayerSpec(order=3, theta=1 / 3, delta=1.0, u_limit=0.4815)
+                      for _ in range(n))
+        x0 = [np.array([float(i + 1), 1.0, 1.0]) for i in range(n)]
+        m, nn = 3, n * n
+        row = {"n": n, "state_len": n * m + 2 * nn + n,
+               "operator_bytes": 8 * (2 * n * m + nn + n) * (n * m + 2 * nn + n)}
+        for name, limit in paths.items():
+            captured = []
+            original = sim.rk4_step
+
+            def capture(rhs, state, h):
+                captured.append((rhs, state.copy()))
+                return original(rhs, state, h)
+
+            sim.rk4_step = capture
+            if two_paths:
+                saved, sim._DENSE_MAX_BYTES = sim._DENSE_MAX_BYTES, limit
+            try:
+                sim.run(ring_game(n), cycle_digraph(n), specs, SeekerMode.SATURATED_DIRECTED,
+                        x0=x0, z0=1.0, c0=1.0, config=cfg)
+            finally:
+                sim.rk4_step = original
+                if two_paths:
+                    sim._DENSE_MAX_BYTES = saved
+            rhs, state = captured[0]
+            rhs(state)
+            calls = max(50, RHS_CALLS // n)
+            per_call = [t / calls * 1e6 for t in
+                        timeit.repeat(lambda: rhs(state), number=calls, repeat=RHS_REPEATS)]
+            row[f"{name}_us_min"] = min(per_call)
+            row[f"{name}_us_median"] = statistics.median(per_call)
+        rows.append(row)
+    return {"players": "order 3, theta 1/3, directed cycle, ring game", "sizes": rows}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label")
+    parser.add_argument("--checkout", type=Path, default=ROOT)
+    parser.add_argument("--pairs-against", type=Path)
+    parser.add_argument("--rhs-probe", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.rhs_probe:
+        print(json.dumps(rhs_probe()))
+        return 0
+    if not args.label:
+        parser.error("--label is required")
+    checkout = args.checkout.resolve()
+    seconds = float(contract(checkout)["run_seconds"])
+    record = {"label": args.label, "env": identity(checkout)}
+    print("rhs per call", flush=True)
+    record["rhs_per_call"] = rhs_times(checkout)
+    print("paper-example", flush=True)
+    record["paper_example"] = paper_example(checkout)
+    print("workloads", flush=True)
+    record["workloads"] = workloads(checkout, SEEDS, seconds)
+    print("tier-1", flush=True)
+    record["tier1"] = tier1(checkout)
+    if args.pairs_against:
+        print("pairs", flush=True)
+        record["pairs"] = pairs(checkout, args.pairs_against.resolve(), PAIRS_WORKLOAD,
+                                PAIRS, seconds)
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -93,9 +93,11 @@ _MAX_LOG_BYTES = 2**30
 # Largest dense operator the right-hand side multiplies by; above it the
 # blockwise right-hand side runs. It sits inside the measured crossover for
 # order-3 players on a directed cycle, one BLAS thread, 2 MB of L2 per core
-# (tools/bench_record.py, rhs_per_call of BENCH_linop.json): the dense call
-# is the faster one up to n = 14 (a 1.05 MB operator) and the slower one
-# from n = 15 (1.35 MB) on, as the operator leaves the cache.
+# (rhs_per_call in BENCH_linop.json, from tools/bench_record.py): the dense
+# call is the faster one up to n = 12 (a 0.61 MB operator) and the slower
+# one from n = 16 (1.70 MB) on, as the operator leaves the cache; in
+# between, the two differ by less than the blockwise call's spread between
+# runs.
 _DENSE_MAX_BYTES = 1_200_000
 
 

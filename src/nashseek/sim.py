@@ -91,13 +91,12 @@ _C_MONOTONE_SLACK = 1e-12
 _MAX_STEPS = 10**9
 _MAX_LOG_BYTES = 2**30
 # Largest dense operator the right-hand side multiplies by; above it the
-# blockwise right-hand side runs. It sits inside the measured crossover for
+# blockwise right-hand side runs. It sits at the measured crossover for
 # order-3 players on a directed cycle, one BLAS thread, 2 MB of L2 per core
-# (rhs_per_call in BENCH_linop.json, from tools/bench_record.py): the dense
-# call is the faster one up to n = 12 (a 0.61 MB operator) and the slower
-# one from n = 16 (1.70 MB) on, as the operator leaves the cache; in
-# between, the two differ by less than the blockwise call's spread between
-# runs.
+# (rhs_per_call in BENCH_linop.json, from tools/bench_record.py): per call,
+# 28 us dense against 47 us blockwise at n = 12 (a 0.61 MB operator), 45
+# against 47 us at n = 14 (1.05 MB), 62 against 50 us at n = 15 (1.35 MB)
+# and 76 against 48 us at n = 16 (1.70 MB), as the operator leaves the cache.
 _DENSE_MAX_BYTES = 1_200_000
 
 

@@ -1,13 +1,11 @@
 """Quadratic games: gradients, regularity certificates, and Nash solvers.
 
 A game couples N cost functions f_i(y) through a shared action profile
-y in R^N (one scalar action per player). Everything downstream only ever
-touches the game through own-action partial gradients, so the interface
-is gradient evaluation, not cost evaluation.
-
-For the quadratic family the stacked gradient (pseudo-gradient) is affine,
-F(y) = R y + r, which makes the Nash equilibrium the root of a linear
-system and gives two independent solution routes: a direct solve and
+y in R^N (one scalar action per player). Only own-action partial gradients
+matter downstream, so the interface is gradient evaluation, not cost
+evaluation. The stacked gradient (pseudo-gradient) of a quadratic game is
+affine, F(y) = R y + r, which makes the Nash equilibrium the root of a
+linear system and gives two independent solution routes: a direct solve and
 damped gradient-play iteration. The pair is used as a cross-checking
 oracle throughout the test suite.
 """
@@ -22,7 +20,6 @@ from numpy.typing import NDArray
 from .errors import ConvergenceError, IllConditionedGameError, MonotonicityError
 
 __all__ = [
-    "GameModel",
     "QuadraticGame",
     "GameCertificate",
     "check_game",
@@ -34,37 +31,8 @@ __all__ = [
 _COND_LIMIT = 1e12
 
 
-class GameModel:
-    """Abstract N-player game seen through own-action gradients.
-
-    Subclasses must set ``n_players`` and implement :meth:`gradient`.
-    """
-
-    n_players: int
-
-    def gradient(self, i: int, y: NDArray[np.floating]) -> float:
-        """Partial gradient of player i's cost in its own action, at profile y."""
-        raise NotImplementedError
-
-    def pseudo_gradient(self, y: NDArray[np.floating]) -> NDArray[np.float64]:
-        """Stacked own-action gradients, all evaluated at the same profile y."""
-        return np.array([self.gradient(i, y) for i in range(self.n_players)])
-
-    def self_gradients(self, profiles: NDArray[np.floating]) -> NDArray[np.float64]:
-        """Each player's gradient at its *own* estimated profile.
-
-        ``profiles`` is (..., N, N); row i is the profile player i believes in,
-        and the result is (..., N). Unlike :meth:`pseudo_gradient` the
-        evaluation point differs per player.
-        """
-        profiles = np.asarray(profiles)
-        if profiles.ndim > 2:
-            return np.array([self.self_gradients(p) for p in profiles])
-        return np.array([self.gradient(i, profiles[i]) for i in range(self.n_players)])
-
-
 @dataclass(frozen=True)
-class QuadraticGame(GameModel):
+class QuadraticGame:
     """Game whose pseudo-gradient is the affine map y -> jacobian @ y + offset.
 
     ``jacobian[i, j]`` is the sensitivity of player i's own-action gradient
@@ -93,21 +61,23 @@ class QuadraticGame(GameModel):
         object.__setattr__(self, "offset", off)
 
     @property
-    def n_players(self) -> int:  # type: ignore[override]
+    def n_players(self) -> int:
         return self.offset.shape[0]
 
     def gradient(self, i: int, y: NDArray[np.floating]) -> float:
+        """Partial gradient of player i's cost in its own action, at profile y."""
         if not 0 <= i < self.n_players:
             raise IndexError(f"player index {i} out of range for {self.n_players} players")
         y = np.asarray(y, dtype=float)
         return float(self.jacobian[i] @ y + self.offset[i])
 
     def pseudo_gradient(self, y: NDArray[np.floating]) -> NDArray[np.float64]:
+        """Stacked own-action gradients, all evaluated at the same profile y."""
         y = np.asarray(y, dtype=float)
         return self.jacobian @ y + self.offset
 
     def self_gradients(self, profiles: NDArray[np.floating]) -> NDArray[np.float64]:
-        # row i of profiles dotted with row i of the jacobian
+        """Player i's gradient at row i of ``profiles`` (..., N, N), its own estimate."""
         return (self.jacobian * profiles).sum(axis=-1) + self.offset
 
 

@@ -38,7 +38,7 @@ from .dynamics import (
     saturation,
 )
 from .errors import GainIntegrityError, ModeOrderError
-from .game import GameModel
+from .game import QuadraticGame
 from .graph import Digraph, laplacian
 
 __all__ = [
@@ -144,7 +144,7 @@ def innovation_matrix(
 def consensus_rhs(
     state: SeekerState,
     g: Digraph,
-    game: GameModel,
+    game: QuadraticGame,
     mode: SeekerMode,
 ) -> ConsensusRates:
     """Time derivatives of the estimator variables (z, c, eta).

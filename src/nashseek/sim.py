@@ -21,8 +21,8 @@ documented layout. The integrator advances a state of shape (..., L), so
 and :class:`SimConfig` as one (B, L) array; :func:`run` is the B = 1 case.
 
 Every term of the closed loop is linear in the state except the
-saturations and the xi^2 products. So for a quadratic game whose operator
-stays within ``_DENSE_MAX_BYTES``, the right-hand side is one product with
+saturations and the xi^2 products. So where the operator stays within
+``_DENSE_MAX_BYTES``, the right-hand side is one product with
 a dense (R, L) operator built once per batch (:func:`linear_operator`),
 whose row blocks are
 
@@ -40,12 +40,13 @@ BLAS may sum a matrix product's rows in another order than a lone vector's,
 and the stacked form keeps every member bit-identical to its solo run.
 Above the byte bound the blockwise right-hand side (a Laplacian product,
 the game's self-gradients and the padded plant block) runs instead, and
-no operator is built. A dense product turns one overflowed entry into NaN
-across its member's whole row, so a faulted member's step is re-taken alone
-with the blockwise right-hand side, which names the component that
-overflowed, and the other members keep their dense step. The
-agreement of both right-hand sides with the scalar per-player laws in
-:mod:`nashseek.seeker` is pinned by tests, not assumed.
+no operator is built. When a batch step goes non-finite, every member
+re-takes it alone, as in its solo run; a dense product turns one overflowed
+entry into NaN across its member's whole row, so a member whose dense step
+faults re-takes it blockwise, which names the component that overflowed.
+A member that still faults leaves the batch. The agreement of both
+right-hand sides with the scalar per-player laws in :mod:`nashseek.seeker`
+is pinned by tests, not assumed.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .errors import (
     MonotonicityError,
     SymmetryError,
 )
-from .game import GameModel, QuadraticGame, check_game, solve_nash_closed_form
+from .game import QuadraticGame, check_game, solve_nash_closed_form
 from .graph import Digraph, is_strongly_connected, laplacian
 from .seeker import SeekerMode, SeekerState
 
@@ -235,14 +236,11 @@ def rk4_step(
         np.multiply(acc, h / 6.0, out=acc)
         out = np.add(state, acc)
     if not np.isfinite(out).all():
-        raise _fault_at(int(np.flatnonzero(~np.isfinite(out))[0]))
+        component = int(np.flatnonzero(~np.isfinite(out))[0])
+        raise IntegrationError(
+            f"non-finite state component {component} after a step", component=component
+        )
     return out
-
-
-def _fault_at(component: int) -> IntegrationError:
-    return IntegrationError(
-        f"non-finite state component {component} after a step", component=component
-    )
 
 
 def _stage(state: NDArray[np.float64], a: float, k: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -281,22 +279,23 @@ class _Tables:
         self.thm = np.zeros(n)
         self.pvec = np.zeros(n)
         self.out_rows = np.zeros((n, mmax))
-        self.transforms = []
-        for i, spec in enumerate(specs):
+        built = {spec: build_transformation(spec) for spec in dict.fromkeys(specs)}
+        self.transforms = [built[spec] for spec in specs]
+        for i, (spec, tr) in enumerate(zip(specs, self.transforms)):
             m = spec.order
-            tr = build_transformation(spec)
-            self.transforms.append(tr)
             self.abar[i, :m, :m] = tr.a_bar
             self.out_rows[i, :m] = output_coefficients(tr)
             row = gain_row(m, spec.theta, spec.form)
             self.thm[i] = row[0]
             self.wmat[i, 1:m] = row[1:]
             self.pvec[i] = _seeker.integral_scale(spec)
-        self.deltas = np.array([s.delta for s in specs])
-        self.delta_col = self.deltas[:, None]
-        self.neg_deltas = -self.deltas
-        self.neg_delta_col = -self.delta_col
-        self.saturated = mode is not SeekerMode.UNSATURATED
+        deltas = np.array([s.delta for s in specs])
+        self.delta_col = deltas[:, None]
+        # clip level per player, inf when unsaturated: min(max(x, -inf), inf) is x
+        self.levels = np.full(n, np.inf) if mode is SeekerMode.UNSATURATED else deltas
+        self.level_col = self.levels[:, None]
+        self.neg_levels = -self.levels
+        self.neg_level_col = -self.level_col
         self.rho_augmented = mode is not SeekerMode.UNDIRECTED_ADAPTIVE
         self.weights = g.weights
         self.lap = laplacian(g)
@@ -320,9 +319,8 @@ class _Tables:
 
     def controls(self, x: NDArray[np.float64], eta: NDArray[np.float64]) -> NDArray[np.float64]:
         inner = x[..., 0] + self.pvec * eta
-        if self.saturated:
-            x = np.minimum(np.maximum(x, self.neg_delta_col), self.delta_col)
-            inner = np.minimum(np.maximum(inner, self.neg_deltas), self.deltas)
+        x = np.minimum(np.maximum(x, self.neg_level_col), self.level_col)
+        inner = np.minimum(np.maximum(inner, self.neg_levels), self.levels)
         return -((self.wmat * x).sum(axis=-1) + self.thm * inner)
 
     def outputs(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -401,7 +399,7 @@ def linear_operator(
     return op, gain
 
 
-def _blockwise_rhs(tables: _Tables, game: GameModel) -> Callable:
+def _blockwise_rhs(tables: _Tables, game: QuadraticGame) -> Callable:
     """Right-hand side from the Laplacian, the game and the padded plant block."""
     lap, w = tables.lap, tables.weights
     rho_aug = tables.rho_augmented
@@ -455,7 +453,7 @@ def _dense_rhs(tables: _Tables, game: QuadraticGame) -> Callable:
     npad, nn = tables.npad, tables.n * tables.n
     xi0, jz0 = 2 * npad, 2 * npad + nn
     c0, eta0 = npad + nn, npad + 2 * nn
-    hi = np.repeat(tables.deltas if tables.saturated else np.full(tables.n, np.inf), tables.mmax)
+    hi = np.repeat(tables.levels, tables.mmax)
     lo = -hi
     offset = game.offset
     rho_aug = tables.rho_augmented
@@ -488,7 +486,7 @@ def _log_bytes(config: SimConfig, n: int) -> int:
 
 
 def validate_run_inputs(
-    game: GameModel,
+    game: QuadraticGame,
     g: Digraph,
     specs: Sequence[PlayerSpec],
     mode: SeekerMode,
@@ -498,11 +496,10 @@ def validate_run_inputs(
     n = g.n
     if game.n_players != n:
         raise ConfigError(f"game has {game.n_players} players but graph has {n}")
-    if isinstance(game, QuadraticGame):
-        # the convergence proof, and the closed-form reference, need it
-        cert = check_game(game)
-        if not cert.strongly_monotone:
-            raise MonotonicityError(cert.monotonicity)
+    # the convergence proof, and the closed-form reference, need it
+    cert = check_game(game)
+    if not cert.strongly_monotone:
+        raise MonotonicityError(cert.monotonicity)
     log_bytes = _log_bytes(config, n)
     if log_bytes > _MAX_LOG_BYTES:
         raise ConfigError(
@@ -533,7 +530,7 @@ def _materialize(value, shape, name: str) -> NDArray[np.float64]:
 
 
 def run(
-    game: GameModel,
+    game: QuadraticGame,
     g: Digraph,
     specs: Sequence[PlayerSpec],
     mode: SeekerMode,
@@ -548,9 +545,8 @@ def run(
     ``x0`` holds per-player initial plant states in the *original* chain
     coordinates (converted internally); omitted pieces default to zero
     plants, zero estimates, unit gains. ``y_star`` overrides the reference
-    used for the error column; by default it is solved in closed form for
-    quadratic games and left NaN otherwise. This is :func:`run_batch` with
-    one member; its fault is raised.
+    used for the error column; by default it is solved in closed form. This
+    is :func:`run_batch` with one member; its fault is raised.
     """
     (result,) = run_batch(game, g, specs, mode, [x0], [z0], [c0], config, y_star=y_star)
     if isinstance(result, IntegrationError):
@@ -559,7 +555,7 @@ def run(
 
 
 def run_batch(
-    game: GameModel,
+    game: QuadraticGame,
     g: Digraph,
     specs: Sequence[PlayerSpec],
     mode: SeekerMode,
@@ -590,12 +586,10 @@ def run_batch(
     states = np.array(
         [tables.initial_state(*init) for init in zip(x0s, z0s, c0s)]
     ).reshape(-1, tables.width)
-    if y_star is None and isinstance(game, QuadraticGame):
-        y_star = solve_nash_closed_form(game)
-    ref = np.full(g.n, np.nan) if y_star is None else np.asarray(y_star, dtype=float)
+    ref = np.asarray(solve_nash_closed_form(game) if y_star is None else y_star, dtype=float)
     blockwise = _blockwise_rhs(tables, game)
     rhs = blockwise
-    if isinstance(game, QuadraticGame) and tables.operator_bytes() <= _DENSE_MAX_BYTES:
+    if tables.operator_bytes() <= _DENSE_MAX_BYTES:
         rhs = _dense_rhs(tables, game)
     chunk = max(1, _MAX_LOG_BYTES // _log_bytes(config, g.n))
     return _chunks(tables, rhs, blockwise, ref, states, config, chunk)
@@ -618,38 +612,6 @@ def _integrate(
     n, width = tables.n, tables.width
     split, controls = tables.split, tables.controls
     h = config.step_size
-
-    def step(s: NDArray[np.float64]) -> NDArray[np.float64]:
-        try:
-            return rk4_step(rhs, s, h)
-        except IntegrationError as exc:
-            if rhs is blockwise:
-                raise
-            fault = exc
-        # the dense product spreads an overflow over its member's whole row
-        # (0 * inf = NaN): that member re-steps alone with the blockwise
-        # right-hand side, which locates the overflow or, where it stays
-        # finite, gives the member's step, as in its solo run
-        if s.ndim == 1:
-            return rk4_step(blockwise, s, h)
-        pos = fault.component // width
-        others = np.flatnonzero(np.arange(len(s)) != pos)
-        try:
-            alone = rk4_step(blockwise, s[pos], h)
-        except IntegrationError as located:
-            raise _fault_at(pos * width + located.component) from None
-        out = np.empty_like(s)
-        out[pos] = alone
-        if others.size:
-            # the others take the dense step of their solo runs; a further
-            # faulted member among them is handled the same way
-            try:
-                out[others] = step(s[others])
-            except IntegrationError as later:
-                b, slot = divmod(later.component, width)
-                raise _fault_at(int(others[b]) * width + slot) from None
-        return out
-
     members = len(state)
     c_prev = split(state)[2].copy()
     if members == 1:
@@ -671,25 +633,33 @@ def _integrate(
 
     k = 0
     row = 0
-    while k < steps and live.size:
+    while k < steps:
         try:
-            state = step(state)
-        except IntegrationError as exc:
-            # record the first faulted member, drop it, retry the step
-            pos, slot = divmod(exc.component, width)
+            state = rk4_step(rhs, state, h)
+        except IntegrationError:
+            # each member re-takes the step alone, as in its solo run, and
+            # blockwise where its dense step faults (see the module docstring)
             t = (k + 1) * h
-            comp = int(tables.packed[slot])
-            faults[int(live[pos])] = IntegrationError(
-                f"integration fault at t = {t:.6g}: non-finite state component {comp} "
-                "after a step",
-                time=t,
-                component=comp,
-            )
-            keep = np.arange(live.size) != pos
+            keep, stepped = [], []
+            for pos, s in enumerate(state.reshape(-1, width)):
+                try:
+                    try:
+                        stepped.append(rk4_step(rhs, s, h))
+                    except IntegrationError:
+                        stepped.append(rk4_step(blockwise, s, h))
+                    keep.append(pos)
+                except IntegrationError as exc:
+                    comp = int(tables.packed[exc.component])
+                    faults[int(live[pos])] = IntegrationError(
+                        f"integration fault at t = {t:.6g}: non-finite state component "
+                        f"{comp} after a step",
+                        time=t,
+                        component=comp,
+                    )
             live = live[keep]
-            if live.size:
-                state = state[keep]
-            continue
+            if not live.size:
+                break
+            state = np.array(stepped) if state.ndim > 1 else stepped[0]
         k += 1
         if k % log_every:
             continue

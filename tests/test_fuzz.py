@@ -14,7 +14,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nashseek.cli import main
@@ -64,11 +64,11 @@ DELETE = object()
 # Deleting these falls back to t_end = 100 s of simulated time: slow, not wrong.
 SLOW_DELETES = {("sim",), ("sim", "t_end")}
 
-# Wrong types, out-of-range and extreme numbers, and well-formed blocks
-# placed where they do not belong.
+# Wrong types, out-of-range and extreme numbers (20 and 21 are the order cap
+# and one past it), and well-formed blocks placed where they do not belong.
 values = st.sampled_from(
     [
-        None, True, False, 0, 1, 2, 3, 7, -1, 0.0, 0.3, 0.5, 0.7, 1.5, -0.2,
+        None, True, False, 0, 1, 2, 3, 7, 20, 21, -1, 0.0, 0.3, 0.5, 0.7, 1.5, -0.2,
         1e-300, 1e300, -1e300, "", "x", "ring", "cycle", "standard", "alternate",
         "AlternateForm", "Unsaturated", "FirstOrder", "UndirectedAdaptive",
         [], [1], ["a"], [[1]], [[0, 1, 1], [1, 0, 1], [1, 1, 0]], [[1, 2], [3]],
@@ -104,6 +104,9 @@ def mutate(data: dict, path: tuple, value) -> None:
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(BASES)), mutations, st.sampled_from(["run", "check"]))
+# the drawn examples rarely put the order cap, or one past it, on an order
+@example("SaturatedDirected", [(("players", 0, "order"), 20)], "run")
+@example("SaturatedDirected", [(("players", 0, "order"), 21)], "run")
 def test_mutated_scenarios_exit_classified(mode, changes, command):
     data = copy.deepcopy(BASES[mode])
     for path, value in changes:

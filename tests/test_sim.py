@@ -1,6 +1,6 @@
 """Integrator, state layout, detectors, and whole-loop consistency."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -475,6 +475,42 @@ class TestRunBatch:
                     for f in fields(Trajectory)
                 )
 
+    def test_members_faulting_together_match_their_solo_runs(self, monkeypatch, use_path):
+        # one step faults three ways at once: a dense-only fault (the dense
+        # right-hand side is poisoned wherever c_11 is high, as above), a true
+        # divergence, and a healthy member
+        use_path("dense")
+        make = sim._dense_rhs
+
+        def faulting(tables, game):
+            rhs = make(tables, game)
+            c11 = tables.npad + tables.n**2
+
+            def poisoned(s):
+                out = rhs(s) * (1 + 1e-9)
+                out[s[..., c11] > 5.0] = np.nan
+                return out
+
+            return poisoned
+
+        monkeypatch.setattr(sim, "_dense_rhs", faulting)
+        game, g, specs = small_setup(orders=(1, 1, 1))
+        cfg = SimConfig(step_size=0.05, t_end=2.0, log_every=1, conv_window=1.0)
+        z0s, c0s = [0.2, 1e3, -0.3], [10.0, 1.0, 1.0]
+        results = list(run_batch(game, g, specs, SAT, [None] * 3, z0s, c0s, cfg))
+        with pytest.raises(IntegrationError) as info:
+            run(game, g, specs, SAT, z0=1e3, config=cfg)
+        assert isinstance(results[1], IntegrationError)
+        assert results[1].time == info.value.time is not None
+        assert results[1].component == info.value.component
+        assert str(results[1]) == str(info.value)
+        # the reported time is that of the step that went non-finite
+        before = info.value.time - cfg.step_size
+        run(game, g, specs, SAT, z0=1e3, config=replace(cfg, t_end=before, conv_window=before))
+        for b in (0, 2):
+            solo = run(game, g, specs, SAT, z0=z0s[b], c0=c0s[b], config=cfg)
+            assert_same_result(results[b], solo)
+
     def test_state_above_the_bound_never_builds_the_operator(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("dense operator built")
@@ -524,3 +560,20 @@ class TestRunBatch:
         traj, summary = run(game, g, specs, SAT, config=cfg)
         assert traj.times.tolist() == [pytest.approx(0.6)]
         assert summary.c_trailing_drift is None
+
+
+def test_tables_build_one_transformation_per_distinct_spec(monkeypatch):
+    built = []
+    build = sim.build_transformation
+
+    def recording(spec):
+        built.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(sim, "build_transformation", recording)
+    # six third-order players with three distinct thetas
+    game, g, specs = small_setup(n=6, orders=(3,) * 6)
+    tables = sim._Tables(specs, SAT, g)
+    assert built == list(specs[:3])
+    for spec, tr in zip(specs, tables.transforms):
+        np.testing.assert_array_equal(tr.t_inverse, build(spec).t_inverse)

@@ -8,154 +8,17 @@ the adaptive consensus estimator, a fixed-step simulator with convergence
 diagnostics, and a scenario-driven command line interface.
 """
 
-from .dynamics import (
-    FORM_ALTERNATE,
-    FORM_STANDARD,
-    PlayerSpec,
-    Transformation,
-    build_transformation,
-    canonical_a,
-    canonical_b,
-    chain_matrices,
-    controllability_matrix,
-    delta_for_limit,
-    gain_row,
-    geometric_control_bound,
-    max_control_bound,
-    output_coefficients,
-    saturation,
-    similarity_residual,
-)
-from .errors import (
-    ConfigError,
-    ConnectivityError,
-    ConvergenceError,
-    GainIntegrityError,
-    IllConditionedGameError,
-    IntegrationError,
-    ModeOrderError,
-    MonotonicityError,
-    NashseekError,
-    SingularTransformError,
-    SymmetryError,
-)
-from .game import (
-    GameCertificate,
-    QuadraticGame,
-    check_game,
-    ring_game,
-    solve_nash_closed_form,
-    solve_nash_gradient_play,
-)
-from .graph import (
-    Digraph,
-    PinningDiagnostic,
-    cycle_digraph,
-    is_strongly_connected,
-    laplacian,
-    pinning_diagnostic,
-    random_strongly_connected,
-)
-from .scenario import (
-    BuiltScenario,
-    ScenarioConfig,
-    build,
-    load_config,
-    parse_config,
-    reference_scenario,
-)
-from .seeker import (
-    ConsensusRates,
-    SeekerMode,
-    SeekerState,
-    certified_bound,
-    consensus_rhs,
-    control,
-    innovation,
-    innovation_matrix,
-    integral_scale,
-    tilde_x1,
-)
-from .sim import (
-    SimConfig,
-    Summary,
-    Trajectory,
-    detect_convergence,
-    pack_state,
-    rk4_step,
-    run,
-    run_batch,
-    unpack_state,
-    unsaturated_entry,
-)
+from . import dynamics, errors, game, graph, scenario, seeker, sim
+from .dynamics import *
+from .errors import *
+from .game import *
+from .graph import *
+from .scenario import *
+from .seeker import *
+from .sim import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BuiltScenario",
-    "ConfigError",
-    "ConnectivityError",
-    "ConsensusRates",
-    "ConvergenceError",
-    "Digraph",
-    "FORM_ALTERNATE",
-    "FORM_STANDARD",
-    "GainIntegrityError",
-    "GameCertificate",
-    "IllConditionedGameError",
-    "IntegrationError",
-    "ModeOrderError",
-    "MonotonicityError",
-    "NashseekError",
-    "PinningDiagnostic",
-    "PlayerSpec",
-    "QuadraticGame",
-    "ScenarioConfig",
-    "SeekerMode",
-    "SeekerState",
-    "SimConfig",
-    "SingularTransformError",
-    "Summary",
-    "SymmetryError",
-    "Trajectory",
-    "Transformation",
-    "build",
-    "build_transformation",
-    "canonical_a",
-    "canonical_b",
-    "certified_bound",
-    "chain_matrices",
-    "check_game",
-    "consensus_rhs",
-    "control",
-    "controllability_matrix",
-    "cycle_digraph",
-    "delta_for_limit",
-    "detect_convergence",
-    "gain_row",
-    "geometric_control_bound",
-    "innovation",
-    "innovation_matrix",
-    "integral_scale",
-    "is_strongly_connected",
-    "laplacian",
-    "load_config",
-    "max_control_bound",
-    "output_coefficients",
-    "pack_state",
-    "parse_config",
-    "pinning_diagnostic",
-    "random_strongly_connected",
-    "reference_scenario",
-    "ring_game",
-    "rk4_step",
-    "run",
-    "run_batch",
-    "saturation",
-    "similarity_residual",
-    "solve_nash_closed_form",
-    "solve_nash_gradient_play",
-    "tilde_x1",
-    "unpack_state",
-    "unsaturated_entry",
-]
+# each module's __all__ is the one declaration of its public names
+_MODULES = (dynamics, errors, game, graph, scenario, seeker, sim)
+__all__ = sorted(name for module in _MODULES for name in module.__all__)

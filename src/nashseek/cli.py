@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,6 @@ from .errors import (
     ConfigError,
     ConnectivityError,
     ConvergenceError,
-    GainIntegrityError,
     IllConditionedGameError,
     IntegrationError,
     ModeOrderError,
@@ -54,8 +53,6 @@ from .scenario import (
 from .sim import Summary, Trajectory, run, run_batch, validate_run_inputs
 
 __all__ = ["main"]
-
-_SATURATION_CAP = 13.0 / 27.0  # worked-example certified bound, order 3, theta 1/3
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
@@ -133,23 +130,24 @@ def _verdict_line(summary: Summary) -> str:
 
 def cmd_run(args) -> int:
     raw = read_json(args.config)
+    # validated before the flags below read or extend the raw data
+    cfg = parse_config(raw)
     if args.allow_large_theta:
         raw = {**raw, "allow_large_theta": True}
+        cfg = replace(cfg, allow_large_theta=True)
     out = Path(args.out)
     if args.replicates < 1:
         raise ConfigError(f"--replicates must be >= 1, got {args.replicates}")
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     if args.replicates == 1:
-        _, summary = _execute(parse_config(raw), out)
+        _, summary = _execute(cfg, out)
         print(_verdict_line(summary))
         print(f"wrote {out / 'trajectory.csv'} and {out / 'summary.json'}")
         return 0
     # seed-shifted replicates differ only in their random init draws, so
     # they share game, graph, players, mode and sim and integrate as one batch
-    base_seed = raw.get("seed")
-    if base_seed is None:
-        base_seed = 0
+    base_seed = 0 if cfg.seed is None else cfg.seed
     cfgs = [parse_config({**raw, "seed": base_seed + r}) for r in range(args.replicates)]
     built = build(cfgs[0])
     results = run_batch(
@@ -185,7 +183,7 @@ def cmd_paper_example(args) -> int:
     ucfg = reference_scenario(mode="Unsaturated")
     _, usummary = _execute(ucfg, out, prefix="unsaturated_")
 
-    cap = _SATURATION_CAP
+    cap = max(summary.certified_bounds)
     peak = float(max(summary.max_abs_u))
     upeak = float(max(usummary.max_abs_u))
     entry = summary.unsaturated_entry_time
@@ -384,7 +382,6 @@ def main(argv=None) -> int:
         SingularTransformError,
         IllConditionedGameError,
         ConvergenceError,
-        GainIntegrityError,
     ) as exc:
         print(f"numerical fault: {exc}", file=sys.stderr)
         return 4

@@ -1,4 +1,4 @@
-"""Player plants: integrator chains, saturation, and the canonical coordinate change.
+"""Player plants: integrator chains and the canonical coordinate change.
 
 Each player is a chain of ``order`` integrators driven by a scalar input.
 The bounded control law is designed in special coordinates in which the
@@ -29,11 +29,8 @@ from numpy.typing import NDArray
 from .errors import SingularTransformError
 
 __all__ = [
-    "saturation",
     "canonical_a",
     "canonical_b",
-    "chain_matrices",
-    "controllability_matrix",
     "PlayerSpec",
     "Transformation",
     "build_transformation",
@@ -41,12 +38,7 @@ __all__ = [
     "output_coefficients",
     "gain_row",
     "max_control_bound",
-    "geometric_control_bound",
     "delta_for_limit",
-    "theta_in_design_range",
-    "bound_within_limit",
-    "order_within_cap",
-    "MAX_ORDER",
     "FORM_STANDARD",
     "FORM_ALTERNATE",
 ]
@@ -60,14 +52,6 @@ FORM_ALTERNATE = "alternate"
 # builds one per player, so the cap keeps each build near a fifth of a
 # second.
 MAX_ORDER = 20
-
-
-def saturation(value, delta: float):
-    """Clip to [-delta, delta]; scalar in, scalar out; arrays pass through."""
-    if delta <= 0:
-        raise ValueError(f"saturation level must be positive, got {delta}")
-    clipped = np.clip(value, -delta, delta)
-    return float(clipped) if np.isscalar(value) or np.ndim(value) == 0 else clipped
 
 
 def _column_coeffs(m: int, theta, form: str) -> dict:
@@ -102,25 +86,6 @@ def canonical_b(m: int) -> NDArray[np.float64]:
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
     return np.ones(m)
-
-
-def chain_matrices(m: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Integrator-chain pair: superdiagonal shift matrix and last-unit input."""
-    a = np.diag(np.ones(m - 1), 1) if m > 1 else np.zeros((1, 1))
-    b = np.zeros(m)
-    b[-1] = 1.0
-    return a, b
-
-
-def controllability_matrix(a: NDArray[np.floating], b: NDArray[np.floating]) -> NDArray[np.float64]:
-    """Columns b, A b, ..., A^(m-1) b."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float).ravel()
-    m = b.shape[0]
-    cols = [b]
-    for _ in range(m - 1):
-        cols.append(a @ cols[-1])
-    return np.column_stack(cols)
 
 
 def theta_in_design_range(theta: float) -> bool:
@@ -360,16 +325,6 @@ def max_control_bound(m: int, theta: float, delta: float, form: str = FORM_STAND
     return float(_gain_sum(m, theta, form) * delta)
 
 
-def geometric_control_bound(theta: float, delta: float) -> float:
-    """Order-independent geometric-series bound theta/(1-theta) * delta.
-
-    Covers the high-order law only: looser than :func:`max_control_bound` for
-    any finite order m >= 2, but handy as the sufficient condition for choosing
-    delta independently of the order. The first-order law reaches delta itself.
-    """
-    return theta / (1.0 - theta) * delta
-
-
 def delta_for_limit(
     m: int, theta: float, u_limit: float, margin: float = 1.0, form: str = FORM_STANDARD
 ) -> float:
@@ -378,4 +333,10 @@ def delta_for_limit(
         raise ValueError(f"margin must lie in (0, 1], got {margin}")
     if u_limit <= 0:
         raise ValueError(f"u_limit must be positive, got {u_limit}")
-    return float(margin * u_limit / _gain_sum(m, theta, form))
+    total = _gain_sum(m, theta, form)
+    if total == 0:
+        raise ValueError(
+            f"the gain row of order {m} at theta {theta:.6g} sums to 0: every delta "
+            "meets u_limit, so there is no largest one"
+        )
+    return float(margin * u_limit / total)

@@ -4,6 +4,19 @@ The CLI maps these onto exit codes: configuration problems exit 2,
 violated method hypotheses exit 3, numerical faults exit 4.
 """
 
+__all__ = [
+    "NashseekError",
+    "ConfigError",
+    "MonotonicityError",
+    "IllConditionedGameError",
+    "ConnectivityError",
+    "SymmetryError",
+    "SingularTransformError",
+    "ModeOrderError",
+    "ConvergenceError",
+    "IntegrationError",
+]
+
 
 class NashseekError(Exception):
     """Base class for all package-specific errors."""
@@ -57,14 +70,6 @@ class SingularTransformError(NashseekError):
 
 class ModeOrderError(NashseekError):
     """A seeker mode was combined with an incompatible player order or form."""
-
-
-class GainIntegrityError(NashseekError):
-    """A non-positive adaptive gain was observed.
-
-    The gains are non-decreasing from positive initial values, so this can
-    only mean the integrator was fed a corrupted state.
-    """
 
 
 class ConvergenceError(NashseekError):

@@ -26,7 +26,6 @@ __all__ = [
     "pinning_diagnostic",
     "is_strongly_connected",
     "cycle_digraph",
-    "random_strongly_connected",
 ]
 
 _COND_LIMIT = 1e12
@@ -137,27 +136,3 @@ def cycle_digraph(n: int) -> Digraph:
         w[i, (i - 1) % n] = 1.0
     return Digraph(w)
 
-
-def random_strongly_connected(
-    n: int,
-    rng: np.random.Generator,
-    extra_arc_prob: float = 0.3,
-) -> Digraph:
-    """Random cycle through a shuffled node order plus independent extra arcs.
-
-    The embedded cycle already makes the graph strongly connected; the check
-    at the end is a guard against future edits, not a rejection loop.
-    """
-    w = np.zeros((n, n))
-    order = rng.permutation(n)
-    for idx in range(n):
-        receiver = order[(idx + 1) % n]
-        sender = order[idx]
-        w[receiver, sender] = 1.0
-    extra = rng.random((n, n)) < extra_arc_prob
-    extra &= ~np.eye(n, dtype=bool)
-    w[extra & (w == 0)] = 1.0
-    g = Digraph(w)
-    if not is_strongly_connected(g):
-        raise AssertionError("generator invariant violated: cycle core missing")
-    return g

@@ -43,9 +43,6 @@ from .sim import SimConfig
 __all__ = [
     "ScenarioConfig",
     "BuiltScenario",
-    "read_json",
-    "game_from_block",
-    "graph_from_block",
     "parse_config",
     "load_config",
     "build",

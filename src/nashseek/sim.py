@@ -4,11 +4,11 @@ The state of one scenario is documented as one flat vector laid out as
 
     [ xbar_1 | ... | xbar_N | z row-major | c row-major | eta ]
 
-of length sum(m_i) + 2 N^2 + N (:func:`pack_state`), advanced by classical
-Runge-Kutta 4 with a constant step. A fixed-step scheme keeps reruns
-bit-identical and makes the step-halving consistency check meaningful; the
-dynamics are smooth and non-stiff at the default step for the parameter
-ranges this package targets.
+of length sum(m_i) + 2 N^2 + N, advanced by classical Runge-Kutta 4 with a
+constant step; ``IntegrationError.component`` indexes this layout. A
+fixed-step scheme keeps reruns bit-identical and makes the step-halving
+consistency check meaningful; the dynamics are smooth and non-stiff at the
+default step for the parameter ranges this package targets.
 
 Inside the loop the plant block is padded to (N, mmax), mmax the largest
 order, so the loop state has length L = N mmax + 2 N^2 + N:
@@ -45,8 +45,8 @@ re-takes it alone, as in its solo run; a dense product turns one overflowed
 entry into NaN across its member's whole row, so a member whose dense step
 faults re-takes it blockwise, which names the component that overflowed.
 A member that still faults leaves the batch. The agreement of both
-right-hand sides with the scalar per-player laws in :mod:`nashseek.seeker`
-is pinned by tests, not assumed.
+right-hand sides with the scalar per-player laws in ``tests/oracles.py`` is
+pinned by tests, not assumed.
 """
 
 from __future__ import annotations
@@ -68,19 +68,15 @@ from .errors import (
 )
 from .game import QuadraticGame, check_game, solve_nash_closed_form
 from .graph import Digraph, is_strongly_connected, laplacian
-from .seeker import SeekerMode, SeekerState
+from .seeker import SeekerMode
 
 __all__ = [
     "SimConfig",
     "Trajectory",
     "Summary",
-    "pack_state",
-    "unpack_state",
     "rk4_step",
-    "validate_run_inputs",
     "run",
     "run_batch",
-    "linear_operator",
     "detect_convergence",
     "unsaturated_entry",
 ]
@@ -175,35 +171,6 @@ class Summary:
     c_monotone: bool
     unsaturated_entry_time: float | None
     c_trailing_drift: float | None
-
-
-def pack_state(state: SeekerState) -> NDArray[np.float64]:
-    """Flatten to the documented layout [xbar_1..xbar_N | z | c | eta]."""
-    return np.concatenate(
-        [np.concatenate([np.asarray(x, dtype=float).ravel() for x in state.xbar]),
-         state.z.ravel(), state.c.ravel(), np.asarray(state.eta, dtype=float)]
-    )
-
-
-def unpack_state(flat: NDArray[np.floating], orders: Sequence) -> SeekerState:
-    """Inverse of :func:`pack_state`; ``orders`` may hold ints or PlayerSpecs."""
-    ms = [int(getattr(o, "order", o)) for o in orders]
-    n = len(ms)
-    nx = sum(ms)
-    expected = nx + 2 * n * n + n
-    flat = np.asarray(flat, dtype=float)
-    if flat.shape != (expected,):
-        raise ValueError(f"flat state has length {flat.shape}, expected ({expected},)")
-    xbar = []
-    pos = 0
-    for m in ms:
-        xbar.append(flat[pos : pos + m].copy())
-        pos += m
-    z = flat[pos : pos + n * n].reshape(n, n).copy()
-    pos += n * n
-    c = flat[pos : pos + n * n].reshape(n, n).copy()
-    pos += n * n
-    return SeekerState(xbar=tuple(xbar), z=z, c=c, eta=flat[pos:].copy())
 
 
 def rk4_step(

@@ -1,11 +1,11 @@
-"""Shared helpers for randomized test inputs."""
+"""Shared helpers for randomized test inputs: monotone games and strongly connected digraphs."""
 
 import sys
 
 import numpy as np
 import pytest
 
-from nashseek import QuadraticGame
+from nashseek import Digraph, QuadraticGame, is_strongly_connected
 
 
 def random_monotone_game(n: int, rng: np.random.Generator) -> QuadraticGame:
@@ -21,6 +21,31 @@ def random_monotone_game(n: int, rng: np.random.Generator) -> QuadraticGame:
     skew = skew - skew.T
     offset = rng.uniform(-1.0, 1.0, size=n)
     return QuadraticGame(jacobian=sym + skew, offset=offset)
+
+
+def random_strongly_connected(
+    n: int,
+    rng: np.random.Generator,
+    extra_arc_prob: float = 0.3,
+) -> Digraph:
+    """Random cycle through a shuffled node order plus independent extra arcs.
+
+    The embedded cycle already makes the graph strongly connected; the check
+    at the end is a guard against future edits, not a rejection loop.
+    """
+    w = np.zeros((n, n))
+    order = rng.permutation(n)
+    for idx in range(n):
+        receiver = order[(idx + 1) % n]
+        sender = order[idx]
+        w[receiver, sender] = 1.0
+    extra = rng.random((n, n)) < extra_arc_prob
+    extra &= ~np.eye(n, dtype=bool)
+    w[extra & (w == 0)] = 1.0
+    g = Digraph(w)
+    if not is_strongly_connected(g):
+        raise AssertionError("generator invariant violated: cycle core missing")
+    return g
 
 
 @pytest.fixture

@@ -1,0 +1,231 @@
+"""Scalar, per-player reference laws the vectorized simulator is tested against.
+
+The package runs the paper's control and estimator laws only as the fused
+right-hand sides in :mod:`nashseek.sim`. The forms here state them one
+player (or one estimate entry) at a time, as the paper writes them, and
+stay independent of :func:`nashseek.dynamics.gain_row` and ``sim._Tables``:
+:func:`control` writes its gains out term by term. They are also written to
+touch only one-hop information, so an access audit can poison everything
+else and observe no difference.
+
+Also here: the integrator-chain pair and its controllability matrix, the
+independent route to the coordinate change of :mod:`nashseek.dynamics`;
+the order-independent geometric control bound; and the flat state layout
+[xbar_1..xbar_N | z | c | eta] that ``IntegrationError.component`` indexes
+(:func:`pack_state`).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+from numpy.typing import NDArray
+
+from nashseek.dynamics import FORM_ALTERNATE, PlayerSpec
+from nashseek.errors import NashseekError
+from nashseek.game import QuadraticGame
+from nashseek.graph import Digraph, laplacian
+from nashseek.seeker import SeekerMode, _check_mode, integral_scale
+
+
+def saturation(value, delta: float):
+    """Clip to [-delta, delta]; scalar in, scalar out; arrays pass through."""
+    if delta <= 0:
+        raise ValueError(f"saturation level must be positive, got {delta}")
+    clipped = np.clip(value, -delta, delta)
+    return float(clipped) if np.isscalar(value) or np.ndim(value) == 0 else clipped
+
+
+def chain_matrices(m: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Integrator-chain pair: superdiagonal shift matrix and last-unit input."""
+    a = np.diag(np.ones(m - 1), 1) if m > 1 else np.zeros((1, 1))
+    b = np.zeros(m)
+    b[-1] = 1.0
+    return a, b
+
+
+def controllability_matrix(a: NDArray[np.floating], b: NDArray[np.floating]) -> NDArray[np.float64]:
+    """Columns b, A b, ..., A^(m-1) b."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float).ravel()
+    m = b.shape[0]
+    cols = [b]
+    for _ in range(m - 1):
+        cols.append(a @ cols[-1])
+    return np.column_stack(cols)
+
+
+def geometric_control_bound(theta: float, delta: float) -> float:
+    """Order-independent geometric-series bound theta/(1-theta) * delta.
+
+    Covers the high-order law only: looser than :func:`max_control_bound` for
+    any finite order m >= 2, but handy as the sufficient condition for choosing
+    delta independently of the order. The first-order law reaches delta itself.
+    """
+    return theta / (1.0 - theta) * delta
+
+
+class GainIntegrityError(NashseekError):
+    """A non-positive adaptive gain was observed.
+
+    The gains are non-decreasing from positive initial values, so this can
+    only mean the integrator was fed a corrupted state.
+    """
+
+
+#: Modes whose estimate update multiplies the innovation by (gain + innovation^2).
+_RHO_AUGMENTED = frozenset(
+    {
+        SeekerMode.SATURATED_DIRECTED,
+        SeekerMode.FIRST_ORDER,
+        SeekerMode.UNSATURATED,
+        SeekerMode.ALTERNATE_FORM,
+    }
+)
+
+
+@dataclass
+class SeekerState:
+    """Full seeker state for one instant.
+
+    xbar:  per-player plant state in bar coordinates, lengths m_i.
+    z:     (N, N) estimate matrix; row i is player i's estimated profile.
+    c:     (N, N) adaptive gains, positive wherever used.
+    eta:   (N,) gradient integrals.
+    """
+
+    xbar: tuple[NDArray[np.float64], ...]
+    z: NDArray[np.float64]
+    c: NDArray[np.float64]
+    eta: NDArray[np.float64]
+
+    def __post_init__(self):
+        n = len(self.xbar)
+        if self.z.shape != (n, n) or self.c.shape != (n, n) or self.eta.shape != (n,):
+            raise ValueError(
+                f"inconsistent state shapes: {len(self.xbar)} plants, "
+                f"z {self.z.shape}, c {self.c.shape}, eta {self.eta.shape}"
+            )
+
+
+@dataclass
+class ConsensusRates:
+    z_dot: NDArray[np.float64]
+    c_dot: NDArray[np.float64]
+    eta_dot: NDArray[np.float64]
+
+
+def innovation(i: int, j: int, state: SeekerState, g: Digraph) -> float:
+    """Consensus innovation for entry (i, j), one-hop information only.
+
+    Reads player i's own estimate row, in-neighbor entries z_kj, and
+    eta_j only when j itself is an in-neighbor (the weight gates it).
+    """
+    w = g.weights
+    z = state.z
+    acc = 0.0
+    for k in g.in_neighbors(i):
+        acc += w[i, k] * (z[i, j] - z[k, j])
+    if w[i, j] > 0:
+        acc += w[i, j] * (z[i, j] + state.eta[j])
+    return acc
+
+
+def innovation_matrix(
+    z: NDArray[np.floating],
+    eta: NDArray[np.floating],
+    g: Digraph,
+) -> NDArray[np.float64]:
+    """All innovations at once: L @ z + weights * (z + eta per column)."""
+    return laplacian(g) @ z + g.weights * (z + eta)
+
+
+def consensus_rhs(
+    state: SeekerState,
+    g: Digraph,
+    game: QuadraticGame,
+    mode: SeekerMode,
+) -> ConsensusRates:
+    """Time derivatives of the estimator variables (z, c, eta).
+
+    The gains must be positive; they are non-decreasing from positive
+    initial values, so a violation means the caller corrupted the state.
+    """
+    if (state.c <= 0).any():
+        raise GainIntegrityError(
+            f"non-positive adaptive gain (min {state.c.min():.3e}); state is corrupted"
+        )
+    xi = innovation_matrix(state.z, state.eta, g)
+    rho = xi * xi
+    gain = state.c + rho if mode in _RHO_AUGMENTED else state.c
+    return ConsensusRates(
+        z_dot=-gain * xi,
+        c_dot=rho,
+        eta_dot=game.self_gradients(state.z),
+    )
+
+
+def control(i: int, state: SeekerState, spec: PlayerSpec, mode: SeekerMode) -> float:
+    """Player i's control input, from its own bar state and gradient integral.
+
+    First-order players share one degenerate law u = -sat(x + eta) in all
+    saturated modes. Higher orders feed back the tail states through
+    theta-power gains and the first state (shifted by the scaled integral)
+    through the innermost term; every fed-back quantity is saturated except
+    in UNSATURATED mode.
+    """
+    _check_mode(spec, mode)
+    xbar = state.xbar[i]
+    eta_i = float(state.eta[i])
+    m = spec.order
+    theta = spec.theta
+    delta = spec.delta
+    sat = (lambda v: v) if mode is SeekerMode.UNSATURATED else (lambda v: saturation(v, delta))
+    inner = xbar[0] + integral_scale(spec) * eta_i
+    if m == 1:
+        return -sat(inner)
+    if spec.form == FORM_ALTERNATE:
+        tail = sum(theta * sat(xbar[m - k]) for k in range(1, m))
+        return float(-tail - theta * sat(inner))
+    tail = sum(theta**k * sat(xbar[m - k]) for k in range(1, m))
+    return float(-tail - theta**m * sat(inner))
+
+
+def tilde_x1(i: int, state: SeekerState, spec: PlayerSpec) -> float:
+    """Innermost-term argument: first bar state plus the scaled gradient integral.
+
+    This is the quantity whose decay links the estimator to the plant output;
+    the simulator logs its sup over players as ``tilde_norm``.
+    """
+    return float(state.xbar[i][0] + integral_scale(spec) * state.eta[i])
+
+
+def pack_state(state: SeekerState) -> NDArray[np.float64]:
+    """Flatten to the documented layout [xbar_1..xbar_N | z | c | eta]."""
+    return np.concatenate(
+        [np.concatenate([np.asarray(x, dtype=float).ravel() for x in state.xbar]),
+         state.z.ravel(), state.c.ravel(), np.asarray(state.eta, dtype=float)]
+    )
+
+
+def unpack_state(flat: NDArray[np.floating], orders: Sequence) -> SeekerState:
+    """Inverse of :func:`pack_state`; ``orders`` may hold ints or PlayerSpecs."""
+    ms = [int(getattr(o, "order", o)) for o in orders]
+    n = len(ms)
+    nx = sum(ms)
+    expected = nx + 2 * n * n + n
+    flat = np.asarray(flat, dtype=float)
+    if flat.shape != (expected,):
+        raise ValueError(f"flat state has length {flat.shape}, expected ({expected},)")
+    xbar = []
+    pos = 0
+    for m in ms:
+        xbar.append(flat[pos : pos + m].copy())
+        pos += m
+    z = flat[pos : pos + n * n].reshape(n, n).copy()
+    pos += n * n
+    c = flat[pos : pos + n * n].reshape(n, n).copy()
+    pos += n * n
+    return SeekerState(xbar=tuple(xbar), z=z, c=c, eta=flat[pos:].copy())

@@ -22,7 +22,6 @@ from nashseek import (
     build,
     build_transformation,
     cycle_digraph,
-    random_strongly_connected,
     reference_scenario,
     ring_game,
     run,
@@ -31,7 +30,7 @@ from nashseek import (
     solve_nash_gradient_play,
 )
 from nashseek.cli import main as cli_main
-from conftest import random_monotone_game
+from conftest import random_monotone_game, random_strongly_connected
 
 BOUND = 13.0 / 27.0
 

@@ -221,6 +221,33 @@ class TestExitCodes:
         assert main(["solve-ne", cfg_path]) == 2
         assert "non-finite number NaN" in capsys.readouterr().err
 
+    # run's flags read the config only after it parses
+    @pytest.mark.parametrize(
+        "data, flags",
+        [
+            ([BASE], ["--replicates", "2"]),
+            (None, ["--replicates", "2"]),
+            ([BASE], ["--allow-large-theta"]),
+            (dict(BASE, seed="x"), ["--replicates", "2"]),
+            (dict(BASE, seed=[1]), ["--replicates", "2"]),
+            (dict(BASE, seed=True), ["--replicates", "2"]),
+        ],
+        ids=[
+            "list-root-replicates",
+            "null-root-replicates",
+            "list-root-large-theta",
+            "string-seed-replicates",
+            "list-seed-replicates",
+            "boolean-seed-replicates",
+        ],
+    )
+    def test_malformed_config_under_run_flags_is_2(self, tmp_path, capsys, data, flags):
+        cfg_path = write_config(tmp_path, data)
+        assert main(["run", cfg_path, "--out", str(tmp_path / "o"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+
     def test_transformation_overflow_is_4(self, tmp_path, capsys):
         # T's entries grow like theta^(-m(m-1)/2) and overflow double precision
         data = dict(BASE, players={"order": 9, "theta": 1e-10, "delta": 1.0})
@@ -351,6 +378,11 @@ AGREEMENT_CASES = {
     "random-bound-not-a-number": (2, {"init": {"z0": {"random": {"low": [1]}}}, "seed": 1}),
     "theta-overflows-the-bound": (3, {"players": {"order": 3, "theta": 1e300, "delta": 1.0}}),
     "negative-seed": (2, {"seed": -1}),
+    # every delta meets the limit when the gain row sums to 0, so none is largest
+    "zero-gain-sum-auto-delta": (
+        2,
+        {"players": {"order": 2, "theta": 0, "auto_delta_margin": 0.5, "u_limit": 1}},
+    ),
     # the exact-rational transformation build takes seconds beyond order 20
     "order-beyond-cap": (2, {"players": {"order": 21, "theta": 0.3, "delta": 1.0}}),
     # skew-symmetric coupling of players 1 and 2: modulus 0, not strongly monotone

@@ -13,16 +13,13 @@ from nashseek import (
     build_transformation,
     canonical_a,
     canonical_b,
-    chain_matrices,
-    controllability_matrix,
     delta_for_limit,
-    geometric_control_bound,
     max_control_bound,
     output_coefficients,
-    saturation,
     similarity_residual,
 )
 from nashseek.dynamics import MAX_ORDER
+from oracles import chain_matrices, controllability_matrix, geometric_control_bound, saturation
 
 THETAS = (0.1, 1.0 / 3.0, 0.45)
 

@@ -2,7 +2,8 @@
 
 Each example takes a small valid scenario in one of the five modes,
 replaces, adds or deletes a few of its fields with values of the wrong
-type, out of range or extreme, and drives the command line on it. Every outcome must be an exit
+type, out of range or extreme, and drives the command line on it, with or without
+run's --replicates and --allow-large-theta flags. Every outcome must be an exit
 code in {0, 2, 3, 4}, never an uncaught exception, and every summary.json
 written must parse as strict JSON. Values stay small enough that a run
 finishes in milliseconds.
@@ -102,19 +103,37 @@ def mutate(data: dict, path: tuple, value) -> None:
             node[last] = copy.deepcopy(value)
 
 
+# A command line, split on spaces; run's flags read the config too.
+COMMANDS = ["run", "check", "run --replicates 2", "run --allow-large-theta"]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.sampled_from(sorted(BASES)), mutations, st.sampled_from(["run", "check"]))
+@given(st.sampled_from(sorted(BASES)), mutations, st.sampled_from(COMMANDS))
 # the drawn examples rarely put the order cap, or one past it, on an order
 @example("SaturatedDirected", [(("players", 0, "order"), 20)], "run")
 @example("SaturatedDirected", [(("players", 0, "order"), 21)], "run")
+# --replicates shifts the seed, so the seed must be validated first
+@example("SaturatedDirected", [(("seed",), "x")], "run --replicates 2")
+# auto_delta_margin divides u_limit by the gain row's sum, which is 0 here
+@example(
+    "SaturatedDirected",
+    [
+        (("players", 2, "theta"), 0.0),
+        (("players", 2, "auto_delta_margin"), 0.5),
+        (("players", 2, "delta"), DELETE),
+    ],
+    "run",
+)
 def test_mutated_scenarios_exit_classified(mode, changes, command):
     data = copy.deepcopy(BASES[mode])
     for path, value in changes:
         mutate(data, path, value)
+    command, *flags = command.split()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(data))
-        argv = [command, str(cfg)] + (["--out", str(Path(tmp) / "out")] if command == "run" else [])
+        out = ["--out", str(Path(tmp) / "out")] if command == "run" else []
+        argv = [command, str(cfg), *out, *flags]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # theta >= 0.5 warns by design
             code = main(argv)

@@ -11,8 +11,8 @@ from nashseek import (
     is_strongly_connected,
     laplacian,
     pinning_diagnostic,
-    random_strongly_connected,
 )
+from conftest import random_strongly_connected
 
 
 def closure_strongly_connected(weights: np.ndarray) -> bool:

@@ -5,22 +5,24 @@ import pytest
 
 from nashseek import (
     Digraph,
-    GainIntegrityError,
     ModeOrderError,
     PlayerSpec,
     SeekerMode,
-    SeekerState,
     canonical_a,
     certified_bound,
-    consensus_rhs,
-    control,
     cycle_digraph,
     gain_row,
+    integral_scale,
+    ring_game,
+)
+from conftest import random_strongly_connected
+from oracles import (
+    GainIntegrityError,
+    SeekerState,
+    consensus_rhs,
+    control,
     innovation,
     innovation_matrix,
-    integral_scale,
-    random_strongly_connected,
-    ring_game,
     tilde_x1,
 )
 

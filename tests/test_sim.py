@@ -16,29 +16,23 @@ from nashseek import (
     PlayerSpec,
     QuadraticGame,
     SeekerMode,
-    SeekerState,
     SimConfig,
     SymmetryError,
     Trajectory,
     build_transformation,
-    consensus_rhs,
-    control,
     certified_bound,
     cycle_digraph,
     detect_convergence,
     output_coefficients,
-    pack_state,
-    random_strongly_connected,
     ring_game,
     rk4_step,
     run,
     run_batch,
     Summary,
-    tilde_x1,
-    unpack_state,
     unsaturated_entry,
 )
-from conftest import random_monotone_game
+from conftest import random_monotone_game, random_strongly_connected
+from oracles import SeekerState, consensus_rhs, control, pack_state, tilde_x1, unpack_state
 
 SAT = SeekerMode.SATURATED_DIRECTED
 

@@ -50,7 +50,7 @@ from .scenario import (
     read_json,
     reference_scenario,
 )
-from .sim import Summary, Trajectory, run, run_batch, validate_run_inputs
+from .sim import Summary, Trajectory, run, run_batch
 
 __all__ = ["main"]
 
@@ -64,16 +64,10 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
         + [f"u_{i}" for i in range(1, n + 1)]
         + ["err", "tilde_norm", "z_residual", "xbar_tail_max"]
     )
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(traj.times.size):
-            row = (
-                [traj.times[k]]
-                + list(traj.y[k])
-                + list(traj.u[k])
-                + [traj.err[k], traj.tilde_norm[k], traj.z_residual[k], traj.xbar_tail_max[k]]
-            )
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    table = np.column_stack(
+        [traj.times, traj.y, traj.u, traj.err, traj.tilde_norm, traj.z_residual, traj.xbar_tail_max]
+    )
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
 
 
 def _json_value(value):
@@ -316,8 +310,12 @@ def cmd_check(args) -> int:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     if not all_ok:
         return 3
-    built = build(cfg)  # raise what run raises before integrating
-    validate_run_inputs(built.game, built.graph, built.specs, built.mode, built.sim)
+    # run's own setup, up to its first step: raises what run raises
+    built = build(cfg)
+    run_batch(
+        built.game, built.graph, built.specs, built.mode,
+        [built.x0], [built.z0], [built.c0], built.sim,
+    )
     return 0
 
 

@@ -6,14 +6,18 @@ system matrix is strictly upper triangular with theta-power entries and the
 input matrix is all ones; the chain is mapped there by a similarity
 transformation T with x = T @ xbar.
 
-T is built by a backward recurrence over exact rationals rather than by
-inverting the controllability matrix: the two characterizations coincide
-(the intertwiner matching both canonical matrices and input vectors is
-unique for controllable single-input pairs), but the controllability matrix
-becomes numerically singular long before order 6 at small theta, while the
-recurrence is exact for any representable theta. The float64 projections
-stored alongside are what the integrator uses; the exact entries are kept
-so the similarity identities can be certified without rounding.
+The exact canonical matrix Abar, in Fractions of the (exact binary) theta,
+is built once per player and everything else is read from it: T comes from
+a backward recurrence on the similarity equations, T^-1 is the canonical
+controllability matrix Abar^k 1 with its columns reversed, and the float
+canonical matrix is its projection. T is not found by inverting the
+controllability matrix: that matrix becomes numerically singular long
+before order 6 at small theta, while the exact recurrence holds for any
+representable theta (the intertwiner matching both canonical matrices and
+input vectors is unique for controllable single-input pairs). The float64
+projections stored alongside are what the integrator uses; the exact
+entries are kept so the similarity identities can be certified without
+rounding.
 """
 
 from __future__ import annotations
@@ -47,10 +51,10 @@ FORM_STANDARD = "standard"
 FORM_ALTERNATE = "alternate"
 
 # build_transformation works in exact Fractions, whose cost climbs steeply
-# with the order: at theta 0.45 one build took 204 ms at order 20, 650 ms at
-# 25 and 1.5 s at 30, and order 60 had not finished after 100 s. A run
-# builds one per player, so the cap keeps each build near a fifth of a
-# second.
+# with the order: at theta 0.45 one build took 117 ms at order 20, 381 ms at
+# 25 and 1.1 s at 30 (median of 5, one core of a 2-vCPU VM), and order 60
+# had not finished after 100 s. A run builds one per distinct player, so the
+# cap keeps each build near a tenth of a second.
 MAX_ORDER = 20
 
 
@@ -66,19 +70,24 @@ def _column_coeffs(m: int, theta, form: str) -> dict:
     raise ValueError(f"form must be {FORM_STANDARD!r} or {FORM_ALTERNATE!r}, got {form!r}")
 
 
-def canonical_a(m: int, theta: float, form: str = FORM_STANDARD) -> NDArray[np.float64]:
-    """Canonical system matrix: strictly upper triangular, constant columns.
+def _exact_abar(m: int, theta: Fraction, form: str) -> NDArray[np.object_]:
+    """Canonical system matrix in exact Fractions, the one source of its entries.
 
-    Standard form puts theta^(m-l+1) in column l above the diagonal; the
-    alternate form puts theta everywhere above the diagonal.
+    Strictly upper triangular with constant columns: theta^(m-l+1) above the
+    diagonal of column l in the standard form, theta everywhere above it in
+    the alternate form.
     """
+    abar = np.full((m, m), Fraction(0), dtype=object)
+    for l, val in _column_coeffs(m, theta, form).items():
+        abar[: l - 1, l - 1] = val
+    return abar
+
+
+def canonical_a(m: int, theta: float, form: str = FORM_STANDARD) -> NDArray[np.float64]:
+    """Canonical system matrix: the float projection of the exact one."""
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
-    coeffs = _column_coeffs(m, Fraction(theta), form)
-    a = np.zeros((m, m))
-    for l, val in coeffs.items():
-        a[: l - 1, l - 1] = float(val)
-    return a
+    return _exact_abar(m, Fraction(theta), form).astype(float)
 
 
 def canonical_b(m: int) -> NDArray[np.float64]:
@@ -186,69 +195,40 @@ class Transformation:
     exact_t_inverse: tuple[tuple[Fraction, ...], ...] = field(repr=False)
 
 
-def _exact_t_rows(m: int, theta: Fraction, form: str) -> list[list[Fraction]]:
-    """Rows of T from the similarity equations, built last row first.
+def _exact_t(abar: NDArray[np.object_]) -> NDArray[np.object_]:
+    """T from the similarity equations A T = T Abar and T 1 = e_m, last row first.
 
-    Row m must be (0, ..., 0, 1); above it, the shifted-row identity
-    T[k+1, l] = c_l * (prefix sum of row k through column l-1) determines
-    row k's prefix sums, and the zero row sum closes the last entry.
+    Row m is e_m; above it, the shifted-row identity
+    T[k+1, l] = Abar[0, l] * (sum of row k before column l) gives row k's
+    prefix sums, and the zero row sum closes the last entry.
     """
-    coeffs = _column_coeffs(m, theta, form)
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    rows[m - 1][m - 1] = Fraction(1)
+    m = len(abar)
+    t = np.full((m, m), Fraction(0), dtype=object)
+    t[m - 1, m - 1] = Fraction(1)
+    zero = np.array([Fraction(0)], dtype=object)
     for k in range(m - 2, -1, -1):
-        prefix = [Fraction(0)] * (m + 2)  # prefix[l] = sum of row k before column l
-        for l in range(2, m + 1):
-            prefix[l] = rows[k + 1][l - 1] / coeffs[l]
-        for l in range(1, m + 1):
-            rows[k][l - 1] = prefix[l + 1] - prefix[l]
-    return rows
-
-
-def _exact_t_inverse_rows(m: int, theta: Fraction, form: str) -> list[list[Fraction]]:
-    """T^-1 = (canonical controllability matrix) with columns reversed.
-
-    Follows from T = R(chain) @ R(canonical)^-1 and R(chain) being the
-    column-reversed identity, which is its own inverse.
-    """
-    coeffs = _column_coeffs(m, theta, form)
-    a_rows = [
-        [coeffs[l + 1] if l > k else Fraction(0) for l in range(m)] for k in range(m)
-    ]
-    cols = [[Fraction(1)] * m]
-    for _ in range(m - 1):
-        prev = cols[-1]
-        cols.append([sum(a_rows[k][j] * prev[j] for j in range(m)) for k in range(m)])
-    return [[cols[m - 1 - j][k] for j in range(m)] for k in range(m)]
-
-
-def _to_float(rows: list[list[Fraction]]) -> NDArray[np.float64]:
-    return np.array([[float(x) for x in row] for row in rows])
+        prefix = np.concatenate([zero, t[k + 1, 1:] / abar[0, 1:], zero])
+        t[k] = np.diff(prefix)
+    return t
 
 
 def build_transformation(spec: PlayerSpec) -> Transformation:
-    """Exact coordinate change for one player; order 1 degenerates to T = [1]."""
+    """Exact coordinate change for one player.
+
+    T^-1 is the canonical controllability matrix [Abar^(m-1) 1, ..., Abar 1, 1]:
+    T = R(chain) R(canonical)^-1, and R(chain), the column-reversed
+    identity, is its own inverse.
+    """
     m = spec.order
-    theta = Fraction(spec.theta)
-    if m == 1:
-        one = ((Fraction(1),),)
-        eye = np.ones((1, 1))
-        return Transformation(
-            order=1,
-            theta=spec.theta,
-            form=spec.form,
-            t_matrix=eye.copy(),
-            t_inverse=eye.copy(),
-            a_bar=np.zeros((1, 1)),
-            b_bar=np.ones(1),
-            exact_t=one,
-            exact_t_inverse=one,
-        )
-    t_rows = _exact_t_rows(m, theta, spec.form)
-    tinv_rows = _exact_t_inverse_rows(m, theta, spec.form)
+    abar = _exact_abar(m, Fraction(spec.theta), spec.form)
+    t = _exact_t(abar)
+    krylov = [np.full(m, Fraction(1), dtype=object)]
+    for _ in range(m - 1):
+        krylov.append(abar @ krylov[-1])
+    t_inv = np.column_stack(krylov[::-1])
     try:
-        t_f = _to_float(t_rows)
-        tinv_f = _to_float(tinv_rows)
+        # float() of each entry; an entry beyond double range overflows
+        t_f, tinv_f, abar_f = t.astype(float), t_inv.astype(float), abar.astype(float)
     except OverflowError:
         raise SingularTransformError(m, spec.theta) from None
     return Transformation(
@@ -257,10 +237,10 @@ def build_transformation(spec: PlayerSpec) -> Transformation:
         form=spec.form,
         t_matrix=t_f,
         t_inverse=tinv_f,
-        a_bar=canonical_a(m, spec.theta, spec.form),
+        a_bar=abar_f,
         b_bar=canonical_b(m),
-        exact_t=tuple(tuple(row) for row in t_rows),
-        exact_t_inverse=tuple(tuple(row) for row in tinv_rows),
+        exact_t=tuple(map(tuple, t)),
+        exact_t_inverse=tuple(map(tuple, t_inv)),
     )
 
 
@@ -273,19 +253,12 @@ def similarity_residual(tr: Transformation) -> tuple[float, float]:
     tests certify that instead of assuming it.
     """
     m = tr.order
-    theta = Fraction(tr.theta)
-    coeffs = _column_coeffs(m, theta, tr.form)
-    t = tr.exact_t
-    res_a = Fraction(0)
-    for k in range(m):
-        for l in range(m):
-            shifted = t[k + 1][l] if k < m - 1 else Fraction(0)
-            canon = coeffs[l + 1] * sum(t[k][j] for j in range(l)) if l >= 1 else Fraction(0)
-            res_a = max(res_a, abs(shifted - canon))
-    res_b = Fraction(0)
-    for k in range(m):
-        want = Fraction(1) if k == m - 1 else Fraction(0)
-        res_b = max(res_b, abs(sum(t[k]) - want))
+    abar = _exact_abar(m, Fraction(tr.theta), tr.form)
+    t = np.array(tr.exact_t, dtype=object)
+    chain_a = np.eye(m, k=1, dtype=int).astype(object)
+    e_m = np.eye(m, dtype=int)[m - 1]
+    res_a = np.abs(chain_a @ t - t @ abar).max()
+    res_b = np.abs(t.sum(axis=1) - e_m).max()
     return float(res_a), float(res_b)
 
 

@@ -101,32 +101,21 @@ def pinning_diagnostic(g: Digraph) -> PinningDiagnostic:
     )
 
 
-def _reachable(adj: NDArray[np.bool_], start: int) -> NDArray[np.bool_]:
-    """Nodes reachable from ``start`` following edges adj[source, target]."""
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        for nxt in np.flatnonzero(adj[node] & ~seen):
-            seen[nxt] = True
-            frontier.append(nxt)
-    return seen
-
-
 def is_strongly_connected(g: Digraph) -> bool:
-    """Two reachability sweeps from node 0: forward and along reversed edges.
+    """Whether every node reaches every other, by squaring the reachability matrix.
 
-    Information flows j -> i when weights[i, j] > 0, so the forward edge
-    relation is the transpose of the weight support. Strong connectivity of
-    a digraph is equivalent to node 0 reaching everything and everything
-    reaching node 0.
+    With R = (weight support | I) as 0/1 floats, R^k is positive exactly
+    where a path of at most k arcs runs. Squaring R and clipping it at 1
+    doubles k until it covers n - 1 arcs, the longest path without a repeated
+    node, so the digraph is strongly connected exactly when no entry is
+    zero. Entries stay small integers, which floats hold exactly.
     """
-    support = g.weights > 0
-    forward = _reachable(support.T, 0)
-    backward = _reachable(support, 0)
-    return bool(forward.all() and backward.all())
+    reach = (g.weights > 0) + np.eye(g.n)
+    span = 1
+    while span < g.n - 1:
+        reach = np.minimum(reach @ reach, 1.0)
+        span *= 2
+    return bool(reach.all())
 
 
 def cycle_digraph(n: int) -> Digraph:

@@ -28,6 +28,7 @@ can report the gain-range and actuator checks as named verdicts first.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -113,13 +114,25 @@ def _numeric(obj, name: str) -> np.ndarray:
 
 
 def read_json(path: str | Path):
-    """Parse a JSON file; unreadable, malformed or non-finite input is a ConfigError."""
-    def reject_constant(name: str):
-        raise ConfigError(f"{path}: non-finite number {name} is not allowed")
+    """Parse a JSON file; unreadable, malformed or non-finite input is a ConfigError.
+
+    Non-finite means ``NaN``, ``Infinity`` or ``-Infinity``, or a literal
+    beyond double range, such as ``1e400`` or a 400-digit integer.
+    """
+    def reject(text: str):
+        shown = text if len(text) <= 24 else f"{text[:12]}... ({len(text)} characters)"
+        raise ConfigError(f"{path}: non-finite number {shown} is not allowed")
+
+    def to_float(text: str) -> float:
+        value = float(text)
+        return value if math.isfinite(value) else reject(text)
+
+    def to_int(text: str) -> int:
+        return int(text) if math.isfinite(float(text)) else reject(text)
 
     try:
         with open(path) as fh:
-            return json.load(fh, parse_constant=reject_constant)
+            return json.load(fh, parse_constant=reject, parse_float=to_float, parse_int=to_int)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     except OSError as exc:
@@ -279,7 +292,9 @@ def parse_config(data: dict) -> ScenarioConfig:
             f"unknown mode {mode!r}; expected one of {sorted(_MODE_VALUES)}"
         )
 
-    allow_large_theta = bool(data.get("allow_large_theta", False))
+    allow_large_theta = data.get("allow_large_theta", False)
+    if not isinstance(allow_large_theta, bool):
+        raise ConfigError(f"allow_large_theta must be true or false, got {allow_large_theta!r}")
     raw_players = data["players"]
     if isinstance(raw_players, dict):
         raw_players = [raw_players] * n

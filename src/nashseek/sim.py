@@ -19,6 +19,11 @@ Padded slots stay zero. Fault components are still reported in the
 documented layout. The integrator advances a state of shape (..., L), so
 :func:`run_batch` steps B scenarios that share game, graph, players, mode
 and :class:`SimConfig` as one (B, L) array; :func:`run` is the B = 1 case.
+:func:`run_batch` is the one place that validates run inputs: it rejects
+them, builds the coordinate changes and the initial states before it
+returns, and builds a right-hand side only when its iterator is first
+advanced. ``nashseek check`` calls it and discards the iterator, so it
+stops exactly where a run starts stepping.
 
 Every term of the closed loop is linear in the state except the
 saturations and the xi^2 products. So where the operator stays within
@@ -452,41 +457,6 @@ def _log_bytes(config: SimConfig, n: int) -> int:
     return (config.steps // config.log_every) * (2 * n + 5) * 8
 
 
-def validate_run_inputs(
-    game: QuadraticGame,
-    g: Digraph,
-    specs: Sequence[PlayerSpec],
-    mode: SeekerMode,
-    config: SimConfig,
-) -> None:
-    """Raise what :func:`run` rejects about its inputs before integrating."""
-    n = g.n
-    if game.n_players != n:
-        raise ConfigError(f"game has {game.n_players} players but graph has {n}")
-    # the convergence proof, and the closed-form reference, need it
-    cert = check_game(game)
-    if not cert.strongly_monotone:
-        raise MonotonicityError(cert.monotonicity)
-    log_bytes = _log_bytes(config, n)
-    if log_bytes > _MAX_LOG_BYTES:
-        raise ConfigError(
-            f"logged arrays would take {log_bytes / 2**30:.3g} GiB, over the 1 GiB cap; "
-            "raise log_every or shorten t_end"
-        )
-    if len(specs) != n:
-        raise ConfigError(f"got {len(specs)} player specs for {n} players")
-    for spec in specs:
-        _seeker._check_mode(spec, mode)
-    if mode is SeekerMode.UNDIRECTED_ADAPTIVE and not g.symmetric:
-        raise SymmetryError(
-            "UndirectedAdaptive mode requires a symmetric weight matrix"
-        )
-    if not is_strongly_connected(g):
-        raise ConnectivityError(
-            "communication digraph must be strongly connected"
-        )
-
-
 def _materialize(value, shape, name: str) -> NDArray[np.float64]:
     if np.ndim(value) == 0:
         return np.full(shape, float(value))
@@ -535,8 +505,9 @@ def run_batch(
     """Integrate B scenarios that differ only in their initial x0, z0 and c0.
 
     Member b starts from ``x0s[b]``, ``z0s[b]`` and ``c0s[b]``, each taking
-    what :func:`run` takes. Inputs are validated, and rejected as by
-    :func:`run`, before this returns. The result is an iterator that yields,
+    what :func:`run` takes. Everything :func:`run` rejects is rejected
+    before this returns; the right-hand sides are built, and members
+    integrated, only as the returned iterator is consumed. It yields,
     in member order, each member's ``(Trajectory, Summary)`` or, when its
     state stopped being finite, its IntegrationError; a faulted member
     leaves the batch and the others go on, bit-identical to their solo runs.
@@ -544,7 +515,27 @@ def run_batch(
     consumed, so the logs of one chunk stay within the 1 GiB cap of one
     scenario.
     """
-    validate_run_inputs(game, g, specs, mode, config)
+    n = g.n
+    if game.n_players != n:
+        raise ConfigError(f"game has {game.n_players} players but graph has {n}")
+    # the convergence proof, and the closed-form reference, need it
+    cert = check_game(game)
+    if not cert.strongly_monotone:
+        raise MonotonicityError(cert.monotonicity)
+    log_bytes = _log_bytes(config, n)
+    if log_bytes > _MAX_LOG_BYTES:
+        raise ConfigError(
+            f"logged arrays would take {log_bytes / 2**30:.3g} GiB, over the 1 GiB cap; "
+            "raise log_every or shorten t_end"
+        )
+    if len(specs) != n:
+        raise ConfigError(f"got {len(specs)} player specs for {n} players")
+    for spec in specs:
+        _seeker._check_mode(spec, mode)
+    if mode is SeekerMode.UNDIRECTED_ADAPTIVE and not g.symmetric:
+        raise SymmetryError("UndirectedAdaptive mode requires a symmetric weight matrix")
+    if not is_strongly_connected(g):
+        raise ConnectivityError("communication digraph must be strongly connected")
     if not len(x0s) == len(z0s) == len(c0s):
         raise ConfigError(
             f"got {len(x0s)} x0, {len(z0s)} z0 and {len(c0s)} c0 batch members"
@@ -554,15 +545,14 @@ def run_batch(
         [tables.initial_state(*init) for init in zip(x0s, z0s, c0s)]
     ).reshape(-1, tables.width)
     ref = np.asarray(solve_nash_closed_form(game) if y_star is None else y_star, dtype=float)
+    chunk = max(1, _MAX_LOG_BYTES // log_bytes)
+    return _chunks(tables, game, ref, states, config, chunk)
+
+
+def _chunks(tables, game, ref, states, config, chunk):
+    """Build the right-hand sides at the first ``next()``, then integrate chunk by chunk."""
     blockwise = _blockwise_rhs(tables, game)
-    rhs = blockwise
-    if tables.operator_bytes() <= _DENSE_MAX_BYTES:
-        rhs = _dense_rhs(tables, game)
-    chunk = max(1, _MAX_LOG_BYTES // _log_bytes(config, g.n))
-    return _chunks(tables, rhs, blockwise, ref, states, config, chunk)
-
-
-def _chunks(tables, rhs, blockwise, ref, states, config, chunk):
+    rhs = _dense_rhs(tables, game) if tables.operator_bytes() <= _DENSE_MAX_BYTES else blockwise
     for start in range(0, len(states), chunk):
         yield from _integrate(tables, rhs, blockwise, ref, states[start : start + chunk], config)
 

@@ -221,6 +221,25 @@ class TestExitCodes:
         assert main(["solve-ne", cfg_path]) == 2
         assert "non-finite number NaN" in capsys.readouterr().err
 
+    # json.dumps cannot write a literal beyond double range, so it goes into the text
+    @pytest.mark.parametrize("command", ["run", "check", "solve-ne"])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            dict(BASE, players={"order": 1, "theta": 0.3, "delta": 1.0, "u_limit": "HUGE"}),
+            dict(BASE, init={"x0": "HUGE"}),
+        ],
+        ids=["u_limit", "x0"],
+    )
+    def test_literal_beyond_double_is_2(self, tmp_path, capsys, data, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data).replace('"HUGE"', "1e400"))
+        out = ["--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, str(cfg_path), *out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "non-finite number 1e400" in err
+        assert err.count("\n") == 1
+
     # run's flags read the config only after it parses
     @pytest.mark.parametrize(
         "data, flags",
@@ -389,6 +408,21 @@ AGREEMENT_CASES = {
     "non-monotone-game": (
         3,
         {"game": {"jacobian": [[0, 1, 0], [-1, 0, 0], [0, 0, 1]], "offset": [0, 0, 0]}},
+    ),
+    # modulus 1e-13 passes the monotonicity line; the closed-form solve refuses it
+    "ill-conditioned-game": (
+        4,
+        {"game": {"jacobian": [[1e-13, 0, 0], [0, 1, 0], [0, 0, 1]], "offset": [0, 0, 0]}},
+    ),
+    # T's entries grow like theta^(-m(m-1)/2) and overflow double precision
+    "transformation-overflow": (4, {"players": {"order": 9, "theta": 1e-10, "delta": 1.0}}),
+    "integer-beyond-double": (
+        2,
+        {"players": {"order": 2, "theta": 0.3, "delta": 1.0, "u_limit": 10**400}},
+    ),
+    "allow-large-theta-not-bool": (
+        2,
+        {"players": {"order": 1, "theta": 0.6, "delta": 1.0}, "allow_large_theta": "no"},
     ),
     # the alternate law reaches m * theta * delta = 1.2, over the limit of 0.7
     # (the standard series would give 0.624)

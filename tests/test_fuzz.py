@@ -66,11 +66,12 @@ DELETE = object()
 SLOW_DELETES = {("sim",), ("sim", "t_end")}
 
 # Wrong types, out-of-range and extreme numbers (20 and 21 are the order cap
-# and one past it), and well-formed blocks placed where they do not belong.
+# and one past it, 10**400 is beyond double range), and well-formed blocks
+# placed where they do not belong.
 values = st.sampled_from(
     [
         None, True, False, 0, 1, 2, 3, 7, 20, 21, -1, 0.0, 0.3, 0.5, 0.7, 1.5, -0.2,
-        1e-300, 1e300, -1e300, "", "x", "ring", "cycle", "standard", "alternate",
+        1e-300, 1e300, -1e300, 10**400, "", "x", "ring", "cycle", "standard", "alternate",
         "AlternateForm", "Unsaturated", "FirstOrder", "UndirectedAdaptive",
         [], [1], ["a"], [[1]], [[0, 1, 1], [1, 0, 1], [1, 1, 0]], [[1, 2], [3]],
         {}, {"n": 3}, {"type": "ring", "n": 3}, {"type": "cycle", "n": 3},

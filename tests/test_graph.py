@@ -118,6 +118,16 @@ class TestConnectivity:
                 continue
             g = Digraph(weights=w)
             assert is_strongly_connected(g) == closure_strongly_connected(w)
+        # sparse digraphs up to n = 40, alone and over a directed cycle, whose
+        # paths of up to n - 1 arcs take up to six squarings to cover
+        for n in range(7, 41):
+            cycle = cycle_digraph(n).weights
+            for p in (0.5 / n, 1.0 / n, 2.0 / n, 4.0 / n):
+                w = (rng.random((n, n)) < p).astype(float)
+                np.fill_diagonal(w, 0.0)
+                for w in (w, np.maximum(w, cycle)):
+                    g = Digraph(weights=w)
+                    assert is_strongly_connected(g) == closure_strongly_connected(w)
 
     def test_random_generator_always_strongly_connected(self, rng):
         for _ in range(50):

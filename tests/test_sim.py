@@ -541,6 +541,17 @@ class TestRunBatch:
         for a, b in zip(chunked, whole, strict=True):
             assert_same_result(a, b)
 
+    def test_right_hand_sides_are_built_at_the_first_next(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("right-hand side built")
+
+        monkeypatch.setattr(sim, "_dense_rhs", refuse)
+        monkeypatch.setattr(sim, "_blockwise_rhs", refuse)
+        game, g, specs = small_setup()
+        results = run_batch(game, g, specs, SAT, [None], [0.0], [1.0], self.CFG)
+        with pytest.raises(AssertionError, match="right-hand side built"):
+            next(results)
+
     def test_input_errors_raise(self):
         game, g, specs = small_setup()
         with pytest.raises(ConfigError, match="batch members"):

@@ -1,5 +1,6 @@
 """Integrator, state layout, detectors, and whole-loop consistency."""
 
+import copy
 from dataclasses import fields, replace
 
 import numpy as np
@@ -438,15 +439,20 @@ class TestRunBatch:
         make = sim._dense_rhs
 
         def faulting(tables, game):
-            rhs = make(tables, game)
+            bind = make(tables, game)
             c11 = tables.npad + tables.n**2
 
-            def poisoned(s):
-                out = rhs(s) * (1 + 1e-9)
-                out[s[..., c11] > 5.0] = np.nan
-                return out
+            def poisoned_bind(s, out, lin):
+                rhs = bind(s, out, lin)
 
-            return poisoned
+                def poisoned():
+                    rhs()
+                    out[...] = out * (1 + 1e-9)
+                    out[s[..., c11] > 5.0] = np.nan
+
+                return poisoned
+
+            return poisoned_bind
 
         monkeypatch.setattr(sim, "_dense_rhs", faulting)
         game, g, specs = small_setup()
@@ -477,15 +483,20 @@ class TestRunBatch:
         make = sim._dense_rhs
 
         def faulting(tables, game):
-            rhs = make(tables, game)
+            bind = make(tables, game)
             c11 = tables.npad + tables.n**2
 
-            def poisoned(s):
-                out = rhs(s) * (1 + 1e-9)
-                out[s[..., c11] > 5.0] = np.nan
-                return out
+            def poisoned_bind(s, out, lin):
+                rhs = bind(s, out, lin)
 
-            return poisoned
+                def poisoned():
+                    rhs()
+                    out[...] = out * (1 + 1e-9)
+                    out[s[..., c11] > 5.0] = np.nan
+
+                return poisoned
+
+            return poisoned_bind
 
         monkeypatch.setattr(sim, "_dense_rhs", faulting)
         game, g, specs = small_setup(orders=(1, 1, 1))
@@ -526,19 +537,32 @@ class TestRunBatch:
         x0s, z0s, c0s = self.inits(rng, specs, 5)
         whole = list(run_batch(game, g, specs, SAT, x0s, z0s, c0s, self.CFG))
         shapes = []
-        step = sim.rk4_step
+        step = sim._DenseStepper.step
 
-        def recording_step(rhs, state, h):
-            shapes.append(state.shape[:-1])
-            return step(rhs, state, h)
+        def recording_step(self):
+            shapes.append(self.state.shape[:-1])
+            return step(self)
 
         member_bytes = (self.CFG.steps // self.CFG.log_every) * (2 * 3 + 5) * 8
         monkeypatch.setattr(sim, "_MAX_LOG_BYTES", 2 * member_bytes)
-        monkeypatch.setattr(sim, "rk4_step", recording_step)
+        monkeypatch.setattr(sim._DenseStepper, "step", recording_step)
         chunked = list(run_batch(game, g, specs, SAT, x0s, z0s, c0s, self.CFG))
         steps = self.CFG.steps
         assert shapes == [(2,)] * steps + [(2,)] * steps + [()] * steps
         for a, b in zip(chunked, whole, strict=True):
+            assert_same_result(a, b)
+
+    def test_results_survive_the_next_chunk(self, rng, monkeypatch):
+        # no chunk's result shares a buffer that a later chunk writes
+        game, g, specs = small_setup()
+        x0s, z0s, c0s = self.inits(rng, specs, 4)
+        member_bytes = (self.CFG.steps // self.CFG.log_every) * (2 * 3 + 5) * 8
+        monkeypatch.setattr(sim, "_MAX_LOG_BYTES", 2 * member_bytes)
+        results = run_batch(game, g, specs, SAT, x0s, z0s, c0s, self.CFG)
+        first = [next(results), next(results)]
+        kept = copy.deepcopy(first)
+        assert len(list(results)) == 2
+        for a, b in zip(first, kept):
             assert_same_result(a, b)
 
     def test_right_hand_sides_are_built_at_the_first_next(self, monkeypatch):
@@ -576,9 +600,44 @@ def test_tables_build_one_transformation_per_distinct_spec(monkeypatch):
         return build(spec)
 
     monkeypatch.setattr(sim, "build_transformation", recording)
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for owner, name in (
+        (sim, "gain_row"),
+        (sim._seeker, "integral_scale"),
+        (sim._seeker, "certified_bound"),
+    ):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     # six third-order players with three distinct thetas
     game, g, specs = small_setup(n=6, orders=(3,) * 6)
     tables = sim._Tables(specs, SAT, g)
     assert built == list(specs[:3])
+    assert sorted(calls) == ["certified_bound"] * 3 + ["gain_row"] * 3 + ["integral_scale"] * 3
     for spec, tr in zip(specs, tables.transforms):
         np.testing.assert_array_equal(tr.t_inverse, build(spec).t_inverse)
+
+
+@pytest.mark.parametrize("members", [1, 3])
+def test_dense_stepper_matches_rk4_step(rng, members):
+    # owned buffers and once-bound views change no bit of rk4_step's arithmetic;
+    # initial plant states up to 5 keep the saturations active
+    game, g, specs = small_setup()
+    tables = sim._Tables(specs, SAT, g)
+    x0s, z0s, c0s = TestRunBatch.inits(rng, specs, members)
+    x0s = [[5 * x for x in x0] for x0 in x0s]
+    state = np.array([tables.initial_state(*init) for init in zip(x0s, z0s, c0s)])
+    state = state[0] if members == 1 else state
+    bind = sim._dense_rhs(tables, game)
+    rhs = sim._allocating(bind, tables.rows)
+    h = 1e-2
+    stepper = sim._DenseStepper(bind, tables.rows, state, h)
+    for _ in range(250):
+        state = rk4_step(rhs, state, h)
+        np.testing.assert_array_equal(stepper.step(), state)

@@ -9,10 +9,11 @@ of the checkout once per seed 1 to 5 (``--trace 0``), each for the
 ``run_seconds`` that BENCHMARK.json sets, and keeps the median and the
 quartiles of each end-to-end metric over the seeds. It also records the
 tier-1 test wall time (the command of ROADMAP.md), the wall time of
-``nashseek paper-example``, and the per-call time of the RK4 right-hand
-side on the worked example's players (order 3, theta 1/3, directed cycle)
-at several sizes n. A checkout that has both right-hand sides (dense
-operator and blockwise) is timed on each; an older one on the one it has.
+``nashseek paper-example``, and the per-call time of one RK4 right-hand
+side call and of one whole RK4 step on the worked example's players
+(order 3, theta 1/3, directed cycle) at several sizes n. A checkout that
+has both right-hand sides (dense operator and blockwise) is timed on each;
+an older one on the one it has.
 
 Everything runs in child processes with BLAS on one thread. The record
 names the checkout's git sha, a digest of its ``src/``, Python, numpy and
@@ -23,12 +24,13 @@ With ``--pairs-against PARENT`` it also runs 10 pairs of the ``reference``
 workload on PARENT and on the checkout, pair k with seed k on both sides,
 alternating which side runs first, and records each side's end-to-end
 metrics, the pairs the checkout won on each metric, and the quartiles of
-both sides.
+both sides, plus PARENT's right-hand-side and step times.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -37,6 +39,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import timeit
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -184,22 +187,28 @@ def rhs_times(checkout: Path) -> dict:
 
 
 def rhs_probe() -> dict:
-    """Per-call right-hand-side times on the worked example's players at each n.
+    """Per-call times of one right-hand side and one RK4 step at each n, on each path.
 
-    Runs in a child process that imports the package under test. The rhs is
-    captured from the first ``sim.rk4_step`` call of a one-step run.
+    Runs in a child process that imports the package under test, on the
+    worked example's players. A checkout with ``sim._DenseStepper`` is
+    probed through its own pieces: the bound dense right-hand side and the
+    stepper, and the blockwise right-hand side under ``sim.rk4_step``. On an
+    older checkout each path's right-hand side is captured from the first
+    ``sim.rk4_step`` call of a one-step run, and its step is that
+    ``rk4_step`` on it.
     """
-    import timeit
-
     import numpy as np
     from nashseek import PlayerSpec, SeekerMode, SimConfig, cycle_digraph, ring_game, sim
 
     # an older checkout has only the blockwise right-hand side
     two_paths = hasattr(sim, "_DENSE_MAX_BYTES")
     paths = {"blockwise": 0, "dense": 2**62} if two_paths else {"blockwise": None}
-    cfg = SimConfig(step_size=1e-3, t_end=1e-3, log_every=1, conv_window=1e-3)
+    mode = SeekerMode.SATURATED_DIRECTED
+    h = 1e-3
+    cfg = SimConfig(step_size=h, t_end=h, log_every=1, conv_window=h)
     rows = []
     for n in RHS_SIZES:
+        game, g = ring_game(n), cycle_digraph(n)
         specs = tuple(PlayerSpec(order=3, theta=1 / 3, delta=1.0, u_limit=0.4815)
                       for _ in range(n))
         x0 = [np.array([float(i + 1), 1.0, 1.0]) for i in range(n)]
@@ -207,32 +216,47 @@ def rhs_probe() -> dict:
         row = {"n": n, "state_len": n * m + 2 * nn + n,
                "operator_bytes": 8 * (2 * n * m + nn + n) * (n * m + 2 * nn + n)}
         for name, limit in paths.items():
-            captured = []
-            original = sim.rk4_step
-
-            def capture(rhs, state, h):
-                captured.append((rhs, state.copy()))
-                return original(rhs, state, h)
-
-            sim.rk4_step = capture
-            if two_paths:
-                saved, sim._DENSE_MAX_BYTES = sim._DENSE_MAX_BYTES, limit
-            try:
-                sim.run(ring_game(n), cycle_digraph(n), specs, SeekerMode.SATURATED_DIRECTED,
-                        x0=x0, z0=1.0, c0=1.0, config=cfg)
-            finally:
-                sim.rk4_step = original
-                if two_paths:
-                    sim._DENSE_MAX_BYTES = saved
-            rhs, state = captured[0]
-            rhs(state)
+            if name == "dense" and hasattr(sim, "_DenseStepper"):
+                tables = sim._Tables(specs, mode, g)
+                state = tables.initial_state(x0, 1.0, 1.0)
+                bind = sim._dense_rhs(tables, game)
+                rhs_call = bind(state, np.empty_like(state), np.empty(tables.rows))
+                step_call = sim._DenseStepper(bind, tables.rows, state, h).step
+            else:
+                rhs, state = captured_rhs(sim, game, g, specs, mode, x0, cfg, limit)
+                rhs_call = functools.partial(rhs, state)
+                step_call = functools.partial(sim.rk4_step, rhs, state, h)
             calls = max(50, RHS_CALLS // n)
-            per_call = [t / calls * 1e6 for t in
-                        timeit.repeat(lambda: rhs(state), number=calls, repeat=RHS_REPEATS)]
-            row[f"{name}_us_min"] = min(per_call)
-            row[f"{name}_us_median"] = statistics.median(per_call)
+            for layer, call in (("", rhs_call), ("step_", step_call)):
+                call()
+                per_call = [t / calls * 1e6 for t in
+                            timeit.repeat(call, number=calls, repeat=RHS_REPEATS)]
+                row[f"{name}_{layer}us_min"] = min(per_call)
+                row[f"{name}_{layer}us_median"] = statistics.median(per_call)
         rows.append(row)
-    return {"players": "order 3, theta 1/3, directed cycle, ring game", "sizes": rows}
+    return {"players": "order 3, theta 1/3, directed cycle, ring game", "step_size": h,
+            "sizes": rows}
+
+
+def captured_rhs(sim, game, g, specs, mode, x0, cfg, limit):
+    """The right-hand side and state of the first ``sim.rk4_step`` call of a one-step run."""
+    captured = []
+    original = sim.rk4_step
+
+    def capture(rhs, state, h):
+        captured.append((rhs, state.copy()))
+        return original(rhs, state, h)
+
+    sim.rk4_step = capture
+    if limit is not None:
+        saved, sim._DENSE_MAX_BYTES = sim._DENSE_MAX_BYTES, limit
+    try:
+        sim.run(game, g, specs, mode, x0=x0, z0=1.0, c0=1.0, config=cfg)
+    finally:
+        sim.rk4_step = original
+        if limit is not None:
+            sim._DENSE_MAX_BYTES = saved
+    return captured[0]
 
 
 def main(argv=None) -> int:
@@ -260,8 +284,9 @@ def main(argv=None) -> int:
     record["tier1"] = tier1(checkout)
     if args.pairs_against:
         print("pairs", flush=True)
-        record["pairs"] = pairs(checkout, args.pairs_against.resolve(), PAIRS_WORKLOAD,
-                                PAIRS, seconds)
+        parent = args.pairs_against.resolve()
+        record["pairs"] = pairs(checkout, parent, PAIRS_WORKLOAD, PAIRS, seconds)
+        record["pairs"]["parent_rhs_per_call"] = rhs_times(parent)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path}")

@@ -11,9 +11,9 @@ quartiles of each end-to-end metric over the seeds. It also records the
 tier-1 test wall time (the command of ROADMAP.md), the wall time of
 ``nashseek paper-example``, and the per-call time of one RK4 right-hand
 side call and of one whole RK4 step on the worked example's players
-(order 3, theta 1/3, directed cycle) at several sizes n. A checkout that
-has both right-hand sides (dense operator and blockwise) is timed on each;
-an older one on the one it has.
+(order 3, theta 1/3, directed cycle) at several sizes n, each the minimum
+over PROBE_ROUNDS probes. A checkout that has both right-hand sides (dense
+operator and blockwise) is timed on each; an older one on the one it has.
 
 Everything runs in child processes with BLAS on one thread. The record
 names the checkout's git sha, a digest of its ``src/``, Python, numpy and
@@ -24,7 +24,8 @@ With ``--pairs-against PARENT`` it also runs 10 pairs of the ``reference``
 workload on PARENT and on the checkout, pair k with seed k on both sides,
 alternating which side runs first, and records each side's end-to-end
 metrics, the pairs the checkout won on each metric, and the quartiles of
-both sides, plus PARENT's right-hand-side and step times.
+both sides. Its right-hand-side and step probes then alternate between
+PARENT and the checkout, and PARENT's are recorded beside the pairs.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ PAIRS_WORKLOAD = "reference"
 RHS_SIZES = (3, 6, 12, 13, 14, 15, 16, 20, 24)
 RHS_CALLS = 2000
 RHS_REPEATS = 7
+# probe rounds; with --pairs-against the two sides' probes alternate
+PROBE_ROUNDS = 5
 
 
 def child_env(checkout: Path) -> dict:
@@ -178,6 +181,28 @@ def paper_example(checkout: Path) -> dict:
     return {"wall_s": wall, "exit": proc.returncode, "verdicts": verdicts}
 
 
+def rhs_rounds(sides: list[Path]) -> list[dict]:
+    """Each side's probe, the sides alternating, PROBE_ROUNDS times.
+
+    The machine's speed drifts over minutes, so a time taken once, or on
+    one side minutes after the other, is noise; each recorded time is its
+    side's minimum over the rounds.
+    """
+    runs: list[list[dict]] = [[] for _ in sides]
+    for r in range(PROBE_ROUNDS):
+        order = list(range(len(sides)))
+        for k in order if r % 2 == 0 else order[::-1]:
+            runs[k].append(rhs_times(sides[k]))
+    merged = []
+    for side in runs:
+        rows = [
+            {key: min(probe["sizes"][i][key] for probe in side) for key in row}
+            for i, row in enumerate(side[0]["sizes"])
+        ]
+        merged.append({**side[0], "sizes": rows, "rounds": PROBE_ROUNDS})
+    return merged
+
+
 def rhs_times(checkout: Path) -> dict:
     proc = subprocess.run([sys.executable, __file__, "--rhs-probe"], cwd=checkout,
                           env=child_env(checkout), capture_output=True, text=True)
@@ -274,19 +299,20 @@ def main(argv=None) -> int:
     checkout = args.checkout.resolve()
     seconds = float(contract(checkout)["run_seconds"])
     record = {"label": args.label, "env": identity(checkout)}
+    parent = args.pairs_against.resolve() if args.pairs_against else None
     print("rhs per call", flush=True)
-    record["rhs_per_call"] = rhs_times(checkout)
+    probes = rhs_rounds([checkout] + ([parent] if parent else []))
+    record["rhs_per_call"] = probes[0]
     print("paper-example", flush=True)
     record["paper_example"] = paper_example(checkout)
     print("workloads", flush=True)
     record["workloads"] = workloads(checkout, SEEDS, seconds)
     print("tier-1", flush=True)
     record["tier1"] = tier1(checkout)
-    if args.pairs_against:
+    if parent:
         print("pairs", flush=True)
-        parent = args.pairs_against.resolve()
         record["pairs"] = pairs(checkout, parent, PAIRS_WORKLOAD, PAIRS, seconds)
-        record["pairs"]["parent_rhs_per_call"] = rhs_times(parent)
+        record["pairs"]["parent_rhs_per_call"] = probes[1]
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path}")

@@ -11,9 +11,10 @@ quartiles of each end-to-end metric over the seeds. It also records the
 tier-1 test wall time (the command of ROADMAP.md), the wall time of
 ``nashseek paper-example``, and the per-call time of one RK4 right-hand
 side call and of one whole RK4 step on the worked example's players
-(order 3, theta 1/3, directed cycle) at several sizes n, each the minimum
-over PROBE_ROUNDS probes. A checkout that has both right-hand sides (dense
-operator and blockwise) is timed on each; an older one on the one it has.
+(order 3, theta 1/3, directed cycle) at several sizes n, each scaled by
+the benchmark's speed calibration and the minimum over PROBE_ROUNDS
+probes. A checkout that has both right-hand sides (dense operator and
+blockwise) is timed on each; an older one on the one it has.
 
 Everything runs in child processes with BLAS on one thread. The record
 names the checkout's git sha, a digest of its ``src/``, Python, numpy and
@@ -44,6 +45,8 @@ import timeit
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
+import calibrate  # noqa: E402
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 SEEDS = [1, 2, 3, 4, 5]
@@ -254,13 +257,25 @@ def rhs_probe() -> dict:
             calls = max(50, RHS_CALLS // n)
             for layer, call in (("", rhs_call), ("step_", step_call)):
                 call()
-                per_call = [t / calls * 1e6 for t in
-                            timeit.repeat(call, number=calls, repeat=RHS_REPEATS)]
+                per_call = [scaled_time(call, calls) / calls * 1e6
+                            for _ in range(RHS_REPEATS)]
                 row[f"{name}_{layer}us_min"] = min(per_call)
                 row[f"{name}_{layer}us_median"] = statistics.median(per_call)
         rows.append(row)
     return {"players": "order 3, theta 1/3, directed cycle, ring game", "step_size": h,
             "sizes": rows}
+
+
+def scaled_time(call, number: int) -> float:
+    """Wall time of ``number`` calls, scaled as the benchmark scales its times.
+
+    The factor is ``calibrate.REFERENCE_S`` over the mean of the fixed
+    kernel's times just before and just after, so the time reads as on a
+    core at the benchmark's reference speed (see benchmarks/calibrate.py).
+    """
+    before = calibrate.kernel()
+    wall = timeit.timeit(call, number=number)
+    return wall * calibrate.REFERENCE_S / ((before + calibrate.kernel()) / 2)
 
 
 def captured_rhs(sim, game, g, specs, mode, x0, cfg, limit):

@@ -359,6 +359,33 @@ def assert_same_result(result, solo):
         assert type(getattr(summary, f.name)) is type(getattr(solo_summary, f.name))
 
 
+def poison_dense_rhs(monkeypatch):
+    """Make the bound dense right-hand side write NaN rates wherever c_11 > 5.
+
+    Elsewhere its rates are off by a relative 1e-9, which tells its steps
+    apart from the blockwise ones.
+    """
+    make = sim._dense_rhs
+
+    def faulting(tables, game):
+        bind = make(tables, game)
+        c11 = tables.npad + tables.n**2
+
+        def poisoned_bind(s, out, lin):
+            rhs = bind(s, out, lin)
+
+            def poisoned():
+                rhs()
+                out[...] = out * (1 + 1e-9)
+                out[s[..., c11] > 5.0] = np.nan
+
+            return poisoned
+
+        return poisoned_bind
+
+    monkeypatch.setattr(sim, "_dense_rhs", faulting)
+
+
 class TestRunBatch:
     CFG = SimConfig(step_size=1e-3, t_end=0.05, log_every=2, conv_window=0.05)
 
@@ -436,25 +463,7 @@ class TestRunBatch:
         # dense-only overflow would, while the blockwise step stays finite;
         # elsewhere it is off by a relative 1e-9, which tells its steps apart
         use_path("dense")
-        make = sim._dense_rhs
-
-        def faulting(tables, game):
-            bind = make(tables, game)
-            c11 = tables.npad + tables.n**2
-
-            def poisoned_bind(s, out, lin):
-                rhs = bind(s, out, lin)
-
-                def poisoned():
-                    rhs()
-                    out[...] = out * (1 + 1e-9)
-                    out[s[..., c11] > 5.0] = np.nan
-
-                return poisoned
-
-            return poisoned_bind
-
-        monkeypatch.setattr(sim, "_dense_rhs", faulting)
+        poison_dense_rhs(monkeypatch)
         game, g, specs = small_setup()
         x0s, z0s, c0s = self.inits(rng, specs, 3)
         c0s[1] = np.full((3, 3), 10.0)
@@ -480,25 +489,7 @@ class TestRunBatch:
         # right-hand side is poisoned wherever c_11 is high, as above), a true
         # divergence, and a healthy member
         use_path("dense")
-        make = sim._dense_rhs
-
-        def faulting(tables, game):
-            bind = make(tables, game)
-            c11 = tables.npad + tables.n**2
-
-            def poisoned_bind(s, out, lin):
-                rhs = bind(s, out, lin)
-
-                def poisoned():
-                    rhs()
-                    out[...] = out * (1 + 1e-9)
-                    out[s[..., c11] > 5.0] = np.nan
-
-                return poisoned
-
-            return poisoned_bind
-
-        monkeypatch.setattr(sim, "_dense_rhs", faulting)
+        poison_dense_rhs(monkeypatch)
         game, g, specs = small_setup(orders=(1, 1, 1))
         cfg = SimConfig(step_size=0.05, t_end=2.0, log_every=1, conv_window=1.0)
         z0s, c0s = [0.2, 1e3, -0.3], [10.0, 1.0, 1.0]

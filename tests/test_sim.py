@@ -1,6 +1,7 @@
 """Integrator, state layout, detectors, and whole-loop consistency."""
 
 import copy
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -507,6 +508,21 @@ class TestRunBatch:
             solo = run(game, g, specs, SAT, z0=z0s[b], c0=c0s[b], config=cfg)
             assert_same_result(results[b], solo)
 
+    def test_faults_raise_no_warning(self, monkeypatch, use_path):
+        # the loop's one np.errstate silences every overflow of a faulting step
+        use_path("dense")
+        game, g, specs = small_setup(orders=(1, 1, 1))
+        cfg = SimConfig(step_size=0.05, t_end=2.0, log_every=1, conv_window=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError):
+                run(game, g, specs, SAT, z0=1e3, config=cfg)
+            poison_dense_rhs(monkeypatch)
+            results = list(
+                run_batch(game, g, specs, SAT, [None] * 3, [0.2, 1e3, -0.3], [10.0, 1.0, 1.0], cfg)
+            )
+        assert [isinstance(r, IntegrationError) for r in results] == [False, True, False]
+
     def test_state_above_the_bound_never_builds_the_operator(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("dense operator built")
@@ -615,20 +631,66 @@ def test_tables_build_one_transformation_per_distinct_spec(monkeypatch):
         np.testing.assert_array_equal(tr.t_inverse, build(spec).t_inverse)
 
 
-@pytest.mark.parametrize("members", [1, 3])
-def test_dense_stepper_matches_rk4_step(rng, members):
-    # owned buffers and once-bound views change no bit of rk4_step's arithmetic;
-    # initial plant states up to 5 keep the saturations active
+def allocating(bind, rows):
+    """A bound dense right-hand side as rhs(s) -> new array, the form rk4_step takes."""
+
+    def rhs(s):
+        out = np.empty_like(s)
+        bind(s, out, np.empty(s.shape[:-1] + (rows,)))()
+        return out
+
+    return rhs
+
+
+def saturated_states(rng, members):
+    """Tables, dense bind and (members, L) initial states with saturations active."""
     game, g, specs = small_setup()
     tables = sim._Tables(specs, SAT, g)
     x0s, z0s, c0s = TestRunBatch.inits(rng, specs, members)
+    # initial plant states up to 5 keep the saturations active
     x0s = [[5 * x for x in x0] for x0 in x0s]
     state = np.array([tables.initial_state(*init) for init in zip(x0s, z0s, c0s)])
+    return tables, sim._dense_rhs(tables, game), state
+
+
+@pytest.mark.parametrize("members", [1, 3])
+def test_dense_stepper_agrees_with_rk4_step(rng, members):
+    # the weighted products sum in another order than rk4_step, so each step,
+    # restarted from rk4_step's state, agrees to rounding, not bit for bit
+    tables, bind, state = saturated_states(rng, members)
     state = state[0] if members == 1 else state
-    bind = sim._dense_rhs(tables, game)
-    rhs = sim._allocating(bind, tables.rows)
+    rhs = allocating(bind, tables.rows)
     h = 1e-2
-    stepper = sim._DenseStepper(bind, tables.rows, state, h)
-    for _ in range(250):
-        state = rk4_step(rhs, state, h)
-        np.testing.assert_array_equal(stepper.step(), state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(250):
+            step = sim._DenseStepper(bind, tables.rows, state, h).step()
+            state = rk4_step(rhs, state, h)
+            assert (np.abs(step - state) <= 1e-14 * np.maximum(1.0, np.abs(state))).all()
+
+
+def test_dense_stepper_members_match_lone_steppers(rng):
+    tables, bind, state = saturated_states(rng, 3)
+    h = 1e-2
+    batch = sim._DenseStepper(bind, tables.rows, state, h)
+    lone = [sim._DenseStepper(bind, tables.rows, s, h) for s in state]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(250):
+            stepped = batch.step()
+            for b, stepper in enumerate(lone):
+                np.testing.assert_array_equal(stepped[b], stepper.step())
+
+
+def test_finiteness_screen():
+    # the caller silences the screen's overflow and inf - inf, as _integrate does
+    with np.errstate(over="ignore", invalid="ignore"):
+        # finite entries whose sum overflows pass the exact check behind the screen
+        sim._check_finite(np.array([1e308, 1e308]))
+        for k in range(4):
+            state = np.ones(4)
+            state[k] = np.nan
+            with pytest.raises(IntegrationError) as info:
+                sim._check_finite(state)
+            assert info.value.component == k
+        with pytest.raises(IntegrationError) as info:
+            sim._check_finite(np.array([np.inf, -np.inf]))
+        assert info.value.component == 0

@@ -21,12 +21,13 @@ names the checkout's git sha, a digest of its ``src/``, Python, numpy and
 ``nproc``. Runs take a while: about run_seconds plus 15 s per workload and
 seed, plus the tier-1 suite.
 
-With ``--pairs-against PARENT`` it also runs 10 pairs of the ``reference``
-workload on PARENT and on the checkout, pair k with seed k on both sides,
-alternating which side runs first, and records each side's end-to-end
-metrics, the pairs the checkout won on each metric, and the quartiles of
-both sides. Its right-hand-side and step probes then alternate between
-PARENT and the checkout, and PARENT's are recorded beside the pairs.
+With ``--pairs-against PARENT`` it also runs 10 pairs of each of the
+``reference`` and ``sweep`` workloads on PARENT and on the checkout, pair k
+with seed k on both sides, alternating which side runs first, and records
+each side's end-to-end metrics, the pairs the checkout won on each metric,
+and the quartiles of both sides. Its right-hand-side and step probes then
+alternate between PARENT and the checkout, and PARENT's are recorded as
+``parent_rhs_per_call``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
          "-p", "no:cacheprovider"]
 SEEDS = [1, 2, 3, 4, 5]
 PAIRS = 10
-PAIRS_WORKLOAD = "reference"
+PAIRS_WORKLOADS = ("reference", "sweep")
 RHS_SIZES = (3, 6, 12, 13, 14, 15, 16, 20, 24)
 RHS_CALLS = 2000
 RHS_REPEATS = 7
@@ -148,7 +149,7 @@ def pairs(checkout: Path, parent: Path, workload: str, count: int, seconds: floa
             line = bench_run(path, workload, k + 1, seconds)
             sides[side].append({m: v["value"] for m, v in line["metrics"].items()}
                                | {"failed": line["failed"]})
-        print(f"  pair {k + 1}: " + ", ".join(
+        print(f"  {workload} pair {k + 1}: " + ", ".join(
             f"{side} op_p50_s={runs[-1]['op_p50_s']:.4g}" for side, runs in sides.items()),
             flush=True)
     result = {"workload": workload, "seconds": seconds, "seeds": list(range(1, count + 1)),
@@ -326,8 +327,9 @@ def main(argv=None) -> int:
     record["tier1"] = tier1(checkout)
     if parent:
         print("pairs", flush=True)
-        record["pairs"] = pairs(checkout, parent, PAIRS_WORKLOAD, PAIRS, seconds)
-        record["pairs"]["parent_rhs_per_call"] = probes[1]
+        record["pairs"] = [pairs(checkout, parent, workload, PAIRS, seconds)
+                           for workload in PAIRS_WORKLOADS]
+        record["parent_rhs_per_call"] = probes[1]
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path}")

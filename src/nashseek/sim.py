@@ -44,26 +44,26 @@ products, (B, 1, L) @ (L, R), never one (B, L) @ (L, R) matrix product:
 BLAS may sum a matrix product's rows in another order than a lone vector's,
 and the stacked form keeps every member bit-identical to its solo run.
 At these sizes a step costs numpy's fixed cost per call more than its
-arithmetic, so the dense path is stepped by a :class:`_DenseStepper`, built
-once per chunk of members: it owns the state, stage and product buffers,
-binds the right-hand side to each (input, output) pair once, and forms
-each stage argument and the new state as one weighted product over the
-member's [s | k1 | k2 | k3 | k4] rows, without allocating. That sums in
-another order than :func:`rk4_step`, so the dense path agrees with it to
-rounding, not bit for bit; the products are stacked per member for the
-same reason as the operator's, so members stay bit-identical to their solo
-runs.
+arithmetic. Both right-hand sides take the form ``bind(s, out, lin)``,
+which returns a call that writes the rate at ``s`` into ``out``, and one
+:class:`_Stepper`, built once per chunk of members, steps either: it owns
+the state, stage and product buffers, binds the right-hand side to each
+(input, output) pair once, and forms each stage argument and the new state
+as one weighted product over the member's [s | k1 | k2 | k3 | k4] rows,
+in those buffers. That sums in another order than
+state + (h/6) (k1 + 2 k2 + 2 k3 + k4), the RK4 oracle in
+``tests/oracles.py``, so the two agree to rounding, not bit for bit; the
+products are stacked per member for the same reason as the operator's, so
+members stay bit-identical to their solo runs.
 
 Above the byte bound the blockwise right-hand side (a Laplacian product,
-the game's self-gradients and the padded plant block) runs instead under
-the allocating :func:`rk4_step`, and no operator is built. There a step is
-passes over n^2-wide arrays, not numpy's cost per call: at n = 96, owned
-buffers measured 0.92 to 1.04 times the allocating step, inside the run to
-run spread. When a batch step goes non-finite, every member re-takes it
-alone, as in its solo run (on the dense path by a one-member stepper); a
-dense product turns one overflowed entry into NaN across its member's whole
-row, so a member whose dense step faults re-takes it blockwise, which names
-the component that overflowed. A member that still faults leaves the batch.
+the game's self-gradients and the padded plant block) runs instead, and no
+operator is built; there a step is passes over n^2-wide arrays, not
+numpy's cost per call. When a batch step goes non-finite, every member
+re-takes it alone, as in its solo run, by a one-member stepper; a dense
+product turns one overflowed entry into NaN across its member's whole row,
+so a member whose dense step faults re-takes it blockwise, which names the
+component that overflowed. A member that still faults leaves the batch.
 The agreement of both right-hand sides with the scalar per-player laws in
 ``tests/oracles.py`` is pinned by tests, not assumed.
 """
@@ -95,7 +95,6 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "Summary",
-    "rk4_step",
     "run",
     "run_batch",
     "detect_convergence",
@@ -194,63 +193,24 @@ class Summary:
     c_trailing_drift: float | None
 
 
-def rk4_step(
-    rhs: Callable[[NDArray[np.float64]], NDArray[np.float64]],
-    state: NDArray[np.float64],
-    h: float,
-) -> NDArray[np.float64]:
-    """One classical Runge-Kutta 4 step; raises on a non-finite result.
+def _check_finite(state: NDArray[np.float64]) -> None:
+    """Raise IntegrationError when ``state`` has a non-finite entry.
 
-    Works on a state of any shape. Overflow inside the stage evaluations is
-    silenced: a diverging state is reported once through IntegrationError,
-    whose ``component`` is the flat index of its first non-finite entry,
-    instead of a warning per stage.
-
-    The arithmetic is state + (h/6) (k1 + 2 k2 + 2 k3 + k4) in that order,
-    with the sum accumulated in place. The returned array is allocated last,
-    after the step's temporaries are freed, so for a large state the next
-    step reuses their memory instead of the allocator returning it to the
-    operating system and faulting it in again.
+    Its ``component`` is the flat index of the first non-finite entry, so a
+    diverging state is reported once instead of by a warning per stage. One
+    reduction screens the state: its sum is finite when every entry is, so
+    the exact per-entry check runs only when the sum is not. A finite state
+    whose sum overflows passes that check. The caller silences the sum's
+    overflow warning.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = rhs(state)
-        k2 = rhs(_stage(state, 0.5 * h, k1))
-        k3 = rhs(_stage(state, 0.5 * h, k2))
-        k4 = rhs(_stage(state, h, k3))
-        acc = np.multiply(k2, 2.0)
-        np.add(k1, acc, out=acc)
-        np.add(acc, np.multiply(k3, 2.0), out=acc)
-        np.add(acc, k4, out=acc)
-        np.multiply(acc, h / 6.0, out=acc)
-        out = np.add(state, acc)
-    _raise_if_nonfinite(np.isfinite(out))
-    return out
-
-
-def _stage(state: NDArray[np.float64], a: float, k: NDArray[np.float64]) -> NDArray[np.float64]:
-    """state + a * k in one new array."""
-    out = np.multiply(k, a)
-    return np.add(state, out, out=out)
-
-
-def _raise_if_nonfinite(finite: NDArray[np.bool_]) -> None:
-    if not finite.all():
-        component = int(np.flatnonzero(~finite)[0])
+    if isfinite(state.sum()):
+        return
+    bad = np.flatnonzero(~np.isfinite(state))
+    if bad.size:
+        component = int(bad[0])
         raise IntegrationError(
             f"non-finite state component {component} after a step", component=component
         )
-
-
-def _check_finite(state: NDArray[np.float64]) -> None:
-    """Raise as :func:`rk4_step` does when ``state`` has a non-finite entry.
-
-    One reduction screens the state: its sum is finite when every entry is,
-    so the exact per-entry check runs only when the sum is not. A finite
-    state whose sum overflows passes that check. The caller silences the
-    sum's overflow warning.
-    """
-    if not isfinite(state.sum()):
-        _raise_if_nonfinite(np.isfinite(state))
 
 
 def _weighted(w: NDArray[np.float64], block: NDArray[np.float64], out: NDArray[np.float64]):
@@ -264,23 +224,24 @@ def _weighted(w: NDArray[np.float64], block: NDArray[np.float64], out: NDArray[n
     return partial(np.matmul, w, block, out)
 
 
-class _DenseStepper:
-    """Classical RK4 on the dense right-hand side, in buffers it owns.
+class _Stepper:
+    """Classical RK4 on either right-hand side, in buffers it owns.
 
-    Built for one state shape (..., L) from ``bind`` (see :func:`_dense_rhs`).
-    Each member has a (5, L) block of rows [s | k1 | k2 | k3 | k4], held as
-    (..., 5, L), and two such blocks swap each step. The right-hand side is
-    bound to each (input, output) pair once, so a step makes no view and
-    allocates nothing. Each stage argument is one weighted product over the
-    block's leading rows, s + (h/2) k1 as [1, h/2] against [s; k1], and so
-    is the new state, [1, h/6, h/3, h/3, h/6] against the whole block,
-    written into the other block's row 0. These sum in another order than
-    :func:`rk4_step`, so the two agree to rounding, not bit for bit. A
-    batch's products are stacked per member (:func:`_weighted`): a single
-    product over the flattened (5, B L) may sum a member in another order
-    than its lone product (it changed some bit in 102 of 2,560 random
-    member products), while the stacked form keeps every member
-    bit-identical to its solo run.
+    Built for one state shape (..., L) from ``bind`` (see :func:`_dense_rhs`
+    and :func:`_blockwise_rhs`) and the length ``rows`` of its scratch
+    buffer ``lin``. Each member has a (5, L) block of rows
+    [s | k1 | k2 | k3 | k4], held as (..., 5, L), and two such blocks swap
+    each step. The right-hand side is bound to each (input, output) pair
+    once, so a step makes no view and allocates nothing beyond the
+    right-hand side's own temporaries (the blockwise one has some). Each
+    stage argument is one weighted product over the block's leading rows,
+    s + (h/2) k1 as [1, h/2] against [s; k1], and so is the new state,
+    [1, h/6, h/3, h/3, h/6] against the whole block, written into the other
+    block's row 0. A batch's products are stacked per member
+    (:func:`_weighted`): a single product over the flattened (5, B L) may
+    sum a member in another order than its lone product (it changed some
+    bit in 102 of 2,560 random member products), while the stacked form
+    keeps every member bit-identical to its solo run.
 
     A step enters no np.errstate: its caller silences overflow around its
     loop, as :func:`_integrate` does.
@@ -485,35 +446,42 @@ def linear_operator(
 
 
 def _blockwise_rhs(tables: _Tables, game: QuadraticGame) -> Callable:
-    """Right-hand side from the Laplacian, the game and the padded plant block."""
+    """Right-hand side from the Laplacian, the game and the padded plant block.
+
+    Returns ``bind(s, out, lin)`` as :func:`_dense_rhs` does. It makes the
+    views of ``s`` and ``out`` once and ignores ``lin``; the call it returns
+    allocates its n^2 temporaries.
+    """
     lap, w = tables.lap, tables.weights
     rho_aug = tables.rho_augmented
     self_gradients = game.self_gradients
     split, controls = tables.split, tables.controls
     abar, bmask = tables.abar, tables.bmask
 
-    def rhs(s: NDArray[np.float64]) -> NDArray[np.float64]:
-        # in place where the n^2 blocks allow it, in the order of
-        # xi = L z + w (z + eta), zdot = -(c + xi^2) xi, cdot = xi^2
+    def bind(s: NDArray[np.float64], out: NDArray[np.float64], lin: NDArray[np.float64]):
         x, z, c, eta = split(s)
-        out = np.empty_like(s)
         xdot, zdot, cdot, etadot = split(out)
-        xi = lap @ z
-        pinned = z + eta[..., None, :]
-        np.multiply(pinned, w, out=pinned)
-        np.add(xi, pinned, out=xi)
-        np.multiply(xi, xi, out=cdot)
-        if rho_aug:
-            np.add(c, cdot, out=zdot)
-        else:
-            zdot[...] = c
-        np.multiply(zdot, xi, out=zdot)
-        np.negative(zdot, out=zdot)
-        xdot[...] = (abar @ x[..., None])[..., 0] + controls(x, eta)[..., None] * bmask
-        etadot[...] = self_gradients(z)
-        return out
 
-    return rhs
+        def rhs() -> None:
+            # in place where the n^2 blocks allow it, in the order of
+            # xi = L z + w (z + eta), zdot = -(c + xi^2) xi, cdot = xi^2
+            xi = lap @ z
+            pinned = z + eta[..., None, :]
+            np.multiply(pinned, w, out=pinned)
+            np.add(xi, pinned, out=xi)
+            np.multiply(xi, xi, out=cdot)
+            if rho_aug:
+                np.add(c, cdot, out=zdot)
+            else:
+                zdot[...] = c
+            np.multiply(zdot, xi, out=zdot)
+            np.negative(zdot, out=zdot)
+            xdot[...] = (abar @ x[..., None])[..., 0] + controls(x, eta)[..., None] * bmask
+            etadot[...] = self_gradients(z)
+
+        return rhs
+
+    return bind
 
 
 def _vecmat(v: NDArray[np.float64], m: NDArray[np.float64], out: NDArray[np.float64]) -> Callable:
@@ -675,14 +643,14 @@ def run_batch(
 def _chunks(tables, game, ref, states, config, chunk):
     """Build the right-hand sides at the first ``next()``, then integrate chunk by chunk."""
     blockwise = _blockwise_rhs(tables, game)
-    bind = _dense_rhs(tables, game) if tables.operator_bytes() <= _DENSE_MAX_BYTES else None
+    dense = _dense_rhs(tables, game) if tables.operator_bytes() <= _DENSE_MAX_BYTES else None
     for start in range(0, len(states), chunk):
-        yield from _integrate(tables, bind, blockwise, ref, states[start : start + chunk], config)
+        yield from _integrate(tables, dense, blockwise, ref, states[start : start + chunk], config)
 
 
 def _integrate(
     tables: _Tables,
-    bind: Callable | None,
+    dense: Callable | None,
     blockwise: Callable,
     ref: NDArray[np.float64],
     state: NDArray[np.float64],
@@ -690,12 +658,12 @@ def _integrate(
 ) -> list[tuple[Trajectory, Summary] | IntegrationError]:
     """The RK4 loop over one chunk: a (B, L) state, one result per row.
 
-    ``bind`` is :func:`_dense_rhs`'s, stepped by a :class:`_DenseStepper`,
-    or None on the blockwise path, which :func:`rk4_step` steps. One
-    np.errstate silencing overflow and invalid operations is entered around
-    the whole loop, not once per step, so it covers the logging block as
-    well: a logged value of a finite state that overflows, such as an
-    output of a huge plant state, now raises no warning either.
+    A :class:`_Stepper` steps ``dense``, :func:`_dense_rhs`'s bind, or
+    ``blockwise`` where ``dense`` is None. One np.errstate silencing
+    overflow and invalid operations is entered around the whole loop, not
+    once per step, so it covers the logging block as well: a logged value
+    of a finite state that overflows, such as an output of a huge plant
+    state, raises no warning either.
     """
     n, width = tables.n, tables.width
     split, controls = tables.split, tables.controls
@@ -706,15 +674,16 @@ def _integrate(
         # a lone member steps as one (L,) vector: numpy's fixed cost per call
         # grows with every broadcast axis
         state = state[0]
-    stepper = None if bind is None else _DenseStepper(bind, tables.rows, state, h)
+    bind = blockwise if dense is None else dense
+    stepper = _Stepper(bind, tables.rows, state, h)
 
     def retake(s: NDArray[np.float64]) -> NDArray[np.float64]:
-        if bind is not None:
+        if dense is not None:
             try:
-                return _DenseStepper(bind, tables.rows, s, h).step()
+                return _Stepper(dense, tables.rows, s, h).step()
             except IntegrationError:
                 pass
-        return rk4_step(blockwise, s, h)
+        return _Stepper(blockwise, tables.rows, s, h).step()
 
     steps = config.steps
     log_every = config.log_every
@@ -734,7 +703,7 @@ def _integrate(
     with np.errstate(over="ignore", invalid="ignore"):
         while k < steps:
             try:
-                state = rk4_step(blockwise, state, h) if stepper is None else stepper.step()
+                state = stepper.step()
             except IntegrationError:
                 # each member re-takes the step alone, as in its solo run, and
                 # blockwise where its dense step faults (see the module docstring)
@@ -756,8 +725,7 @@ def _integrate(
                 if not live.size:
                     break
                 state = np.array(stepped) if state.ndim > 1 else stepped[0]
-                if stepper is not None:
-                    stepper = _DenseStepper(bind, tables.rows, state, h)
+                stepper = _Stepper(bind, tables.rows, state, h)
             k += 1
             if k % log_every:
                 continue

@@ -10,9 +10,10 @@ else and observe no difference.
 
 Also here: the integrator-chain pair and its controllability matrix, the
 independent route to the coordinate change of :mod:`nashseek.dynamics`;
-the order-independent geometric control bound; and the flat state layout
+the order-independent geometric control bound; the flat state layout
 [xbar_1..xbar_N | z | c | eta] that ``IntegrationError.component`` indexes
-(:func:`pack_state`).
+(:func:`pack_state`); and the textbook RK4 step (:func:`rk4_step`) that
+the simulator's stepper is checked against.
 """
 
 from __future__ import annotations
@@ -229,3 +230,17 @@ def unpack_state(flat: NDArray[np.floating], orders: Sequence) -> SeekerState:
     c = flat[pos : pos + n * n].reshape(n, n).copy()
     pos += n * n
     return SeekerState(xbar=tuple(xbar), z=z, c=c, eta=flat[pos:].copy())
+
+
+def rk4_step(rhs, state: NDArray[np.float64], h: float) -> NDArray[np.float64]:
+    """One classical Runge-Kutta 4 step of an allocating ``rhs(s) -> new array``.
+
+    The arithmetic is state + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to
+    right, on a state of any shape. ``sim._Stepper`` forms the same step as
+    weighted products, which sum in another order.
+    """
+    k1 = rhs(state)
+    k2 = rhs(state + 0.5 * h * k1)
+    k3 = rhs(state + 0.5 * h * k2)
+    k4 = rhs(state + h * k3)
+    return state + (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (h / 6.0)

@@ -3,6 +3,7 @@
 import copy
 import warnings
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,14 +28,21 @@ from nashseek import (
     detect_convergence,
     output_coefficients,
     ring_game,
-    rk4_step,
     run,
     run_batch,
     Summary,
     unsaturated_entry,
 )
 from conftest import random_monotone_game, random_strongly_connected
-from oracles import SeekerState, consensus_rhs, control, pack_state, tilde_x1, unpack_state
+from oracles import (
+    SeekerState,
+    consensus_rhs,
+    control,
+    pack_state,
+    rk4_step,
+    tilde_x1,
+    unpack_state,
+)
 
 SAT = SeekerMode.SATURATED_DIRECTED
 
@@ -145,12 +153,20 @@ class TestStateLayout:
 
 class TestRk4:
     def test_exponential_decay_accuracy(self):
-        out = rk4_step(lambda s: -s, np.array([1.0]), 0.1)
+        def decay(s, out, lin):
+            return partial(np.negative, s, out)
+
+        out = sim._Stepper(decay, 0, np.array([1.0]), 0.1).step()
         assert out[0] == pytest.approx(np.exp(-0.1), abs=1e-6)
 
     def test_non_finite_result_raises(self):
-        with pytest.raises(IntegrationError):
-            rk4_step(lambda s: np.array([np.inf]), np.array([1.0]), 0.1)
+        def diverging(s, out, lin):
+            return partial(np.copyto, out, np.array([0.0, np.inf, 0.0]))
+
+        # the caller silences inf * 0 in the weighted products, as _integrate does
+        with np.errstate(invalid="ignore"), pytest.raises(IntegrationError) as info:
+            sim._Stepper(diverging, 0, np.ones(3), 0.1).step()
+        assert info.value.component == 1
 
 
 class TestDetectors:
@@ -544,7 +560,7 @@ class TestRunBatch:
         x0s, z0s, c0s = self.inits(rng, specs, 5)
         whole = list(run_batch(game, g, specs, SAT, x0s, z0s, c0s, self.CFG))
         shapes = []
-        step = sim._DenseStepper.step
+        step = sim._Stepper.step
 
         def recording_step(self):
             shapes.append(self.state.shape[:-1])
@@ -552,7 +568,7 @@ class TestRunBatch:
 
         member_bytes = (self.CFG.steps // self.CFG.log_every) * (2 * 3 + 5) * 8
         monkeypatch.setattr(sim, "_MAX_LOG_BYTES", 2 * member_bytes)
-        monkeypatch.setattr(sim._DenseStepper, "step", recording_step)
+        monkeypatch.setattr(sim._Stepper, "step", recording_step)
         chunked = list(run_batch(game, g, specs, SAT, x0s, z0s, c0s, self.CFG))
         steps = self.CFG.steps
         assert shapes == [(2,)] * steps + [(2,)] * steps + [()] * steps
@@ -632,7 +648,7 @@ def test_tables_build_one_transformation_per_distinct_spec(monkeypatch):
 
 
 def allocating(bind, rows):
-    """A bound dense right-hand side as rhs(s) -> new array, the form rk4_step takes."""
+    """A bound right-hand side as rhs(s) -> new array, the form the RK4 oracle takes."""
 
     def rhs(s):
         out = np.empty_like(s)
@@ -642,37 +658,46 @@ def allocating(bind, rows):
     return rhs
 
 
-def saturated_states(rng, members):
-    """Tables, dense bind and (members, L) initial states with saturations active."""
+def saturated_states(rng, members, path):
+    """Tables, the path's bind and (members, L) initial states with saturations active."""
     game, g, specs = small_setup()
     tables = sim._Tables(specs, SAT, g)
     x0s, z0s, c0s = TestRunBatch.inits(rng, specs, members)
     # initial plant states up to 5 keep the saturations active
     x0s = [[5 * x for x in x0] for x0 in x0s]
     state = np.array([tables.initial_state(*init) for init in zip(x0s, z0s, c0s)])
-    return tables, sim._dense_rhs(tables, game), state
+    make = sim._dense_rhs if path == "dense" else sim._blockwise_rhs
+    return tables, make(tables, game), state
 
 
-@pytest.mark.parametrize("members", [1, 3])
-def test_dense_stepper_agrees_with_rk4_step(rng, members):
-    # the weighted products sum in another order than rk4_step, so each step,
-    # restarted from rk4_step's state, agrees to rounding, not bit for bit
-    tables, bind, state = saturated_states(rng, members)
+@pytest.mark.parametrize(
+    "path, members",
+    [
+        pytest.param(path, members, id=str(members) if path == "dense" else f"{path}-{members}")
+        for path in RHS_PATHS
+        for members in (1, 3)
+    ],
+)
+def test_dense_stepper_agrees_with_rk4_step(rng, path, members):
+    # the weighted products sum in another order than the RK4 oracle, so each
+    # step, restarted from the oracle's state, agrees to rounding, not bit for bit
+    tables, bind, state = saturated_states(rng, members, path)
     state = state[0] if members == 1 else state
     rhs = allocating(bind, tables.rows)
     h = 1e-2
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(250):
-            step = sim._DenseStepper(bind, tables.rows, state, h).step()
+            step = sim._Stepper(bind, tables.rows, state, h).step()
             state = rk4_step(rhs, state, h)
             assert (np.abs(step - state) <= 1e-14 * np.maximum(1.0, np.abs(state))).all()
 
 
-def test_dense_stepper_members_match_lone_steppers(rng):
-    tables, bind, state = saturated_states(rng, 3)
+@pytest.mark.parametrize("path", RHS_PATHS)
+def test_stepper_members_match_lone_steppers(rng, path):
+    tables, bind, state = saturated_states(rng, 3, path)
     h = 1e-2
-    batch = sim._DenseStepper(bind, tables.rows, state, h)
-    lone = [sim._DenseStepper(bind, tables.rows, s, h) for s in state]
+    batch = sim._Stepper(bind, tables.rows, state, h)
+    lone = [sim._Stepper(bind, tables.rows, s, h) for s in state]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(250):
             stepped = batch.step()

@@ -12,9 +12,11 @@ tier-1 test wall time (the command of ROADMAP.md), the wall time of
 ``nashseek paper-example``, and the per-call time of one RK4 right-hand
 side call and of one whole RK4 step on the worked example's players
 (order 3, theta 1/3, directed cycle) at several sizes n, each scaled by
-the benchmark's speed calibration and the minimum over PROBE_ROUNDS
+the benchmark's speed calibration, as the minimum and the median over
+RHS_REPEATS timings, and then the minimum of each over PROBE_ROUNDS
 probes. A checkout that has both right-hand sides (dense operator and
-blockwise) is timed on each; an older one on the one it has.
+blockwise) is timed on each, except that no dense operator over
+PROBE_MAX_OPERATOR_BYTES is built; an older one on the one it has.
 
 Everything runs in child processes with BLAS on one thread. The record
 names the checkout's git sha, a digest of its ``src/``, Python, numpy and
@@ -27,7 +29,10 @@ with seed k on both sides, alternating which side runs first, and records
 each side's end-to-end metrics, the pairs the checkout won on each metric,
 and the quartiles of both sides. Its right-hand-side and step probes then
 alternate between PARENT and the checkout, and PARENT's are recorded as
-``parent_rhs_per_call``.
+``parent_rhs_per_call``. ``rhs_ratio_to_parent`` then holds, per size and
+path, the median over the rounds of each round's checkout/PARENT ratio of
+the scaled medians: both sides of a round run back to back, so the ratio
+cancels the machine's drift, which a minimum over rounds does not.
 """
 
 from __future__ import annotations
@@ -53,7 +58,10 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 SEEDS = [1, 2, 3, 4, 5]
 PAIRS = 10
 PAIRS_WORKLOADS = ("reference", "sweep")
-RHS_SIZES = (3, 6, 12, 13, 14, 15, 16, 20, 24)
+# n = 96 is the size of the large_n workload, probed on the blockwise path only
+RHS_SIZES = (3, 6, 12, 13, 14, 15, 16, 20, 24, 96)
+# the dense operator at n = 96 would take 1.5 GB
+PROBE_MAX_OPERATOR_BYTES = 2**27
 RHS_CALLS = 2000
 RHS_REPEATS = 7
 # probe rounds; with --pairs-against the two sides' probes alternate
@@ -185,26 +193,42 @@ def paper_example(checkout: Path) -> dict:
     return {"wall_s": wall, "exit": proc.returncode, "verdicts": verdicts}
 
 
-def rhs_rounds(sides: list[Path]) -> list[dict]:
-    """Each side's probe, the sides alternating, PROBE_ROUNDS times.
+def rhs_rounds(sides: list[Path]) -> list[list[dict]]:
+    """Each side's probes, the sides alternating, PROBE_ROUNDS times.
 
     The machine's speed drifts over minutes, so a time taken once, or on
-    one side minutes after the other, is noise; each recorded time is its
-    side's minimum over the rounds.
+    one side minutes after the other, is noise; see :func:`probe_minima`
+    and :func:`probe_ratios`.
     """
     runs: list[list[dict]] = [[] for _ in sides]
     for r in range(PROBE_ROUNDS):
         order = list(range(len(sides)))
         for k in order if r % 2 == 0 else order[::-1]:
             runs[k].append(rhs_times(sides[k]))
-    merged = []
-    for side in runs:
-        rows = [
-            {key: min(probe["sizes"][i][key] for probe in side) for key in row}
-            for i, row in enumerate(side[0]["sizes"])
-        ]
-        merged.append({**side[0], "sizes": rows, "rounds": PROBE_ROUNDS})
-    return merged
+    return runs
+
+
+def probe_minima(side: list[dict]) -> dict:
+    """One side's probe rounds merged: each time as its minimum over the rounds."""
+    rows = [
+        {key: min(probe["sizes"][i][key] for probe in side) for key in row}
+        for i, row in enumerate(side[0]["sizes"])
+    ]
+    return {**side[0], "sizes": rows, "rounds": PROBE_ROUNDS}
+
+
+def probe_ratios(change: list[dict], parent: list[dict]) -> list[dict]:
+    """Per size and path, the median over rounds of change/parent scaled medians."""
+    rows = []
+    for i, row in enumerate(change[0]["sizes"]):
+        ratios = {"n": row["n"]}
+        for key in row:
+            if key.endswith("_us_median") and key in parent[0]["sizes"][i]:
+                ratios[key.replace("_us_median", "_ratio_median")] = statistics.median(
+                    c["sizes"][i][key] / p["sizes"][i][key] for c, p in zip(change, parent)
+                )
+        rows.append(ratios)
+    return rows
 
 
 def rhs_times(checkout: Path) -> dict:
@@ -219,12 +243,13 @@ def rhs_probe() -> dict:
     """Per-call times of one right-hand side and one RK4 step at each n, on each path.
 
     Runs in a child process that imports the package under test, on the
-    worked example's players. A checkout with ``sim._DenseStepper`` is
-    probed through its own pieces: the bound dense right-hand side and the
-    stepper, and the blockwise right-hand side under ``sim.rk4_step``. On an
-    older checkout each path's right-hand side is captured from the first
-    ``sim.rk4_step`` call of a one-step run, and its step is that
-    ``rk4_step`` on it.
+    worked example's players. A checkout with ``sim._Stepper`` is probed
+    through its own pieces on both paths: the bound right-hand side
+    (``sim._dense_rhs`` or ``sim._blockwise_rhs``) and the stepper. One
+    with ``sim._DenseStepper`` is probed that way on the dense path. On
+    the blockwise path of such a checkout, and on both paths of an older
+    one, the right-hand side is captured from the first ``sim.rk4_step``
+    call of a one-step run, and the step is that ``rk4_step`` on it.
     """
     import numpy as np
     from nashseek import PlayerSpec, SeekerMode, SimConfig, cycle_digraph, ring_game, sim
@@ -232,6 +257,10 @@ def rhs_probe() -> dict:
     # an older checkout has only the blockwise right-hand side
     two_paths = hasattr(sim, "_DENSE_MAX_BYTES")
     paths = {"blockwise": 0, "dense": 2**62} if two_paths else {"blockwise": None}
+    stepper = getattr(sim, "_Stepper", None)
+    binds = {"dense": "_dense_rhs", "blockwise": "_blockwise_rhs"}
+    if stepper is None and hasattr(sim, "_DenseStepper"):
+        stepper, binds = sim._DenseStepper, {"dense": "_dense_rhs"}
     mode = SeekerMode.SATURATED_DIRECTED
     h = 1e-3
     cfg = SimConfig(step_size=h, t_end=h, log_every=1, conv_window=h)
@@ -245,12 +274,14 @@ def rhs_probe() -> dict:
         row = {"n": n, "state_len": n * m + 2 * nn + n,
                "operator_bytes": 8 * (2 * n * m + nn + n) * (n * m + 2 * nn + n)}
         for name, limit in paths.items():
-            if name == "dense" and hasattr(sim, "_DenseStepper"):
+            if name == "dense" and row["operator_bytes"] > PROBE_MAX_OPERATOR_BYTES:
+                continue
+            if name in binds and stepper is not None:
                 tables = sim._Tables(specs, mode, g)
                 state = tables.initial_state(x0, 1.0, 1.0)
-                bind = sim._dense_rhs(tables, game)
+                bind = getattr(sim, binds[name])(tables, game)
                 rhs_call = bind(state, np.empty_like(state), np.empty(tables.rows))
-                step_call = sim._DenseStepper(bind, tables.rows, state, h).step
+                step_call = stepper(bind, tables.rows, state, h).step
             else:
                 rhs, state = captured_rhs(sim, game, g, specs, mode, x0, cfg, limit)
                 rhs_call = functools.partial(rhs, state)
@@ -318,7 +349,7 @@ def main(argv=None) -> int:
     parent = args.pairs_against.resolve() if args.pairs_against else None
     print("rhs per call", flush=True)
     probes = rhs_rounds([checkout] + ([parent] if parent else []))
-    record["rhs_per_call"] = probes[0]
+    record["rhs_per_call"] = probe_minima(probes[0])
     print("paper-example", flush=True)
     record["paper_example"] = paper_example(checkout)
     print("workloads", flush=True)
@@ -329,7 +360,8 @@ def main(argv=None) -> int:
         print("pairs", flush=True)
         record["pairs"] = [pairs(checkout, parent, workload, PAIRS, seconds)
                            for workload in PAIRS_WORKLOADS]
-        record["parent_rhs_per_call"] = probes[1]
+        record["parent_rhs_per_call"] = probe_minima(probes[1])
+        record["rhs_ratio_to_parent"] = probe_ratios(probes[0], probes[1])
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path}")

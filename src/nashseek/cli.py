@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -104,9 +104,9 @@ def _execute(cfg: ScenarioConfig, out_dir: Path, prefix: str = "") -> tuple[Traj
         built.graph,
         built.specs,
         built.mode,
-        x0=built.x0,
-        z0=built.z0,
-        c0=built.c0,
+        x0=cfg.x0,
+        z0=cfg.z0,
+        c0=cfg.c0,
         config=built.sim,
     )
     _write_outputs(out_dir, traj, summary, cfg, prefix)
@@ -124,11 +124,8 @@ def _verdict_line(summary: Summary) -> str:
 
 def cmd_run(args) -> int:
     raw = read_json(args.config)
-    # validated before the flags below read or extend the raw data
+    # validated before the replicates below re-parse it with shifted seeds
     cfg = parse_config(raw)
-    if args.allow_large_theta:
-        raw = {**raw, "allow_large_theta": True}
-        cfg = replace(cfg, allow_large_theta=True)
     out = Path(args.out)
     if args.replicates < 1:
         raise ConfigError(f"--replicates must be >= 1, got {args.replicates}")
@@ -314,7 +311,7 @@ def cmd_check(args) -> int:
     built = build(cfg)
     run_batch(
         built.game, built.graph, built.specs, built.mode,
-        [built.x0], [built.z0], [built.c0], built.sim,
+        [cfg.x0], [cfg.z0], [cfg.c0], built.sim,
     )
     return 0
 
@@ -340,11 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="number of seed-shifted repetitions of the scenario",
-    )
-    p_run.add_argument(
-        "--allow-large-theta",
-        action="store_true",
-        help="permit theta >= 0.5 (outside the certified design range)",
     )
     p_run.set_defaults(func=cmd_run)
 

@@ -103,14 +103,17 @@ def check_game(game: QuadraticGame) -> GameCertificate:
     """Compute the monotonicity modulus and per-player Lipschitz constants.
 
     The symmetric part of the Jacobian is formed explicitly before the
-    eigensolve, so nearly-symmetric input needs no tolerance decision.
-    A non-positive modulus is reported, not raised: some callers only want
-    the numbers, and the simulator records the violation instead of dying.
+    eigensolve, so nearly-symmetric input needs no tolerance decision; it
+    sums exact halves, which cannot overflow. A row norm beyond double
+    range reads inf, without a warning. A non-positive modulus is reported,
+    not raised: some callers only want the numbers, and the simulator
+    records the violation instead of dying.
     """
     jac = game.jacobian
-    sym = 0.5 * (jac + jac.T)
+    sym = 0.5 * jac + 0.5 * jac.T
     modulus = float(np.linalg.eigvalsh(sym)[0])
-    lips = np.linalg.norm(jac, axis=1)
+    with np.errstate(over="ignore"):
+        lips = np.linalg.norm(jac, axis=1)
     return GameCertificate(monotonicity=modulus, lipschitz=lips)
 
 
@@ -133,21 +136,18 @@ def solve_nash_closed_form(game: QuadraticGame) -> NDArray[np.float64]:
 
 
 def solve_nash_gradient_play(
-    game: QuadraticGame,
-    y0: NDArray[np.floating] | None = None,
-    step: float | None = None,
-    tol: float = 1e-10,
-    max_iters: int = 200_000,
+    game: QuadraticGame, step: float | None = None, max_iters: int = 200_000
 ) -> NDArray[np.float64]:
-    """Damped fixed-point iteration y <- y - step * F(y).
+    """Damped fixed-point iteration y <- y - step * F(y) from y = 0.
 
     The default step 0.9 * modulus / max(lipschitz)^2 is a heuristic; it is
     contractive for the games used in this package but not for every strongly
     monotone game, so callers with adversarial Jacobians should pass their
-    own step. Convergence is declared on the gradient residual, which also
-    certifies the answer independently of the iteration count.
+    own step. Convergence is declared when the gradient residual falls
+    below 1e-10, which also certifies the answer independently of the
+    iteration count.
     """
-    y = np.zeros(game.n_players) if y0 is None else np.asarray(y0, dtype=float).copy()
+    y = np.zeros(game.n_players)
     if step is None:
         cert = check_game(game)
         if not cert.strongly_monotone:
@@ -155,7 +155,7 @@ def solve_nash_gradient_play(
         step = 0.9 * cert.monotonicity / float(cert.lipschitz.max()) ** 2
     for _ in range(max_iters):
         grad = game.pseudo_gradient(y)
-        if np.abs(grad).max() < tol:
+        if np.abs(grad).max() < 1e-10:
             return y
         y -= step * grad
     raise ConvergenceError(float(np.abs(game.pseudo_gradient(y)).max()), max_iters)

@@ -43,8 +43,9 @@ class Digraph:
             raise ValueError(f"weight matrix must be square, got shape {w.shape}")
         if w.shape[0] < 2:
             raise ValueError("need at least 2 players")
-        if not np.isfinite(w).all():
-            raise ValueError("weights must be finite")
+        with np.errstate(over="ignore"):  # the row sums are the Laplacian's diagonal
+            if not np.isfinite(w.sum(axis=1)).all():
+                raise ValueError("weights and their row sums must be finite")
         if (w < 0).any():
             raise ValueError("weights must be non-negative")
         if np.diagonal(w).any():

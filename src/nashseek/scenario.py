@@ -12,8 +12,7 @@ A scenario file is one JSON object with the blocks
     init     optional x0/z0/c0; scalars broadcast, nested lists are taken
              as-is, and {"random": {"low": a, "high": b}} draws uniformly
              using the top-level seed (defaults: x0 and z0 zero, c0 one)
-    sim      optional SimConfig overrides (step_size, t_end, log_every,
-             conv_tol, conv_window)
+    sim      optional overrides of SimConfig's fields and defaults
     seed     integer; required whenever any init block is random
     allow_large_theta  opt-in for theta >= 0.5 (default false)
 
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +53,6 @@ _MODE_VALUES = {m.value for m in SeekerMode}
 _TOP_KEYS = {"game", "graph", "mode", "players", "init", "sim", "seed", "allow_large_theta"}
 _PLAYER_KEYS = {"order", "theta", "delta", "auto_delta_margin", "u_limit", "form"}
 _INIT_KEYS = {"x0", "z0", "c0"}
-_SIM_KEYS = {"step_size", "t_end", "log_every", "conv_tol", "conv_window"}
 
 
 @dataclass
@@ -64,13 +62,13 @@ class ScenarioConfig:
     game: dict
     graph: dict
     players: list[dict]
-    mode: str = "SaturatedDirected"
-    x0: list[list[float]] = field(default_factory=list)
-    z0: float | list[list[float]] = 0.0
-    c0: float | list[list[float]] = 1.0
-    sim: dict = field(default_factory=dict)
-    seed: int | None = None
-    allow_large_theta: bool = False
+    mode: str
+    x0: list[list[float]]
+    z0: float | list[list[float]]
+    c0: float | list[list[float]]
+    sim: dict
+    seed: int | None
+    allow_large_theta: bool
 
     def to_dict(self) -> dict:
         return {
@@ -87,15 +85,12 @@ class ScenarioConfig:
 
 @dataclass
 class BuiltScenario:
-    """Run-ready objects constructed from a resolved config."""
+    """Run-ready objects a batch shares; x0, z0 and c0 stay each config's own."""
 
     game: QuadraticGame
     graph: Digraph
     specs: tuple[PlayerSpec, ...]
     mode: SeekerMode
-    x0: list[np.ndarray]
-    z0: np.ndarray
-    c0: np.ndarray
     sim: SimConfig
 
 
@@ -360,17 +355,17 @@ def parse_config(data: dict) -> ScenarioConfig:
     sim = data.get("sim", {})
     if not isinstance(sim, dict):
         raise ConfigError("sim block must be an object")
-    _reject_unknown(sim, _SIM_KEYS, "sim")
-    log_every = sim.get("log_every", 10)
-    if not isinstance(log_every, int) or isinstance(log_every, bool):
-        raise ConfigError("sim.log_every must be an integer")
-    sim_resolved = {
-        "step_size": _number(sim, "step_size", "sim", 1e-3),
-        "t_end": _number(sim, "t_end", "sim", 100.0),
-        "log_every": log_every,
-        "conv_tol": _number(sim, "conv_tol", "sim", 1e-2),
-        "conv_window": _number(sim, "conv_window", "sim", 10.0),
-    }
+    sim_fields = fields(SimConfig)
+    _reject_unknown(sim, {f.name for f in sim_fields}, "sim")
+    sim_resolved = {}
+    for f in sim_fields:
+        if isinstance(f.default, int):
+            value = sim.get(f.name, f.default)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"sim.{f.name} must be an integer")
+            sim_resolved[f.name] = value
+        else:
+            sim_resolved[f.name] = _number(sim, f.name, "sim", f.default)
 
     return ScenarioConfig(
         game=game,
@@ -393,34 +388,22 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 def build(cfg: ScenarioConfig) -> BuiltScenario:
     """Construct run-ready objects; raises the underlying validation errors."""
-    game = game_from_block(cfg.game)
-    graph = graph_from_block(cfg.graph)
-    specs = tuple(
-        PlayerSpec(
-            order=p["order"],
-            theta=p["theta"],
-            delta=p["delta"],
-            u_limit=p["u_limit"],
-            form=p["form"],
-            allow_large_theta=cfg.allow_large_theta,
-        )
-        for p in cfg.players
-    )
-    mode = SeekerMode(cfg.mode)
-    x0 = [np.asarray(row, dtype=float) for row in cfg.x0]
-    n = graph.n
-    z0 = np.full((n, n), float(cfg.z0)) if np.ndim(cfg.z0) == 0 else np.asarray(cfg.z0, dtype=float)
-    c0 = np.full((n, n), float(cfg.c0)) if np.ndim(cfg.c0) == 0 else np.asarray(cfg.c0, dtype=float)
-    sim = SimConfig(**cfg.sim)
     return BuiltScenario(
-        game=game,
-        graph=graph,
-        specs=specs,
-        mode=mode,
-        x0=x0,
-        z0=z0,
-        c0=c0,
-        sim=sim,
+        game=game_from_block(cfg.game),
+        graph=graph_from_block(cfg.graph),
+        specs=tuple(
+            PlayerSpec(
+                order=p["order"],
+                theta=p["theta"],
+                delta=p["delta"],
+                u_limit=p["u_limit"],
+                form=p["form"],
+                allow_large_theta=cfg.allow_large_theta,
+            )
+            for p in cfg.players
+        ),
+        mode=SeekerMode(cfg.mode),
+        sim=SimConfig(**cfg.sim),
     )
 
 

@@ -566,17 +566,16 @@ def run(
     z0=0.0,
     c0=1.0,
     config: SimConfig = SimConfig(),
-    y_star: NDArray[np.floating] | None = None,
 ) -> tuple[Trajectory, Summary]:
     """Integrate the closed loop and report trajectory plus verdicts.
 
     ``x0`` holds per-player initial plant states in the *original* chain
     coordinates (converted internally); omitted pieces default to zero
-    plants, zero estimates, unit gains. ``y_star`` overrides the reference
-    used for the error column; by default it is solved in closed form. This
-    is :func:`run_batch` with one member; its fault is raised.
+    plants, zero estimates, unit gains. The error column is measured against
+    the closed-form equilibrium. This is :func:`run_batch` with one member;
+    its fault is raised.
     """
-    (result,) = run_batch(game, g, specs, mode, [x0], [z0], [c0], config, y_star=y_star)
+    (result,) = run_batch(game, g, specs, mode, [x0], [z0], [c0], config)
     if isinstance(result, IntegrationError):
         raise result
     return result
@@ -591,7 +590,6 @@ def run_batch(
     z0s: Sequence,
     c0s: Sequence,
     config: SimConfig,
-    y_star: NDArray[np.floating] | None = None,
 ) -> Iterator[tuple[Trajectory, Summary] | IntegrationError]:
     """Integrate B scenarios that differ only in their initial x0, z0 and c0.
 
@@ -635,9 +633,8 @@ def run_batch(
     states = np.array(
         [tables.initial_state(*init) for init in zip(x0s, z0s, c0s)]
     ).reshape(-1, tables.width)
-    ref = np.asarray(solve_nash_closed_form(game) if y_star is None else y_star, dtype=float)
     chunk = max(1, _MAX_LOG_BYTES // log_bytes)
-    return _chunks(tables, game, ref, states, config, chunk)
+    return _chunks(tables, game, solve_nash_closed_form(game), states, config, chunk)
 
 
 def _chunks(tables, game, ref, states, config, chunk):

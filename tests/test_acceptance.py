@@ -61,16 +61,17 @@ def reference_runs():
     """Base 100 s run, an identical rerun, and a step-halved run."""
     results = {}
     for key, h in (("base", 1e-3), ("rerun", 1e-3), ("halved", 5e-4)):
-        built = build(reference_scenario())
+        scenario = reference_scenario()
+        built = build(scenario)
         cfg = SimConfig(step_size=h, t_end=100.0, log_every=round(0.01 / h))
         results[key] = run(
             built.game,
             built.graph,
             built.specs,
             built.mode,
-            x0=built.x0,
-            z0=built.z0,
-            c0=built.c0,
+            x0=scenario.x0,
+            z0=scenario.z0,
+            c0=scenario.c0,
             config=cfg,
         )
     return results
@@ -79,16 +80,17 @@ def reference_runs():
 @pytest.fixture(scope="module")
 def companion_run():
     """The worked example on a horizon long enough to converge."""
-    built = build(reference_scenario())
+    scenario = reference_scenario()
+    built = build(scenario)
     cfg = SimConfig(step_size=2e-3, t_end=300.0, log_every=5)
     return run(
         built.game,
         built.graph,
         built.specs,
         built.mode,
-        x0=built.x0,
-        z0=built.z0,
-        c0=built.c0,
+        x0=scenario.x0,
+        z0=scenario.z0,
+        c0=scenario.c0,
         config=cfg,
     )
 

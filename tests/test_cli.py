@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: files, formats, and exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -160,10 +161,9 @@ class TestRun:
         data = dict(BASE, players={"order": 1, "theta": 0.6, "delta": 1.0})
         cfg_path = write_config(tmp_path, data)
         assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 3
+        cfg_path = write_config(tmp_path, dict(data, allow_large_theta=True))
         with pytest.warns(RuntimeWarning):
-            code = main(
-                ["run", cfg_path, "--out", str(tmp_path / "o"), "--allow-large-theta"]
-            )
+            code = main(["run", cfg_path, "--out", str(tmp_path / "o")])
         assert code == 0
 
 
@@ -246,7 +246,6 @@ class TestExitCodes:
         [
             ([BASE], ["--replicates", "2"]),
             (None, ["--replicates", "2"]),
-            ([BASE], ["--allow-large-theta"]),
             (dict(BASE, seed="x"), ["--replicates", "2"]),
             (dict(BASE, seed=[1]), ["--replicates", "2"]),
             (dict(BASE, seed=True), ["--replicates", "2"]),
@@ -254,7 +253,6 @@ class TestExitCodes:
         ids=[
             "list-root-replicates",
             "null-root-replicates",
-            "list-root-large-theta",
             "string-seed-replicates",
             "list-seed-replicates",
             "boolean-seed-replicates",
@@ -354,6 +352,62 @@ class TestCheck:
         cfg_path = write_config(tmp_path, data)
         assert main(["check", cfg_path]) == 3
         assert "[FAIL] strong-connectivity" in capsys.readouterr().out
+
+    def test_pinned_laplacian_failure(self, tmp_path, capsys):
+        # strongly connected, but the pinned Laplacian's condition is 7.4e13
+        data = dict(
+            BASE,
+            game={"type": "ring", "n": 3},
+            graph={"weights": [[0, 0, 1e-13], [1, 0, 0], [0, 1, 0]]},
+        )
+        cfg_path = write_config(tmp_path, data)
+        assert main(["check", cfg_path]) == 3
+        out = capsys.readouterr().out
+        assert "[PASS] strong-connectivity" in out
+        assert "[FAIL] pinned-laplacian" in out
+        # a check-only verdict: run skips the O(n^4) diagnostic
+        assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 0
+
+
+# Extreme but finite inputs, each with the exit code of check and of run.
+_HUGE = {
+    # the row norms overflow to inf: lipschitz, a check-only line, fails
+    "jacobian-1e300": (
+        3,
+        0,
+        {"game": {"jacobian": (np.eye(3) * 1e300).tolist(), "offset": [0, 0, 0]}},
+    ),
+    # J + J.T would overflow; its halves do not
+    "jacobian-1.5e308": (
+        3,
+        0,
+        {"game": {"jacobian": (np.eye(3) * 1.5e308).tolist(), "offset": [0, 0, 0]}},
+    ),
+    # row sums beyond double range: the Laplacian is not representable
+    "weights-1e308": (
+        3,
+        3,
+        {
+            "game": {"type": "ring", "n": 3},
+            "graph": {"weights": [[0, 1e308, 1e308], [1, 0, 0], [0, 1, 0]]},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("check_code, run_code, overrides", _HUGE.values(), ids=_HUGE.keys())
+def test_extreme_finite_input_warns_nothing(
+    tmp_path, capsys, command, check_code, run_code, overrides
+):
+    data = {**BASE, "graph": {"type": "cycle", "n": 3}, **overrides}
+    cfg_path = write_config(tmp_path, data)
+    out = ["--out", str(tmp_path / "o")] if command == "run" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, cfg_path, *out])
+    assert code == (run_code if command == "run" else check_code)
+    assert capsys.readouterr().err.count("\n") <= 1
 
 
 # Ring game on a directed 3-cycle with second-order players, and one change

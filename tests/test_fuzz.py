@@ -3,7 +3,7 @@
 Each example takes a small valid scenario in one of the five modes,
 replaces, adds or deletes a few of its fields with values of the wrong
 type, out of range or extreme, and drives the command line on it, with or without
-run's --replicates and --allow-large-theta flags. Every outcome must be an exit
+run's --replicates flag. Every outcome must be an exit
 code in {0, 2, 3, 4}, never an uncaught exception, and every summary.json
 written must parse as strict JSON. Values stay small enough that a run
 finishes in milliseconds.
@@ -105,7 +105,7 @@ def mutate(data: dict, path: tuple, value) -> None:
 
 
 # A command line, split on spaces; run's flags read the config too.
-COMMANDS = ["run", "check", "run --replicates 2", "run --allow-large-theta"]
+COMMANDS = ["run", "check", "run --replicates 2"]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

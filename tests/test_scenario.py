@@ -199,8 +199,8 @@ class TestBuild:
         np.testing.assert_allclose(built.graph.weights, [[0.0, 1.0], [1.0, 0.0]])
         assert built.mode is SeekerMode.SATURATED_DIRECTED
         assert built.specs[0].theta == 0.3
-        np.testing.assert_allclose(built.z0, np.full((2, 2), 0.5))
-        np.testing.assert_allclose(built.c0, [[2.0, 3.0], [4.0, 5.0]])
+        assert cfg.z0 == 0.5
+        assert cfg.c0 == [[2.0, 3.0], [4.0, 5.0]]
         assert built.sim.t_end == 10.0
 
     def test_reference_scenario(self):

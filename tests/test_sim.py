@@ -323,13 +323,6 @@ class TestRunBehavior:
         assert traj.times[0] == pytest.approx(7e-3)
         assert traj.times[-1] == pytest.approx(994e-3)
 
-    def test_y_star_override_changes_error(self):
-        game, g, specs = small_setup()
-        traj_a, _ = run(game, g, specs, SAT, config=self.CFG)
-        traj_b, _ = run(game, g, specs, SAT, config=self.CFG, y_star=np.zeros(3))
-        np.testing.assert_array_equal(traj_b.err, np.abs(traj_b.y).max(axis=1))
-        assert not np.array_equal(traj_a.err, traj_b.err)
-
     def test_certified_bounds_in_summary(self):
         game, g, specs = small_setup()
         _, summary = run(game, g, specs, SAT, config=self.CFG)

@@ -14,9 +14,10 @@ side call and of one whole RK4 step on the worked example's players
 (order 3, theta 1/3, directed cycle) at several sizes n, each scaled by
 the benchmark's speed calibration, as the minimum and the median over
 RHS_REPEATS timings, and then the minimum of each over PROBE_ROUNDS
-probes. A checkout that has both right-hand sides (dense operator and
-blockwise) is timed on each, except that no dense operator over
-PROBE_MAX_OPERATOR_BYTES is built; an older one on the one it has.
+probes. Both right-hand sides (dense operator and blockwise) are timed,
+except that no dense operator over PROBE_MAX_OPERATOR_BYTES is built. The
+probe drives the checkout's ``sim._Stepper``, so a checkout without one
+cannot be probed.
 
 Everything runs in child processes with BLAS on one thread. The record
 names the checkout's git sha, a digest of its ``src/``, Python, numpy and
@@ -38,7 +39,6 @@ cancels the machine's drift, which a minimum over rounds does not.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import os
@@ -243,49 +243,30 @@ def rhs_probe() -> dict:
     """Per-call times of one right-hand side and one RK4 step at each n, on each path.
 
     Runs in a child process that imports the package under test, on the
-    worked example's players. A checkout with ``sim._Stepper`` is probed
-    through its own pieces on both paths: the bound right-hand side
-    (``sim._dense_rhs`` or ``sim._blockwise_rhs``) and the stepper. One
-    with ``sim._DenseStepper`` is probed that way on the dense path. On
-    the blockwise path of such a checkout, and on both paths of an older
-    one, the right-hand side is captured from the first ``sim.rk4_step``
-    call of a one-step run, and the step is that ``rk4_step`` on it.
+    worked example's players, and times the checkout's own pieces: the
+    bound right-hand side (``sim._dense_rhs`` or ``sim._blockwise_rhs``)
+    and ``sim._Stepper`` stepping it.
     """
     import numpy as np
-    from nashseek import PlayerSpec, SeekerMode, SimConfig, cycle_digraph, ring_game, sim
+    from nashseek import PlayerSpec, SeekerMode, cycle_digraph, ring_game, sim
 
-    # an older checkout has only the blockwise right-hand side
-    two_paths = hasattr(sim, "_DENSE_MAX_BYTES")
-    paths = {"blockwise": 0, "dense": 2**62} if two_paths else {"blockwise": None}
-    stepper = getattr(sim, "_Stepper", None)
-    binds = {"dense": "_dense_rhs", "blockwise": "_blockwise_rhs"}
-    if stepper is None and hasattr(sim, "_DenseStepper"):
-        stepper, binds = sim._DenseStepper, {"dense": "_dense_rhs"}
-    mode = SeekerMode.SATURATED_DIRECTED
+    binds = {"blockwise": sim._blockwise_rhs, "dense": sim._dense_rhs}
     h = 1e-3
-    cfg = SimConfig(step_size=h, t_end=h, log_every=1, conv_window=h)
     rows = []
     for n in RHS_SIZES:
         game, g = ring_game(n), cycle_digraph(n)
         specs = tuple(PlayerSpec(order=3, theta=1 / 3, delta=1.0, u_limit=0.4815)
                       for _ in range(n))
         x0 = [np.array([float(i + 1), 1.0, 1.0]) for i in range(n)]
-        m, nn = 3, n * n
-        row = {"n": n, "state_len": n * m + 2 * nn + n,
-               "operator_bytes": 8 * (2 * n * m + nn + n) * (n * m + 2 * nn + n)}
-        for name, limit in paths.items():
+        tables = sim._Tables(specs, SeekerMode.SATURATED_DIRECTED, g)
+        row = {"n": n, "state_len": tables.width, "operator_bytes": tables.operator_bytes()}
+        for name, make in binds.items():
             if name == "dense" and row["operator_bytes"] > PROBE_MAX_OPERATOR_BYTES:
                 continue
-            if name in binds and stepper is not None:
-                tables = sim._Tables(specs, mode, g)
-                state = tables.initial_state(x0, 1.0, 1.0)
-                bind = getattr(sim, binds[name])(tables, game)
-                rhs_call = bind(state, np.empty_like(state), np.empty(tables.rows))
-                step_call = stepper(bind, tables.rows, state, h).step
-            else:
-                rhs, state = captured_rhs(sim, game, g, specs, mode, x0, cfg, limit)
-                rhs_call = functools.partial(rhs, state)
-                step_call = functools.partial(sim.rk4_step, rhs, state, h)
+            state = tables.initial_state(x0, 1.0, 1.0)
+            bind = make(tables, game)
+            rhs_call = bind(state, np.empty_like(state), np.empty(tables.rows))
+            step_call = sim._Stepper(bind, tables.rows, state, h).step
             calls = max(50, RHS_CALLS // n)
             for layer, call in (("", rhs_call), ("step_", step_call)):
                 call()
@@ -308,27 +289,6 @@ def scaled_time(call, number: int) -> float:
     before = calibrate.kernel()
     wall = timeit.timeit(call, number=number)
     return wall * calibrate.REFERENCE_S / ((before + calibrate.kernel()) / 2)
-
-
-def captured_rhs(sim, game, g, specs, mode, x0, cfg, limit):
-    """The right-hand side and state of the first ``sim.rk4_step`` call of a one-step run."""
-    captured = []
-    original = sim.rk4_step
-
-    def capture(rhs, state, h):
-        captured.append((rhs, state.copy()))
-        return original(rhs, state, h)
-
-    sim.rk4_step = capture
-    if limit is not None:
-        saved, sim._DENSE_MAX_BYTES = sim._DENSE_MAX_BYTES, limit
-    try:
-        sim.run(game, g, specs, mode, x0=x0, z0=1.0, c0=1.0, config=cfg)
-    finally:
-        sim.rk4_step = original
-        if limit is not None:
-            sim._DENSE_MAX_BYTES = saved
-    return captured[0]
 
 
 def main(argv=None) -> int:

@@ -175,7 +175,7 @@ def cmd_paper_example(args) -> int:
     _, usummary = _execute(ucfg, out, prefix="unsaturated_")
 
     cap = max(summary.certified_bounds)
-    peak = float(max(summary.max_abs_u))
+    peak = float(max(summary.step_max_abs_u))
     upeak = float(max(usummary.max_abs_u))
     entry = summary.unsaturated_entry_time
     drift = summary.c_trailing_drift

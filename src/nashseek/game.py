@@ -152,7 +152,12 @@ def solve_nash_gradient_play(
         cert = check_game(game)
         if not cert.strongly_monotone:
             raise MonotonicityError(cert.monotonicity)
-        step = 0.9 * cert.monotonicity / float(cert.lipschitz.max()) ** 2
+        # the largest row norm of the Jacobian scaled by a power of two, which
+        # is exact, and divided twice: unscaled, the norm and its square
+        # underflow to 0 for 1e-300 entries and overflow to inf for 1e300 ones
+        scale = np.ldexp(1.0, np.frexp(np.abs(game.jacobian).max())[1] - 1)
+        lmax = float(np.linalg.norm(game.jacobian / scale, axis=1).max() * scale)
+        step = 0.9 * cert.monotonicity / lmax / lmax
     for _ in range(max_iters):
         grad = game.pseudo_gradient(y)
         if np.abs(grad).max() < 1e-10:

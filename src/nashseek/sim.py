@@ -66,6 +66,18 @@ so a member whose dense step faults re-takes it blockwise, which names the
 component that overflowed. A member that still faults leaves the batch.
 The agreement of both right-hand sides with the scalar per-player laws in
 ``tests/oracles.py`` is pinned by tests, not assumed.
+
+The loop copies each accepted state into the next row of a step-history
+block of K + 1 rows of (B, L), row 0 holding the state before the block's
+first step. K is the most whole ``log_every`` intervals whose block fits
+``_HISTORY_BYTES`` (2 MiB), and at most the run's steps. Every K steps, at
+the end, and before a fault takes a member out, one pass over the filled
+rows computes, in stacked calls, u at every step for the per-step peak
+|u| against the certified bound, c against the row before for the
+monotonicity audit, and the logged columns of the rows on the
+``log_every`` grid. So ``bound_violated`` and ``c_monotone`` cover every
+step, and the log costs one pass per block instead of a dozen calls per
+logged row.
 """
 
 from __future__ import annotations
@@ -115,6 +127,9 @@ _MAX_LOG_BYTES = 2**30
 # against 47 us at n = 14 (1.05 MB), 62 against 50 us at n = 15 (1.35 MB)
 # and 76 against 48 us at n = 16 (1.70 MB), as the operator leaves the cache.
 _DENSE_MAX_BYTES = 1_200_000
+# Largest step-history block of _integrate, its carried row included; the
+# block is at least one row.
+_HISTORY_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True)
@@ -177,6 +192,10 @@ class Trajectory:
 class Summary:
     """Scalar verdicts of one run; everything a test or a report gates on.
 
+    ``max_abs_u`` is each player's peak |u| over the logged rows and
+    ``step_max_abs_u`` over every step; ``bound_violated`` (a peak above
+    ``certified_bounds``) and ``c_monotone`` (no gain fell by more than
+    1e-12 in a step) are decided over every step.
     ``c_trailing_drift`` is max |c_final - c| against the first logged row
     at or after 0.9 t_end, and None when no row is logged there.
     """
@@ -185,6 +204,7 @@ class Summary:
     t_converge: float | None
     final_err: float
     max_abs_u: NDArray[np.float64]
+    step_max_abs_u: NDArray[np.float64]
     certified_bounds: NDArray[np.float64]
     bound_violated: bool
     c_final_range: tuple[float, float]
@@ -656,21 +676,33 @@ def _integrate(
     """The RK4 loop over one chunk: a (B, L) state, one result per row.
 
     A :class:`_Stepper` steps ``dense``, :func:`_dense_rhs`'s bind, or
-    ``blockwise`` where ``dense`` is None. One np.errstate silencing
-    overflow and invalid operations is entered around the whole loop, not
-    once per step, so it covers the logging block as well: a logged value
-    of a finite state that overflows, such as an output of a huge plant
-    state, raises no warning either.
+    ``blockwise`` where ``dense`` is None. Each accepted state is copied
+    into the next row of a (K + 1, B, L) step-history block, whose row 0
+    holds the state before the block's first step, and a
+    :class:`_BlockPass` reads the filled rows when the block is full, at
+    the end, and before a fault changes the live members. One np.errstate
+    silencing overflow and invalid operations is entered around the whole
+    loop, not once per step, so it covers the block passes as well: a
+    logged value of a finite state that overflows, such as an output of a
+    huge plant state, raises no warning either.
     """
-    n, width = tables.n, tables.width
-    split, controls = tables.split, tables.controls
+    width = tables.width
     h = config.step_size
     members = len(state)
-    c_prev = split(state)[2].copy()
+    passes = _BlockPass(tables, ref, config, members)
+    block_rows = _history_rows(config, members * width * 8)
+
     if members == 1:
         # a lone member steps as one (L,) vector: numpy's fixed cost per call
         # grows with every broadcast axis
         state = state[0]
+
+    def new_block(first: NDArray[np.float64]):
+        block = np.empty((block_rows + 1,) + first.shape)
+        block[0] = first
+        return block, list(block)
+
+    block, rows = new_block(state)
     bind = blockwise if dense is None else dense
     stepper = _Stepper(bind, tables.rows, state, h)
 
@@ -683,20 +715,11 @@ def _integrate(
         return _Stepper(blockwise, tables.rows, s, h).step()
 
     steps = config.steps
-    log_every = config.log_every
-    n_logs = steps // log_every
-    # one (n_logs, 2N + 5) block per member: t | y | u | err | tail | tilde | zres
-    logs = [np.empty((n_logs, 2 * n + 5)) for _ in range(members)]
-    rows = np.empty((members, 2 * n + 5))
     faults: dict[int, IntegrationError] = {}
     live = np.arange(members)
-    c_monotone = np.ones(members, dtype=bool)
-    c_mark = np.empty_like(c_prev)
-    drift_mark_t = 0.9 * config.t_end
-    marked = False
-
+    copyto = np.copyto
     k = 0
-    row = 0
+    j = 0  # rows of the block filled since its row 0
     with np.errstate(over="ignore", invalid="ignore"):
         while k < steps:
             try:
@@ -718,41 +741,34 @@ def _integrate(
                             time=t,
                             component=comp,
                         )
-                live = live[keep]
-                if not live.size:
-                    break
+                if len(keep) < live.size:
+                    # the filled rows belong to the members live before the fault
+                    if j:
+                        passes.run(block[: j + 1], k - j, live)
+                    live, last, j = live[keep], block[j, keep], 0
+                    if not live.size:
+                        break
+                    block, rows = new_block(last)
                 state = np.array(stepped) if state.ndim > 1 else stepped[0]
                 stepper = _Stepper(bind, tables.rows, state, h)
             k += 1
-            if k % log_every:
-                continue
-            t = k * h
-            x, z, c, eta = split(state)
-            y = tables.outputs(x)
-            block = rows[: live.size]
-            block[:, 0] = t
-            block[:, 1 : n + 1] = y
-            block[:, n + 1 : 2 * n + 1] = controls(x, eta)
-            block[:, 2 * n + 1] = np.abs(y - ref).max(axis=-1)
-            block[:, 2 * n + 2] = tables.tail_max(x)
-            block[:, 2 * n + 3] = np.abs(x[..., 0] + tables.pvec * eta).max(axis=-1)
-            block[:, 2 * n + 4] = np.abs(z + eta[..., None, :]).max(axis=(-2, -1))
-            for j, b in enumerate(live):
-                logs[b][row] = block[j]
-            c_monotone[live] &= ~(c < c_prev[live] - _C_MONOTONE_SLACK).any(axis=(-2, -1))
-            c_prev[live] = c
-            if not marked and t >= drift_mark_t:
-                c_mark[live] = c
-                marked = True
-            row += 1
+            j += 1
+            copyto(rows[j], state)
+            if j == block_rows:
+                passes.run(block, k - j, live)
+                copyto(rows[0], state)
+                j = 0
+        if j:
+            passes.run(block[: j + 1], k - j, live)
 
-    c_final = dict(zip(live.tolist(), split(state.reshape(-1, width))[2].copy()))
+    n = tables.n
+    c_final = dict(zip(live.tolist(), tables.split(state.reshape(-1, width))[2].copy()))
     results: list[tuple[Trajectory, Summary] | IntegrationError] = []
     for b in range(members):
         if b in faults:
             results.append(faults[b])
             continue
-        log = logs[b]
+        log = passes.logs[b]
         traj = Trajectory(
             times=log[:, 0],
             y=log[:, 1 : n + 1],
@@ -763,9 +779,100 @@ def _integrate(
             z_residual=log[:, 2 * n + 4],
             c_snapshot=c_final[b],
         )
-        mark = c_mark[b] if marked else None
-        results.append((traj, _summarize(traj, tables, config, c_monotone[b], mark)))
+        mark = passes.c_mark[b] if passes.marked else None
+        summary = _summarize(
+            traj, tables, config, passes.c_monotone[b], mark, passes.step_peak[b]
+        )
+        results.append((traj, summary))
     return results
+
+
+def _history_rows(config: SimConfig, row_bytes: int) -> int:
+    """Rows K of a step-history block whose rows take ``row_bytes`` each.
+
+    The most whole log intervals whose K + 1 rows (the carried row 0
+    included) fit ``_HISTORY_BYTES``; where one interval does not fit, the
+    most rows that do, at least one. Never more than the run's steps.
+    """
+    fit = _HISTORY_BYTES // row_bytes - 1
+    every = config.log_every
+    rows = fit - fit % every if fit >= every else max(1, fit)
+    return min(rows, config.steps)
+
+
+class _BlockPass:
+    """Per-member results of the passes over one chunk's step-history blocks.
+
+    Each :meth:`run` reads a block's rows in stacked calls: u at every row
+    for the per-step peak |u| (``step_peak``), c against the row before
+    for the monotonicity audit (``c_monotone``), and the logged columns
+    t | y | u | err | tail | tilde | zres of the rows on the ``log_every``
+    grid, written into each member's (steps // log_every, 2N + 5) log with
+    one assignment per member. The logged values are those of the state
+    at their step, computed by the same calls on more rows, so a log does
+    not depend on where the block boundaries fall.
+    """
+
+    def __init__(self, tables: _Tables, ref: NDArray[np.float64], config: SimConfig, members: int):
+        n = tables.n
+        self.tables = tables
+        self.ref = ref
+        self.h = config.step_size
+        self.every = config.log_every
+        self.logs = [np.empty((config.steps // self.every, 2 * n + 5)) for _ in range(members)]
+        self.logged = 0
+        self.step_peak = np.zeros((members, n))
+        self.c_monotone = np.ones(members, dtype=bool)
+        # c at the first logged row at or after 0.9 t_end
+        self.mark_t = 0.9 * config.t_end
+        self.c_mark = np.empty((members, n, n))
+        self.marked = False
+
+    def run(self, block: NDArray[np.float64], k0: int, live: NDArray[np.intp]) -> None:
+        """Audit and log ``block``'s rows 1..J, the states after steps k0 + 1..k0 + J.
+
+        Row 0 is the state after step k0, and column b of a (J + 1, B, L)
+        block belongs to member ``live[b]``; a lone member's is (J + 1, L).
+        """
+        tables, n = self.tables, self.tables.n
+        block = block.reshape(len(block), len(live), tables.width)
+        x, z, c, eta = tables.split(block)
+        u = tables.controls(x[1:], eta[1:])
+        self.step_peak[live] = np.maximum(self.step_peak[live], np.abs(u).max(axis=0))
+        # c against the row before, over spans of rows whose temporaries stay
+        # within a sixteenth of the block's cap
+        span = max(1, _HISTORY_BYTES // 16 // c[0].nbytes)
+        rows = len(block) - 1
+        dips = np.zeros(len(live), dtype=bool)
+        for i in range(0, rows, span):
+            end = min(i + span, rows)
+            dips |= (c[i + 1 : end + 1] < c[i:end] - _C_MONOTONE_SLACK).any(axis=(0, 2, 3))
+        self.c_monotone[live] &= ~dips
+        # block row 1 + first is the first on the grid
+        first = -(k0 + 1) % self.every
+        grid = slice(1 + first, None, self.every)
+        t = np.arange(k0 + 1 + first, k0 + len(block), self.every) * self.h
+        if not t.size:
+            return
+        x, z, c, eta = x[grid], z[grid], c[grid], eta[grid]
+        y = tables.outputs(x)
+        cols = np.empty(y.shape[:-1] + (2 * n + 5,))
+        cols[..., 0] = t[:, None]
+        cols[..., 1 : n + 1] = y
+        cols[..., n + 1 : 2 * n + 1] = u[first :: self.every]
+        cols[..., 2 * n + 1] = np.abs(y - self.ref).max(axis=-1)
+        cols[..., 2 * n + 2] = tables.tail_max(x)
+        cols[..., 2 * n + 3] = np.abs(x[..., 0] + tables.pvec * eta).max(axis=-1)
+        cols[..., 2 * n + 4] = np.abs(z + eta[..., None, :]).max(axis=(-2, -1))
+        end = self.logged + t.size
+        for pos, b in enumerate(live):
+            self.logs[b][self.logged : end] = cols[:, pos]
+        self.logged = end
+        if not self.marked:
+            hit = np.flatnonzero(t >= self.mark_t)
+            if hit.size:
+                self.c_mark[live] = c[hit[0]]
+                self.marked = True
 
 
 def _summarize(
@@ -774,18 +881,19 @@ def _summarize(
     config: SimConfig,
     c_monotone: bool,
     c_at_mark: NDArray[np.float64] | None,
+    step_peak: NDArray[np.float64],
 ) -> Summary:
     c_final = traj.c_snapshot
     converged, t_conv = detect_convergence(traj, config.conv_tol, config.conv_window)
-    max_abs_u = np.abs(traj.u).max(axis=0)
     drift = None if c_at_mark is None else float(np.abs(c_final - c_at_mark).max())
     return Summary(
         converged=converged,
         t_converge=t_conv,
         final_err=float(traj.err[-1]),
-        max_abs_u=max_abs_u,
+        max_abs_u=np.abs(traj.u).max(axis=0),
+        step_max_abs_u=step_peak.copy(),
         certified_bounds=tables.certified.copy(),
-        bound_violated=bool((max_abs_u > tables.certified + 1e-9).any()),
+        bound_violated=bool((step_peak > tables.certified + 1e-9).any()),
         c_final_range=(float(c_final.min()), float(c_final.max())),
         c_monotone=bool(c_monotone),
         unsaturated_entry_time=unsaturated_entry(traj),

@@ -59,6 +59,7 @@ class TestRun:
             "t_converge",
             "final_err",
             "max_abs_u",
+            "step_max_abs_u",
             "certified_bounds",
             "bound_violated",
             "c_final_range",
@@ -302,6 +303,16 @@ class TestSolveNe:
         )
         assert main(["solve-ne", cfg_path]) == 3
         assert "monotone" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_extreme_diagonal_game(self, tmp_path, capsys, scale):
+        # unscaled, the default step's row norm and its square underflow to 0
+        # (a division by zero) or overflow to inf (a zero step that never moves)
+        jacobian = (np.eye(3) * scale).tolist()
+        cfg_path = write_config(tmp_path, {"game": {"jacobian": jacobian, "offset": [1, 1, 1]}})
+        assert main(["solve-ne", cfg_path]) == 0
+        # both solvers print the equilibrium -1 / scale for every player
+        assert capsys.readouterr().out.count(f"{-1 / scale:.10g}") == 6
 
 
 class TestCheck:

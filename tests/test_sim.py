@@ -607,6 +607,124 @@ class TestRunBatch:
         assert summary.c_trailing_drift is None
 
 
+def poison_rates(monkeypatch, threshold):
+    """Make both bound right-hand sides write NaN rates wherever c_11 > ``threshold``."""
+    for name in ("_dense_rhs", "_blockwise_rhs"):
+
+        def faulting(tables, game, make=getattr(sim, name)):
+            bind = make(tables, game)
+            c11 = tables.npad + tables.n**2
+
+            def poisoned_bind(s, out, lin):
+                rhs = bind(s, out, lin)
+
+                def poisoned():
+                    rhs()
+                    out[s[..., c11] > threshold] = np.nan
+
+                return poisoned
+
+            return poisoned_bind
+
+        monkeypatch.setattr(sim, name, faulting)
+
+
+class TestStepAudit:
+    """The certified properties are audited on every step, not only on logged rows."""
+
+    def test_peak_between_logged_rows(self, monkeypatch):
+        game, g, specs = small_setup()
+        x0 = [np.full(s.order, 0.4) for s in specs]
+        every = SimConfig(step_size=1e-2, t_end=2.0, log_every=1, conv_window=0.5)
+        sparse = replace(every, log_every=25)
+        traj, _ = run(game, g, specs, SAT, x0=x0, z0=0.2, config=every)
+        _, summary = run(game, g, specs, SAT, x0=x0, z0=0.2, config=sparse)
+        np.testing.assert_array_equal(summary.step_max_abs_u, np.abs(traj.u).max(axis=0))
+        # the third player's |u| peaks at the first step, before the first logged row
+        logged, peak = summary.max_abs_u[2], summary.step_max_abs_u[2]
+        assert logged < peak
+        # a bound between the two is exceeded only between logged rows
+        bound = (logged + peak) / 2
+        certified = sim._seeker.certified_bound
+        monkeypatch.setattr(
+            sim._seeker,
+            "certified_bound",
+            lambda spec, mode: bound if spec == specs[2] else certified(spec, mode),
+        )
+        traj, summary = run(game, g, specs, SAT, x0=x0, z0=0.2, config=sparse)
+        assert summary.certified_bounds[2] == bound
+        assert (np.abs(traj.u) <= summary.certified_bounds).all()
+        assert summary.bound_violated
+        assert summary.step_max_abs_u[2] > summary.max_abs_u[2]
+
+    def test_gain_dip_between_logged_rows(self, monkeypatch, use_path):
+        # every gain falls for two steps after the row logged at step 10, then
+        # rises past where it was for four, all before the row at step 20
+        use_path("dense")
+        make = sim._dense_rhs
+        calls = []
+
+        def dipping(tables, game):
+            bind = make(tables, game)
+            gains = slice(tables.npad + tables.n**2, tables.npad + 2 * tables.n**2)
+
+            def dipping_bind(s, out, lin):
+                rhs = bind(s, out, lin)
+
+                def dipped():
+                    rhs()
+                    step = len(calls) // 4 + 1
+                    calls.append(step)
+                    if step in (11, 12):
+                        out[..., gains] = -1.0
+                    elif 13 <= step <= 16:
+                        out[..., gains] = 1.0
+
+                return dipped
+
+            return dipping_bind
+
+        monkeypatch.setattr(sim, "_dense_rhs", dipping)
+        game, g, specs = small_setup()
+        cfg = SimConfig(step_size=1e-3, t_end=0.05, log_every=10, conv_window=0.05)
+        _, summary = run(game, g, specs, SAT, config=cfg)
+        assert calls[-1] == cfg.steps
+        assert not summary.c_monotone
+
+    @pytest.mark.parametrize("fit", [1, 2, 4, 7])
+    def test_block_boundaries_leave_results_unchanged(self, monkeypatch, fit):
+        # blocks of K < steps rows, whose boundaries need not fall on logged
+        # rows, and a member that faults mid-block, against one block that
+        # holds the whole run
+        poison_rates(monkeypatch, 1.5)
+        game, g, specs = small_setup(orders=(1, 1, 1))
+        cfg = SimConfig(step_size=0.05, t_end=2.0, log_every=3, conv_window=1.0)
+        z0s = [0.2, 3.0, -0.3]
+
+        def results():
+            batch = run_batch(game, g, specs, SAT, [None] * 3, z0s, [1.0] * 3, cfg)
+            return [*batch, run(game, g, specs, SAT, z0=z0s[0], config=cfg)]
+
+        monkeypatch.setattr(sim, "_HISTORY_BYTES", 2**40)
+        whole = results()
+        row_bytes = 3 * sim._Tables(specs, SAT, g).width * 8
+        monkeypatch.setattr(sim, "_HISTORY_BYTES", (fit + 1) * row_bytes)
+        rows = sim._history_rows(cfg, row_bytes)
+        assert rows == {1: 1, 2: 2, 4: 3, 7: 6}[fit]
+        blocks = results()
+        # the high-gain member faults between its block's first and last rows
+        assert isinstance(whole[1], IntegrationError)
+        fault_step = round(whole[1].time / cfg.step_size)
+        assert fault_step > cfg.log_every and (rows == 1 or (fault_step - 1) % rows)
+        assert (blocks[1].time, blocks[1].component, str(blocks[1])) == (
+            whole[1].time,
+            whole[1].component,
+            str(whole[1]),
+        )
+        for b in (0, 2, 3):
+            assert_same_result(blocks[b], whole[b])
+
+
 def test_tables_build_one_transformation_per_distinct_spec(monkeypatch):
     built = []
     build = sim.build_transformation

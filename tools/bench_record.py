@@ -17,7 +17,9 @@ RHS_REPEATS timings, and then the minimum of each over PROBE_ROUNDS
 probes. Both right-hand sides (dense operator and blockwise) are timed,
 except that no dense operator over PROBE_MAX_OPERATOR_BYTES is built. The
 probe drives the checkout's ``sim._Stepper``, so a checkout without one
-cannot be probed.
+cannot be probed. The same probe times the logging layer: ``sim._integrate``
+per step on one member at the INTEGRATE_STEPS sizes, logging every 10
+steps and once, recorded under ``integrate``.
 
 Everything runs in child processes with BLAS on one thread. The record
 names the checkout's git sha, a digest of its ``src/``, Python, numpy and
@@ -64,6 +66,9 @@ RHS_SIZES = (3, 6, 12, 13, 14, 15, 16, 20, 24, 96)
 PROBE_MAX_OPERATOR_BYTES = 2**27
 RHS_CALLS = 2000
 RHS_REPEATS = 7
+# the logging layer: sim._integrate on the worked example's players at these
+# sizes and step counts, logging every 10 steps and once at the end
+INTEGRATE_STEPS = {6: 1000, 96: 50}
 # probe rounds; with --pairs-against the two sides' probes alternate
 PROBE_ROUNDS = 5
 
@@ -208,26 +213,33 @@ def rhs_rounds(sides: list[Path]) -> list[list[dict]]:
     return runs
 
 
+# the probe's lists of timed rows
+PROBE_TABLES = ("sizes", "integrate")
+
+
 def probe_minima(side: list[dict]) -> dict:
     """One side's probe rounds merged: each time as its minimum over the rounds."""
-    rows = [
-        {key: min(probe["sizes"][i][key] for probe in side) for key in row}
-        for i, row in enumerate(side[0]["sizes"])
-    ]
-    return {**side[0], "sizes": rows, "rounds": PROBE_ROUNDS}
+    merged = {**side[0], "rounds": PROBE_ROUNDS}
+    for table in PROBE_TABLES:
+        merged[table] = [
+            {key: min(probe[table][i][key] for probe in side) for key in row}
+            for i, row in enumerate(side[0][table])
+        ]
+    return merged
 
 
 def probe_ratios(change: list[dict], parent: list[dict]) -> list[dict]:
-    """Per size and path, the median over rounds of change/parent scaled medians."""
+    """Per row and timed key, the median over rounds of change/parent scaled medians."""
     rows = []
-    for i, row in enumerate(change[0]["sizes"]):
-        ratios = {"n": row["n"]}
-        for key in row:
-            if key.endswith("_us_median") and key in parent[0]["sizes"][i]:
-                ratios[key.replace("_us_median", "_ratio_median")] = statistics.median(
-                    c["sizes"][i][key] / p["sizes"][i][key] for c, p in zip(change, parent)
-                )
-        rows.append(ratios)
+    for table in PROBE_TABLES:
+        for i, row in enumerate(change[0][table]):
+            ratios = {"table": table, "n": row["n"]}
+            for key in row:
+                if key.endswith("_us_median") and key in parent[0][table][i]:
+                    ratios[key.replace("_us_median", "_ratio_median")] = statistics.median(
+                        c[table][i][key] / p[table][i][key] for c, p in zip(change, parent)
+                    )
+            rows.append(ratios)
     return rows
 
 
@@ -276,7 +288,47 @@ def rhs_probe() -> dict:
                 row[f"{name}_{layer}us_median"] = statistics.median(per_call)
         rows.append(row)
     return {"players": "order 3, theta 1/3, directed cycle, ring game", "step_size": h,
-            "sizes": rows}
+            "sizes": rows, "integrate": integrate_rows(h)}
+
+
+def integrate_rows(h: float) -> list[dict]:
+    """Per-step time of ``sim._integrate``, one member, at each INTEGRATE_STEPS size.
+
+    Logging every 10 steps and once at the end (``log_every`` = steps); the
+    difference is the logging layer's cost per step. The right-hand sides
+    are built outside the timing, as ``sim._chunks`` builds them, and the
+    operator only where ``sim._DENSE_MAX_BYTES`` allows it.
+    """
+    import numpy as np
+    from nashseek import PlayerSpec, SeekerMode, SimConfig, cycle_digraph, ring_game, sim
+    from nashseek.game import solve_nash_closed_form
+
+    rows = []
+    for n, steps in INTEGRATE_STEPS.items():
+        game, g = ring_game(n), cycle_digraph(n)
+        specs = tuple(PlayerSpec(order=3, theta=1 / 3, delta=1.0, u_limit=0.4815)
+                      for _ in range(n))
+        x0 = [np.array([float(i + 1), 1.0, 1.0]) for i in range(n)]
+        tables = sim._Tables(specs, SeekerMode.SATURATED_DIRECTED, g)
+        dense = (sim._dense_rhs(tables, game)
+                 if tables.operator_bytes() <= sim._DENSE_MAX_BYTES else None)
+        blockwise = sim._blockwise_rhs(tables, game)
+        ref = solve_nash_closed_form(game)
+        state = tables.initial_state(x0, 1.0, 1.0)[None]
+        t_end = steps * h
+        row = {"n": n, "steps": steps, "path": "blockwise" if dense is None else "dense"}
+        for name, every in (("log_every_10", 10), ("log_once", steps)):
+            config = SimConfig(step_size=h, t_end=t_end, log_every=every, conv_window=t_end)
+
+            def call():
+                sim._integrate(tables, dense, blockwise, ref, state, config)
+
+            call()
+            per_step = [scaled_time(call, 1) / steps * 1e6 for _ in range(RHS_REPEATS)]
+            row[f"{name}_us_min"] = min(per_step)
+            row[f"{name}_us_median"] = statistics.median(per_step)
+        rows.append(row)
+    return rows
 
 
 def scaled_time(call, number: int) -> float:

@@ -104,16 +104,19 @@ def check_game(game: QuadraticGame) -> GameCertificate:
 
     The symmetric part of the Jacobian is formed explicitly before the
     eigensolve, so nearly-symmetric input needs no tolerance decision; it
-    sums exact halves, which cannot overflow. A row norm beyond double
-    range reads inf, without a warning. A non-positive modulus is reported,
-    not raised: some callers only want the numbers, and the simulator
-    records the violation instead of dying.
+    sums exact halves, which cannot overflow. The row norms are those of
+    the Jacobian scaled by a power of two, which is exact, so they neither
+    underflow to 0 for tiny entries nor overflow for huge finite ones; a
+    norm beyond double range reads inf, without a warning. A non-positive
+    modulus is reported, not raised: some callers only want the numbers,
+    and the simulator records the violation instead of dying.
     """
     jac = game.jacobian
     sym = 0.5 * jac + 0.5 * jac.T
     modulus = float(np.linalg.eigvalsh(sym)[0])
+    scale = np.ldexp(1.0, np.frexp(np.abs(jac).max())[1] - 1)
     with np.errstate(over="ignore"):
-        lips = np.linalg.norm(jac, axis=1)
+        lips = np.linalg.norm(jac / scale, axis=1) * scale
     return GameCertificate(monotonicity=modulus, lipschitz=lips)
 
 
@@ -152,11 +155,9 @@ def solve_nash_gradient_play(
         cert = check_game(game)
         if not cert.strongly_monotone:
             raise MonotonicityError(cert.monotonicity)
-        # the largest row norm of the Jacobian scaled by a power of two, which
-        # is exact, and divided twice: unscaled, the norm and its square
-        # underflow to 0 for 1e-300 entries and overflow to inf for 1e300 ones
-        scale = np.ldexp(1.0, np.frexp(np.abs(game.jacobian).max())[1] - 1)
-        lmax = float(np.linalg.norm(game.jacobian / scale, axis=1).max() * scale)
+        # divided twice: the square underflows to 0 for 1e-300 entries and
+        # overflows to inf for 1e300 ones
+        lmax = float(cert.lipschitz.max())
         step = 0.9 * cert.monotonicity / lmax / lmax
     for _ in range(max_iters):
         grad = game.pseudo_gradient(y)

@@ -59,25 +59,26 @@ members stay bit-identical to their solo runs.
 Above the byte bound the blockwise right-hand side (a Laplacian product,
 the game's self-gradients and the padded plant block) runs instead, and no
 operator is built; there a step is passes over n^2-wide arrays, not
-numpy's cost per call. When a batch step goes non-finite, every member
-re-takes it alone, as in its solo run, by a one-member stepper; a dense
-product turns one overflowed entry into NaN across its member's whole row,
-so a member whose dense step faults re-takes it blockwise, which names the
-component that overflowed. A member that still faults leaves the batch.
+numpy's cost per call. A fault keeps the batch's shape: the finite rows
+of a non-finite step are kept, each bit-identical to its member's solo
+step, and each non-finite row re-takes the step alone and blockwise, since
+a dense product turns one overflowed entry into NaN across its member's
+whole row and the blockwise step names the component. A member that still
+faults is recorded and its row parked at zeros; the chunk stops once every
+member has faulted.
 The agreement of both right-hand sides with the scalar per-player laws in
 ``tests/oracles.py`` is pinned by tests, not assumed.
 
 The loop copies each accepted state into the next row of a step-history
 block of K + 1 rows of (B, L), row 0 holding the state before the block's
 first step. K is the most whole ``log_every`` intervals whose block fits
-``_HISTORY_BYTES`` (2 MiB), and at most the run's steps. Every K steps, at
-the end, and before a fault takes a member out, one pass over the filled
-rows computes, in stacked calls, u at every step for the per-step peak
-|u| against the certified bound, c against the row before for the
-monotonicity audit, and the logged columns of the rows on the
-``log_every`` grid. So ``bound_violated`` and ``c_monotone`` cover every
-step, and the log costs one pass per block instead of a dozen calls per
-logged row.
+``_HISTORY_BYTES`` (2 MiB), and at most the run's steps. Every K steps and
+at the end, one pass over the filled rows computes, in stacked calls, u at
+every step for the per-step peak |u| against the certified bound, c
+against the row before for the monotonicity audit, and the logged columns
+of the rows on the ``log_every`` grid. So ``bound_violated`` and
+``c_monotone`` cover every step, and the log costs one pass per block
+instead of a dozen calls per logged row.
 """
 
 from __future__ import annotations
@@ -293,14 +294,15 @@ class _Stepper:
     def step(self) -> NDArray[np.float64]:
         """Advance one step and return the new state, a buffer reused two steps on.
 
-        On a non-finite result it raises, and ``state`` stays the step's start.
+        On a non-finite result it raises, and ``state`` holds that result:
+        rows the caller overwrites there are the next step's start.
         """
         calls, nxt = self._phases[self._phase]
         for call in calls:
             call()
-        _check_finite(nxt)
         self._phase ^= 1
         self.state = nxt
+        _check_finite(nxt)
         return nxt
 
 
@@ -358,9 +360,10 @@ class _Tables:
         self.delta_col = deltas[:, None]
         # clip level per player, inf when unsaturated: min(max(x, -inf), inf) is x
         self.levels = np.full(n, np.inf) if mode is SeekerMode.UNSATURATED else deltas
-        self.level_col = self.levels[:, None]
         self.neg_levels = -self.levels
-        self.neg_level_col = -self.level_col
+        # the same per slot of the flat (..., N mmax) plant block
+        self.hi = np.repeat(self.levels, mmax)
+        self.lo = -self.hi
         self.rho_augmented = mode is not SeekerMode.UNDIRECTED_ADAPTIVE
         self.weights = g.weights
         self.lap = laplacian(g)
@@ -385,7 +388,8 @@ class _Tables:
 
     def controls(self, x: NDArray[np.float64], eta: NDArray[np.float64]) -> NDArray[np.float64]:
         inner = x[..., 0] + self.pvec * eta
-        x = np.minimum(np.maximum(x, self.neg_level_col), self.level_col)
+        flat = x.reshape(x.shape[:-2] + (self.npad,))
+        x = np.minimum(np.maximum(flat, self.lo), self.hi).reshape(x.shape)
         inner = np.minimum(np.maximum(inner, self.neg_levels), self.levels)
         return -((self.wmat * x).sum(axis=-1) + self.thm * inner)
 
@@ -531,8 +535,7 @@ def _dense_rhs(tables: _Tables, game: QuadraticGame) -> Callable:
     npad, nn = tables.npad, tables.n * tables.n
     xi0, jz0 = 2 * npad, 2 * npad + nn
     c0, eta0 = npad + nn, npad + 2 * nn
-    hi = np.repeat(tables.levels, tables.mmax)
-    lo = -hi
+    hi, lo = tables.hi, tables.lo
     offset = game.offset
     rho_aug = tables.rho_augmented
     maximum, minimum, multiply, add = np.maximum, np.minimum, np.multiply, np.add
@@ -679,8 +682,10 @@ def _integrate(
     ``blockwise`` where ``dense`` is None. Each accepted state is copied
     into the next row of a (K + 1, B, L) step-history block, whose row 0
     holds the state before the block's first step, and a
-    :class:`_BlockPass` reads the filled rows when the block is full, at
-    the end, and before a fault changes the live members. One np.errstate
+    :class:`_BlockPass` reads the filled rows when the block is full and at
+    the end. A fault changes no shape: a non-finite row re-takes its step
+    from the history block's last row, in place in the stepper's state, or
+    is parked at zeros (see the module docstring). One np.errstate
     silencing overflow and invalid operations is entered around the whole
     loop, not once per step, so it covers the block passes as well: a
     logged value of a finite state that overflows, such as an output of a
@@ -696,79 +701,60 @@ def _integrate(
         # a lone member steps as one (L,) vector: numpy's fixed cost per call
         # grows with every broadcast axis
         state = state[0]
-
-    def new_block(first: NDArray[np.float64]):
-        block = np.empty((block_rows + 1,) + first.shape)
-        block[0] = first
-        return block, list(block)
-
-    block, rows = new_block(state)
-    bind = blockwise if dense is None else dense
-    stepper = _Stepper(bind, tables.rows, state, h)
-
-    def retake(s: NDArray[np.float64]) -> NDArray[np.float64]:
-        if dense is not None:
-            try:
-                return _Stepper(dense, tables.rows, s, h).step()
-            except IntegrationError:
-                pass
-        return _Stepper(blockwise, tables.rows, s, h).step()
+    block = np.empty((block_rows + 1,) + state.shape)
+    block[0] = state
+    rows = list(block)
+    stepper = _Stepper(blockwise if dense is None else dense, tables.rows, state, h)
 
     steps = config.steps
     faults: dict[int, IntegrationError] = {}
-    live = np.arange(members)
     copyto = np.copyto
     k = 0
-    j = 0  # rows of the block filled since its row 0
+    j = 0  # rows of the block filled since its row 0; row j is the next step's start
     with np.errstate(over="ignore", invalid="ignore"):
         while k < steps:
             try:
                 state = stepper.step()
             except IntegrationError:
-                # each member re-takes the step alone, as in its solo run, and
-                # blockwise where its dense step faults (see the module docstring)
+                # only the non-finite rows re-take the step, each alone and
+                # blockwise (see the module docstring), written in place
+                state = stepper.state
                 t = (k + 1) * h
-                keep, stepped = [], []
-                for pos, s in enumerate(state.reshape(-1, width)):
-                    try:
-                        stepped.append(retake(s))
-                        keep.append(pos)
-                    except IntegrationError as exc:
-                        comp = int(tables.packed[exc.component])
-                        faults[int(live[pos])] = IntegrationError(
-                            f"integration fault at t = {t:.6g}: non-finite state component "
-                            f"{comp} after a step",
-                            time=t,
-                            component=comp,
-                        )
-                if len(keep) < live.size:
-                    # the filled rows belong to the members live before the fault
-                    if j:
-                        passes.run(block[: j + 1], k - j, live)
-                    live, last, j = live[keep], block[j, keep], 0
-                    if not live.size:
-                        break
-                    block, rows = new_block(last)
-                state = np.array(stepped) if state.ndim > 1 else stepped[0]
-                stepper = _Stepper(bind, tables.rows, state, h)
+                result, start = state.reshape(-1, width), rows[j].reshape(-1, width)
+                for b in np.flatnonzero(~np.isfinite(result).all(axis=-1)).tolist():
+                    if b not in faults:
+                        try:
+                            result[b] = _Stepper(blockwise, tables.rows, start[b], h).step()
+                            continue
+                        except IntegrationError as exc:
+                            comp = int(tables.packed[exc.component])
+                            faults[b] = IntegrationError(
+                                f"integration fault at t = {t:.6g}: non-finite state "
+                                f"component {comp} after a step",
+                                time=t,
+                                component=comp,
+                            )
+                    result[b] = 0.0
+                if len(faults) == members:
+                    break
             k += 1
             j += 1
             copyto(rows[j], state)
             if j == block_rows:
-                passes.run(block, k - j, live)
+                passes.run(block, k - j)
                 copyto(rows[0], state)
                 j = 0
         if j:
-            passes.run(block[: j + 1], k - j, live)
+            passes.run(block[: j + 1], k - j)
 
     n = tables.n
-    c_final = dict(zip(live.tolist(), tables.split(state.reshape(-1, width))[2].copy()))
+    c_final = tables.split(state.reshape(-1, width))[2].copy()
     results: list[tuple[Trajectory, Summary] | IntegrationError] = []
     for b in range(members):
         if b in faults:
             results.append(faults[b])
             continue
-        log = passes.logs[b]
+        log = passes.log[b]
         traj = Trajectory(
             times=log[:, 0],
             y=log[:, 1 : n + 1],
@@ -779,7 +765,7 @@ def _integrate(
             z_residual=log[:, 2 * n + 4],
             c_snapshot=c_final[b],
         )
-        mark = passes.c_mark[b] if passes.marked else None
+        mark = None if passes.c_mark is None else passes.c_mark[b]
         summary = _summarize(
             traj, tables, config, passes.c_monotone[b], mark, passes.step_peak[b]
         )
@@ -807,8 +793,8 @@ class _BlockPass:
     for the per-step peak |u| (``step_peak``), c against the row before
     for the monotonicity audit (``c_monotone``), and the logged columns
     t | y | u | err | tail | tilde | zres of the rows on the ``log_every``
-    grid, written into each member's (steps // log_every, 2N + 5) log with
-    one assignment per member. The logged values are those of the state
+    grid, written into the chunk's (B, steps // log_every, 2N + 5) ``log``
+    with one assignment. The logged values are those of the state
     at their step, computed by the same calls on more rows, so a log does
     not depend on where the block boundaries fall.
     """
@@ -819,35 +805,34 @@ class _BlockPass:
         self.ref = ref
         self.h = config.step_size
         self.every = config.log_every
-        self.logs = [np.empty((config.steps // self.every, 2 * n + 5)) for _ in range(members)]
+        self.log = np.empty((members, config.steps // self.every, 2 * n + 5))
         self.logged = 0
         self.step_peak = np.zeros((members, n))
         self.c_monotone = np.ones(members, dtype=bool)
-        # c at the first logged row at or after 0.9 t_end
+        # c at the first logged row at or after 0.9 t_end, None until one is
         self.mark_t = 0.9 * config.t_end
-        self.c_mark = np.empty((members, n, n))
-        self.marked = False
+        self.c_mark = None
 
-    def run(self, block: NDArray[np.float64], k0: int, live: NDArray[np.intp]) -> None:
+    def run(self, block: NDArray[np.float64], k0: int) -> None:
         """Audit and log ``block``'s rows 1..J, the states after steps k0 + 1..k0 + J.
 
-        Row 0 is the state after step k0, and column b of a (J + 1, B, L)
-        block belongs to member ``live[b]``; a lone member's is (J + 1, L).
+        Row 0 is the state after step k0. The block is (J + 1, B, L), or
+        (J + 1, L) for a lone member; parked rows are read and not used.
         """
         tables, n = self.tables, self.tables.n
-        block = block.reshape(len(block), len(live), tables.width)
+        block = block.reshape(len(block), -1, tables.width)
         x, z, c, eta = tables.split(block)
         u = tables.controls(x[1:], eta[1:])
-        self.step_peak[live] = np.maximum(self.step_peak[live], np.abs(u).max(axis=0))
+        np.maximum(self.step_peak, np.abs(u).max(axis=0), out=self.step_peak)
         # c against the row before, over spans of rows whose temporaries stay
         # within a sixteenth of the block's cap
         span = max(1, _HISTORY_BYTES // 16 // c[0].nbytes)
         rows = len(block) - 1
-        dips = np.zeros(len(live), dtype=bool)
+        dips = np.zeros(block.shape[1], dtype=bool)
         for i in range(0, rows, span):
             end = min(i + span, rows)
             dips |= (c[i + 1 : end + 1] < c[i:end] - _C_MONOTONE_SLACK).any(axis=(0, 2, 3))
-        self.c_monotone[live] &= ~dips
+        self.c_monotone &= ~dips
         # block row 1 + first is the first on the grid
         first = -(k0 + 1) % self.every
         grid = slice(1 + first, None, self.every)
@@ -865,14 +850,12 @@ class _BlockPass:
         cols[..., 2 * n + 3] = np.abs(x[..., 0] + tables.pvec * eta).max(axis=-1)
         cols[..., 2 * n + 4] = np.abs(z + eta[..., None, :]).max(axis=(-2, -1))
         end = self.logged + t.size
-        for pos, b in enumerate(live):
-            self.logs[b][self.logged : end] = cols[:, pos]
+        self.log[:, self.logged : end] = cols.swapaxes(0, 1)
         self.logged = end
-        if not self.marked:
+        if self.c_mark is None:
             hit = np.flatnonzero(t >= self.mark_t)
             if hit.size:
-                self.c_mark[live] = c[hit[0]]
-                self.marked = True
+                self.c_mark = c[hit[0]].copy()
 
 
 def _summarize(

@@ -364,6 +364,17 @@ class TestCheck:
         assert main(["check", cfg_path]) == 3
         assert "[FAIL] strong-connectivity" in capsys.readouterr().out
 
+    def test_tiny_jacobian_lipschitz_bounds(self, tmp_path, capsys):
+        # unscaled, each row norm underflows to 0
+        jacobian = (np.eye(3) * 1e-300).tolist()
+        data = dict(
+            BASE,
+            game={"jacobian": jacobian, "offset": [1, 1, 1]},
+            graph={"type": "cycle", "n": 3},
+        )
+        main(["check", write_config(tmp_path, data)])
+        assert "row bounds l_i = [1e-300, 1e-300, 1e-300]" in capsys.readouterr().out
+
     def test_pinned_laplacian_failure(self, tmp_path, capsys):
         # strongly connected, but the pinned Laplacian's condition is 7.4e13
         data = dict(
@@ -382,15 +393,15 @@ class TestCheck:
 
 # Extreme but finite inputs, each with the exit code of check and of run.
 _HUGE = {
-    # the row norms overflow to inf: lipschitz, a check-only line, fails
+    # the row norms are finite: scaled, they do not overflow
     "jacobian-1e300": (
-        3,
+        0,
         0,
         {"game": {"jacobian": (np.eye(3) * 1e300).tolist(), "offset": [0, 0, 0]}},
     ),
     # J + J.T would overflow; its halves do not
     "jacobian-1.5e308": (
-        3,
+        0,
         0,
         {"game": {"jacobian": (np.eye(3) * 1.5e308).tolist(), "offset": [0, 0, 0]}},
     ),

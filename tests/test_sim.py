@@ -329,12 +329,18 @@ class TestRunBehavior:
         expected = [certified_bound(s, SAT) for s in specs]
         np.testing.assert_allclose(summary.certified_bounds, expected)
 
-    def test_blowup_raises_with_time(self):
+    def test_blowup_raises_with_time(self, monkeypatch):
         game, g, specs = small_setup(orders=(1, 1, 1))
         cfg = SimConfig(step_size=0.05, t_end=2.0, log_every=1, conv_window=1.0)
         with pytest.raises(IntegrationError) as info:
             run(game, g, specs, SAT, z0=1e3, config=cfg)
         assert info.value.time is not None
+        # a batch whose members all fault, at steps 2 and 3, stops at the last
+        steps = record_steppers(monkeypatch)["steps"]
+        results = list(run_batch(game, g, specs, SAT, [None] * 2, [1e3, 5.0], [1.0] * 2, cfg))
+        assert [round(r.time / cfg.step_size) for r in results] == [2, 3]
+        # three batch steps, each fault's one lone re-take after its step
+        assert steps == [(2,), (2,), (), (2,), ()]
 
     def test_bound_and_monotonicity_fuzz(self, rng):
         cfg = SimConfig(step_size=4e-3, t_end=1.0, log_every=5, conv_window=0.5)
@@ -394,6 +400,26 @@ def poison_dense_rhs(monkeypatch):
         return poisoned_bind
 
     monkeypatch.setattr(sim, "_dense_rhs", faulting)
+
+
+def record_steppers(monkeypatch):
+    """Record the member shape of every stepper built and of every step taken,
+    and whether each step started from a finite state."""
+    seen = {"built": [], "steps": [], "finite": []}
+    init, step = sim._Stepper.__init__, sim._Stepper.step
+
+    def recording_init(self, bind, rows, state, h):
+        seen["built"].append(state.shape[:-1])
+        init(self, bind, rows, state, h)
+
+    def recording_step(self):
+        seen["steps"].append(self.state.shape[:-1])
+        seen["finite"].append(bool(np.isfinite(self.state).all()))
+        return step(self)
+
+    monkeypatch.setattr(sim._Stepper, "__init__", recording_init)
+    monkeypatch.setattr(sim._Stepper, "step", recording_step)
+    return seen
 
 
 class TestRunBatch:
@@ -532,6 +558,36 @@ class TestRunBatch:
             )
         assert [isinstance(r, IntegrationError) for r in results] == [False, True, False]
 
+    @pytest.mark.parametrize("repark", [False, True])
+    def test_a_fault_keeps_the_batch_shape(self, monkeypatch, use_path, repark):
+        # the finite rows of a faulted step are kept, the diverging member is
+        # parked in place; with repark, its parked row (the only one whose c
+        # is zero) goes non-finite again at every later step
+        use_path("dense")
+        game, g, specs = small_setup(orders=(1, 1, 1))
+        cfg = SimConfig(step_size=0.05, t_end=2.0, log_every=1, conv_window=1.0)
+        z0s = [0.2, 1e3, -0.3]
+        with pytest.raises(IntegrationError) as info:
+            run(game, g, specs, SAT, z0=1e3, config=cfg)
+        solo = [run(game, g, specs, SAT, z0=z0s[b], config=cfg) for b in (0, 2)]
+        if repark:
+            poison_rates(monkeypatch, 0.0, hit=np.equal)
+        seen = record_steppers(monkeypatch)
+        results = list(run_batch(game, g, specs, SAT, [None] * 3, z0s, [1.0] * 3, cfg))
+        # every step of the batch, and one lone re-take of the diverging member
+        # after the step it faults at, the second
+        assert seen["steps"] == [(3,)] * 2 + [()] + [(3,)] * (cfg.steps - 2)
+        assert seen["built"] == [(3,), ()]
+        # the parked row restarts from zeros, not from the non-finite result
+        assert all(seen["finite"])
+        assert (results[1].time, results[1].component, str(results[1])) == (
+            info.value.time,
+            info.value.component,
+            str(info.value),
+        )
+        assert_same_result(results[0], solo[0])
+        assert_same_result(results[2], solo[1])
+
     def test_state_above_the_bound_never_builds_the_operator(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("dense operator built")
@@ -607,8 +663,11 @@ class TestRunBatch:
         assert summary.c_trailing_drift is None
 
 
-def poison_rates(monkeypatch, threshold):
-    """Make both bound right-hand sides write NaN rates wherever c_11 > ``threshold``."""
+def poison_rates(monkeypatch, threshold, hit=np.greater):
+    """Make both bound right-hand sides write NaN rates wherever c_11 > ``threshold``.
+
+    ``hit`` replaces the comparison >.
+    """
     for name in ("_dense_rhs", "_blockwise_rhs"):
 
         def faulting(tables, game, make=getattr(sim, name)):
@@ -620,7 +679,7 @@ def poison_rates(monkeypatch, threshold):
 
                 def poisoned():
                     rhs()
-                    out[s[..., c11] > threshold] = np.nan
+                    out[hit(s[..., c11], threshold)] = np.nan
 
                 return poisoned
 

@@ -26,11 +26,11 @@ names the checkout's git sha, a digest of its ``src/``, Python, numpy and
 ``nproc``. Runs take a while: about run_seconds plus 15 s per workload and
 seed, plus the tier-1 suite.
 
-With ``--pairs-against PARENT`` it also runs 10 pairs of each of the
-``reference`` and ``sweep`` workloads on PARENT and on the checkout, pair k
-with seed k on both sides, alternating which side runs first, and records
-each side's end-to-end metrics, the pairs the checkout won on each metric,
-and the quartiles of both sides. Its right-hand-side and step probes then
+With ``--pairs-against PARENT`` it also runs 10 pairs of every workload in
+BENCHMARK.json on PARENT and on the checkout, pair k with seed k on both
+sides, alternating which side runs first, and records each side's
+end-to-end metrics, the pairs the checkout won on each metric, and the
+quartiles of both sides. Its right-hand-side and step probes then
 alternate between PARENT and the checkout, and PARENT's are recorded as
 ``parent_rhs_per_call``. ``rhs_ratio_to_parent`` then holds, per size and
 path, the median over the rounds of each round's checkout/PARENT ratio of
@@ -59,7 +59,6 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
          "-p", "no:cacheprovider"]
 SEEDS = [1, 2, 3, 4, 5]
 PAIRS = 10
-PAIRS_WORKLOADS = ("reference", "sweep")
 # n = 96 is the size of the large_n workload, probed on the blockwise path only
 RHS_SIZES = (3, 6, 12, 13, 14, 15, 16, 20, 24, 96)
 # the dense operator at n = 96 would take 1.5 GB
@@ -370,8 +369,8 @@ def main(argv=None) -> int:
     record["tier1"] = tier1(checkout)
     if parent:
         print("pairs", flush=True)
-        record["pairs"] = [pairs(checkout, parent, workload, PAIRS, seconds)
-                           for workload in PAIRS_WORKLOADS]
+        record["pairs"] = [pairs(checkout, parent, w["name"], PAIRS, seconds)
+                           for w in contract(checkout)["workloads"]]
         record["parent_rhs_per_call"] = probe_minima(probes[1])
         record["rhs_ratio_to_parent"] = probe_ratios(probes[0], probes[1])
     path = ROOT / f"BENCH_{args.label}.json"

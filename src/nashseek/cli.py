@@ -45,7 +45,6 @@ from .scenario import (
     build,
     game_from_block,
     graph_from_block,
-    load_config,
     parse_config,
     read_json,
     reference_scenario,
@@ -176,7 +175,7 @@ def cmd_paper_example(args) -> int:
 
     cap = max(summary.certified_bounds)
     peak = float(max(summary.step_max_abs_u))
-    upeak = float(max(usummary.max_abs_u))
+    upeak = float(max(usummary.step_max_abs_u))
     entry = summary.unsaturated_entry_time
     drift = summary.c_trailing_drift
     checks = [
@@ -245,7 +244,7 @@ def cmd_solve_ne(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = load_config(args.config)
+    cfg = parse_config(read_json(args.config))
     game = game_from_block(cfg.game)
     graph = graph_from_block(cfg.graph)
     cert = check_game(game)

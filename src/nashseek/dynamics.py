@@ -17,7 +17,10 @@ representable theta (the intertwiner matching both canonical matrices and
 input vectors is unique for controllable single-input pairs). The float64
 projections stored alongside are what the integrator uses; the exact
 entries are kept so the similarity identities can be certified without
-rounding.
+rounding. The package itself never checks them: ``similarity_residual`` in
+``tests/oracles.py`` does, in Fractions, against a canonical matrix written
+there from its definition rather than read from :func:`_exact_abar`
+(``test_dynamics`` and acceptance criterion 4).
 """
 
 from __future__ import annotations
@@ -33,13 +36,9 @@ from numpy.typing import NDArray
 from .errors import SingularTransformError
 
 __all__ = [
-    "canonical_a",
-    "canonical_b",
     "PlayerSpec",
     "Transformation",
     "build_transformation",
-    "similarity_residual",
-    "output_coefficients",
     "gain_row",
     "max_control_bound",
     "delta_for_limit",
@@ -81,20 +80,6 @@ def _exact_abar(m: int, theta: Fraction, form: str) -> NDArray[np.object_]:
     for l, val in _column_coeffs(m, theta, form).items():
         abar[: l - 1, l - 1] = val
     return abar
-
-
-def canonical_a(m: int, theta: float, form: str = FORM_STANDARD) -> NDArray[np.float64]:
-    """Canonical system matrix: the float projection of the exact one."""
-    if m < 1:
-        raise ValueError(f"order must be >= 1, got {m}")
-    return _exact_abar(m, Fraction(theta), form).astype(float)
-
-
-def canonical_b(m: int) -> NDArray[np.float64]:
-    """Canonical input vector: all ones."""
-    if m < 1:
-        raise ValueError(f"order must be >= 1, got {m}")
-    return np.ones(m)
 
 
 def theta_in_design_range(theta: float) -> bool:
@@ -181,7 +166,8 @@ class Transformation:
 
     ``exact_t`` / ``exact_t_inverse`` hold the entries as Fractions of the
     (exact binary) theta; the float arrays are their rounded projections.
-    ``a_bar``/``b_bar`` are the canonical pair the control law is stated in.
+    ``a_bar`` is the canonical system matrix the control law is stated in;
+    its input vector is all ones.
     """
 
     order: int
@@ -190,7 +176,6 @@ class Transformation:
     t_matrix: NDArray[np.float64] = field(repr=False)
     t_inverse: NDArray[np.float64] = field(repr=False)
     a_bar: NDArray[np.float64] = field(repr=False)
-    b_bar: NDArray[np.float64] = field(repr=False)
     exact_t: tuple[tuple[Fraction, ...], ...] = field(repr=False)
     exact_t_inverse: tuple[tuple[Fraction, ...], ...] = field(repr=False)
 
@@ -238,33 +223,9 @@ def build_transformation(spec: PlayerSpec) -> Transformation:
         t_matrix=t_f,
         t_inverse=tinv_f,
         a_bar=abar_f,
-        b_bar=canonical_b(m),
         exact_t=tuple(map(tuple, t)),
         exact_t_inverse=tuple(map(tuple, t_inv)),
     )
-
-
-def similarity_residual(tr: Transformation) -> tuple[float, float]:
-    """Exact max-norm residuals of A T - T Abar and B - T Bbar.
-
-    Evaluated over the rational entries, so the returned values measure the
-    construction itself, with no float rounding in the check. Both are zero
-    for every transformation this module builds; the function exists so that
-    tests certify that instead of assuming it.
-    """
-    m = tr.order
-    abar = _exact_abar(m, Fraction(tr.theta), tr.form)
-    t = np.array(tr.exact_t, dtype=object)
-    chain_a = np.eye(m, k=1, dtype=int).astype(object)
-    e_m = np.eye(m, dtype=int)[m - 1]
-    res_a = np.abs(chain_a @ t - t @ abar).max()
-    res_b = np.abs(t.sum(axis=1) - e_m).max()
-    return float(res_a), float(res_b)
-
-
-def output_coefficients(tr: Transformation) -> NDArray[np.float64]:
-    """First row of T: the player's output y = x_1 written in bar coordinates."""
-    return tr.t_matrix[0].copy()
 
 
 def gain_row(order: int, theta: float, form: str = FORM_STANDARD) -> list[float]:

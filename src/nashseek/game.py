@@ -64,13 +64,6 @@ class QuadraticGame:
     def n_players(self) -> int:
         return self.offset.shape[0]
 
-    def gradient(self, i: int, y: NDArray[np.floating]) -> float:
-        """Partial gradient of player i's cost in its own action, at profile y."""
-        if not 0 <= i < self.n_players:
-            raise IndexError(f"player index {i} out of range for {self.n_players} players")
-        y = np.asarray(y, dtype=float)
-        return float(self.jacobian[i] @ y + self.offset[i])
-
     def pseudo_gradient(self, y: NDArray[np.floating]) -> NDArray[np.float64]:
         """Stacked own-action gradients, all evaluated at the same profile y."""
         y = np.asarray(y, dtype=float)

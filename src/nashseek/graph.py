@@ -58,10 +58,6 @@ class Digraph:
     def n(self) -> int:
         return self.weights.shape[0]
 
-    def in_neighbors(self, i: int) -> NDArray[np.int_]:
-        """Indices j that player i receives from (weights[i, j] > 0)."""
-        return np.flatnonzero(self.weights[i] > 0)
-
     @property
     def symmetric(self) -> bool:
         return bool(np.array_equal(self.weights, self.weights.T))

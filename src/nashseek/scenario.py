@@ -44,7 +44,6 @@ __all__ = [
     "ScenarioConfig",
     "BuiltScenario",
     "parse_config",
-    "load_config",
     "build",
     "reference_scenario",
 ]
@@ -379,11 +378,6 @@ def parse_config(data: dict) -> ScenarioConfig:
         seed=seed,
         allow_large_theta=allow_large_theta,
     )
-
-
-def load_config(path: str | Path) -> ScenarioConfig:
-    """Read and resolve a scenario JSON file."""
-    return parse_config(read_json(path))
 
 
 def build(cfg: ScenarioConfig) -> BuiltScenario:

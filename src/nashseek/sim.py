@@ -92,7 +92,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import seeker as _seeker
-from .dynamics import PlayerSpec, build_transformation, gain_row, output_coefficients
+from .dynamics import PlayerSpec, build_transformation, gain_row
 from .errors import (
     ConfigError,
     ConnectivityError,
@@ -343,17 +343,16 @@ class _Tables:
             tr = build_transformation(spec)
             built[spec] = (
                 tr,
-                output_coefficients(tr),
                 gain_row(spec.order, spec.theta, spec.form),
                 _seeker.integral_scale(spec),
                 _seeker.certified_bound(spec, mode),
             )
         self.transforms = [built[spec][0] for spec in specs]
         for i, spec in enumerate(specs):
-            tr, out_row, row, self.pvec[i], self.certified[i] = built[spec]
+            tr, row, self.pvec[i], self.certified[i] = built[spec]
             m = spec.order
             self.abar[i, :m, :m] = tr.a_bar
-            self.out_rows[i, :m] = out_row
+            self.out_rows[i, :m] = tr.t_matrix[0]  # y = x_1 in bar coordinates
             self.thm[i] = row[0]
             self.wmat[i, 1:m] = row[1:]
         deltas = np.array([s.delta for s in specs])

@@ -8,23 +8,26 @@ stay independent of :func:`nashseek.dynamics.gain_row` and ``sim._Tables``:
 touch only one-hop information, so an access audit can poison everything
 else and observe no difference.
 
-Also here: the integrator-chain pair and its controllability matrix, the
-independent route to the coordinate change of :mod:`nashseek.dynamics`;
-the order-independent geometric control bound; the flat state layout
-[xbar_1..xbar_N | z | c | eta] that ``IntegrationError.component`` indexes
-(:func:`pack_state`); and the textbook RK4 step (:func:`rk4_step`) that
-the simulator's stepper is checked against.
+Also here: the integrator-chain pair, the canonical matrix from its
+definition and the controllability matrix, the independent route to the
+coordinate change of :mod:`nashseek.dynamics`, whose exact residuals
+:func:`similarity_residual` takes; the order-independent geometric control
+bound; the flat state layout [xbar_1..xbar_N | z | c | eta] that
+``IntegrationError.component`` indexes (:func:`pack_state`); and the
+textbook RK4 step (:func:`rk4_step`) that the simulator's stepper is
+checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from nashseek.dynamics import FORM_ALTERNATE, PlayerSpec
+from nashseek.dynamics import FORM_ALTERNATE, FORM_STANDARD, PlayerSpec, Transformation
 from nashseek.errors import NashseekError
 from nashseek.game import QuadraticGame
 from nashseek.graph import Digraph, laplacian
@@ -47,6 +50,19 @@ def chain_matrices(m: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     return a, b
 
 
+def canonical_a(m: int, theta, form: str = FORM_STANDARD) -> NDArray:
+    """Canonical system matrix from its definition, strictly upper triangular.
+
+    Column l (1-based) holds theta^(m-l+1) above the diagonal in the standard
+    form and theta in the alternate form. A Fraction theta gives the exact
+    entries (an object array), a float theta their float powers.
+    """
+    a = np.zeros((m, m), dtype=object if isinstance(theta, Fraction) else float)
+    for l in range(2, m + 1):
+        a[: l - 1, l - 1] = theta if form == FORM_ALTERNATE else theta ** (m - l + 1)
+    return a
+
+
 def controllability_matrix(a: NDArray[np.floating], b: NDArray[np.floating]) -> NDArray[np.float64]:
     """Columns b, A b, ..., A^(m-1) b."""
     a = np.asarray(a, dtype=float)
@@ -56,6 +72,17 @@ def controllability_matrix(a: NDArray[np.floating], b: NDArray[np.floating]) -> 
     for _ in range(m - 1):
         cols.append(a @ cols[-1])
     return np.column_stack(cols)
+
+
+def similarity_residual(tr: Transformation) -> tuple[float, float]:
+    """Max-norm residuals of A T - T Abar and B - T 1 over Fractions: the chain's
+    pair and :func:`canonical_a` at the exact binary theta, with no rounding."""
+    m = tr.order
+    t = np.array(tr.exact_t, dtype=object)
+    chain_a = np.eye(m, k=1, dtype=int).astype(object)
+    res_a = np.abs(chain_a @ t - t @ canonical_a(m, Fraction(tr.theta), tr.form)).max()
+    res_b = np.abs(t.sum(axis=1) - np.eye(m, dtype=int)[m - 1]).max()
+    return float(res_a), float(res_b)
 
 
 def geometric_control_bound(theta: float, delta: float) -> float:
@@ -127,7 +154,7 @@ def innovation(i: int, j: int, state: SeekerState, g: Digraph) -> float:
     w = g.weights
     z = state.z
     acc = 0.0
-    for k in g.in_neighbors(i):
+    for k in np.flatnonzero(w[i] > 0):
         acc += w[i, k] * (z[i, j] - z[k, j])
     if w[i, j] > 0:
         acc += w[i, j] * (z[i, j] + state.eta[j])

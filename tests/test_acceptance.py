@@ -25,12 +25,12 @@ from nashseek import (
     reference_scenario,
     ring_game,
     run,
-    similarity_residual,
     solve_nash_closed_form,
     solve_nash_gradient_play,
 )
 from nashseek.cli import main as cli_main
 from conftest import random_monotone_game, random_strongly_connected
+from oracles import similarity_residual
 
 BOUND = 13.0 / 27.0
 

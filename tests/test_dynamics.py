@@ -11,15 +11,18 @@ from nashseek import (
     PlayerSpec,
     SingularTransformError,
     build_transformation,
-    canonical_a,
-    canonical_b,
     delta_for_limit,
     max_control_bound,
-    output_coefficients,
-    similarity_residual,
 )
 from nashseek.dynamics import MAX_ORDER
-from oracles import chain_matrices, controllability_matrix, geometric_control_bound, saturation
+from oracles import (
+    canonical_a,
+    chain_matrices,
+    controllability_matrix,
+    geometric_control_bound,
+    saturation,
+    similarity_residual,
+)
 
 THETAS = (0.1, 1.0 / 3.0, 0.45)
 
@@ -57,9 +60,6 @@ class TestCanonicalForms:
             canonical_a(2, 0.3), canonical_a(2, 0.3, form=FORM_ALTERNATE)
         )
 
-    def test_b_is_all_ones(self):
-        np.testing.assert_allclose(canonical_b(4), np.ones(4))
-
     def test_chain_matrices(self):
         a, b = chain_matrices(2)
         np.testing.assert_allclose(a, [[0, 1], [0, 0]])
@@ -71,7 +71,7 @@ class TestCanonicalForms:
 
     def test_controllability_of_canonical_pair(self):
         theta = 0.4
-        r = controllability_matrix(canonical_a(2, theta), canonical_b(2))
+        r = controllability_matrix(canonical_a(2, theta), np.ones(2))
         np.testing.assert_allclose(r, [[1, theta], [1, 0]])
 
 
@@ -169,9 +169,7 @@ class TestTransformation:
                 theta = 1.0 / 3.0
                 a, b = chain_matrices(m)
                 r_chain = controllability_matrix(a, b)
-                r_canon = controllability_matrix(
-                    canonical_a(m, theta, form=form), canonical_b(m)
-                )
+                r_canon = controllability_matrix(canonical_a(m, theta, form=form), np.ones(m))
                 expected = r_chain @ np.linalg.inv(r_canon)
                 tr = build_transformation(
                     PlayerSpec(order=m, theta=theta, delta=1.0, u_limit=float(m), form=form)
@@ -188,12 +186,12 @@ class TestTransformation:
                 rhs = tr.t_matrix @ tr.a_bar
                 scale = max(1.0, np.abs(tr.t_matrix).max())
                 assert np.abs(lhs - rhs).max() <= 1e-13 * scale
-                assert np.abs(b - tr.t_matrix @ tr.b_bar).max() <= 1e-12 * scale
+                assert np.abs(b - tr.t_matrix @ np.ones(m)).max() <= 1e-12 * scale
 
     def test_output_coefficients_leading_entry(self):
         tr = build_transformation(PlayerSpec(order=3, theta=1.0 / 3.0, delta=1.0))
-        coeffs = output_coefficients(tr)
-        np.testing.assert_allclose(coeffs, [27.0, -36.0, 9.0])
+        # the output y = x_1 in bar coordinates is T's first row
+        np.testing.assert_allclose(tr.t_matrix[0], [27.0, -36.0, 9.0])
         # leading entry is exactly the reciprocal of prod_{k<m} theta^k,
         # taken at the binary value of theta (hence Fraction of the float)
         exact_theta = Fraction(1.0 / 3.0)

@@ -36,15 +36,16 @@ class TestRingGame:
 
     def test_gradient_values(self):
         game = ring_game(6)
+        grad = lambda i, y: game.jacobian[i] @ y + game.offset[i]
         # 4 y_i - 2 y_{i+1} + 1 at three reference profiles
-        assert game.gradient(0, np.full(6, -0.5)) == pytest.approx(0.0)
-        assert game.gradient(2, np.zeros(6)) == pytest.approx(1.0)
-        assert game.gradient(5, np.ones(6)) == pytest.approx(3.0)
+        assert grad(0, np.full(6, -0.5)) == pytest.approx(0.0)
+        assert grad(2, np.zeros(6)) == pytest.approx(1.0)
+        assert grad(5, np.ones(6)) == pytest.approx(3.0)
 
     def test_pseudo_gradient_stacks_gradients(self):
         game = ring_game(4)
         y = np.array([0.3, -1.2, 0.8, 2.0])
-        expected = [game.gradient(i, y) for i in range(4)]
+        expected = [game.jacobian[i] @ y + game.offset[i] for i in range(4)]
         np.testing.assert_allclose(game.pseudo_gradient(y), expected)
 
     def test_equilibrium_is_minus_half(self):
@@ -64,7 +65,7 @@ class TestQuadraticGame:
     def test_self_gradients_uses_own_rows(self):
         game = ring_game(3)
         profiles = np.array([[1.0, 0.0, 2.0], [0.5, -1.0, 0.0], [0.0, 0.0, 3.0]])
-        expected = [game.gradient(i, profiles[i]) for i in range(3)]
+        expected = [game.jacobian[i] @ profiles[i] + game.offset[i] for i in range(3)]
         np.testing.assert_allclose(game.self_gradients(profiles), expected)
 
     def test_inputs_are_frozen_copies(self):

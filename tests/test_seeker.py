@@ -1,5 +1,7 @@
 """Control laws, consensus estimator rates, and certified input bounds."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from nashseek import (
     ModeOrderError,
     PlayerSpec,
     SeekerMode,
-    canonical_a,
     certified_bound,
     cycle_digraph,
     gain_row,
@@ -19,6 +20,7 @@ from conftest import random_strongly_connected
 from oracles import (
     GainIntegrityError,
     SeekerState,
+    canonical_a,
     consensus_rhs,
     control,
     innovation,
@@ -230,7 +232,9 @@ class TestScalesAndBounds:
                         probed.append(control(0, state, spec, mode))
                     assert probed == [-g for g in row], (m, theta, form)
                     np.testing.assert_array_max_ulp(
-                        np.array(row[1:]), canonical_a(m, theta, form)[0, 1:], maxulp=1
+                        np.array(row[1:]),
+                        canonical_a(m, Fraction(theta), form)[0, 1:].astype(float),
+                        maxulp=1,
                     )
 
     def test_tilde_links_integral_to_first_state(self):

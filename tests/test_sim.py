@@ -26,7 +26,6 @@ from nashseek import (
     certified_bound,
     cycle_digraph,
     detect_convergence,
-    output_coefficients,
     ring_game,
     run,
     run_batch,
@@ -280,7 +279,7 @@ class TestRunBehavior:
             pieces = []
             for i, spec in enumerate(specs):
                 u = control(i, st, spec, mode)
-                pieces.append(transforms[i].a_bar @ st.xbar[i] + u * transforms[i].b_bar)
+                pieces.append(transforms[i].a_bar @ st.xbar[i] + u)
             return np.concatenate(
                 [*pieces, rates.z_dot.ravel(), rates.c_dot.ravel(), rates.eta_dot]
             )
@@ -297,7 +296,7 @@ class TestRunBehavior:
         for k in range(self.CFG.steps):
             flat = rk4_step(slow_rhs, flat, h)
             st = unpack_state(flat, specs)
-            y = [float(output_coefficients(transforms[i]) @ st.xbar[i]) for i in range(3)]
+            y = [float(transforms[i].t_matrix[0] @ st.xbar[i]) for i in range(3)]
             u = [control(i, st, specs[i], mode) for i in range(3)]
             tilde = max(abs(tilde_x1(i, st, specs[i])) for i in range(3))
             zres = float(np.abs(st.z + st.eta).max())

@@ -125,9 +125,10 @@ def read_json(path: str | Path):
         return int(text) if math.isfinite(float(text)) else reject(text)
 
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh, parse_constant=reject, parse_float=to_float, parse_int=to_int)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # not UTF-8, the encoding of JSON, or nested deeper than the parser recurses
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from None

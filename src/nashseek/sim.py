@@ -71,8 +71,9 @@ The agreement of both right-hand sides with the scalar per-player laws in
 
 The loop copies each accepted state into the next row of a step-history
 block of K + 1 rows of (B, L), row 0 holding the state before the block's
-first step. K is the most whole ``log_every`` intervals whose block fits
-``_HISTORY_BYTES`` (2 MiB), and at most the run's steps. Every K steps and
+first step. K is the most rows whose block fits ``_HISTORY_BYTES``
+(2 MiB), and at most the run's steps: 1000 on the benchmark's ``reference``
+run, 500 on ``sweep`` and 13 on ``large_n``. Every K steps and
 at the end, one pass over the filled rows computes, in stacked calls, u at
 every step for the per-step peak |u| against the certified bound, c
 against the row before for the monotonicity audit, and the logged columns
@@ -234,15 +235,19 @@ def _check_finite(state: NDArray[np.float64]) -> None:
         )
 
 
-def _weighted(w: NDArray[np.float64], block: NDArray[np.float64], out: NDArray[np.float64]):
-    """A call that writes w @ block, a weighted sum of a block's rows, into ``out``.
+def _vecmat(v: NDArray[np.float64], m: NDArray[np.float64], out: NDArray[np.float64]) -> Callable:
+    """A call that writes v @ m into ``out``, one BLAS matrix-vector call per member.
 
-    A batch (B, j, L) of blocks is one stacked product, one BLAS call per
-    member, which sums each member as np.dot sums its lone (j, L) block.
+    Either operand may be a stack of members: :class:`_Stepper` weights a
+    stack of (j, L) blocks by one vector, :func:`_dense_rhs` multiplies a
+    stack of vectors by one operator. A stack is multiplied as
+    (..., 1, j) @ (..., j, L), never as one matrix product, which BLAS may
+    sum in another order than a lone vector's. np.dot of a lone vector and
+    matrix makes the same call at a lower fixed cost.
     """
-    if block.ndim == 2:
-        return partial(np.dot, w, block, out)
-    return partial(np.matmul, w, block, out)
+    if v.ndim == 1 and m.ndim == 2:
+        return partial(np.dot, v, m, out)
+    return partial(np.matmul, v[..., None, :], m, out[..., None, :])
 
 
 class _Stepper:
@@ -259,7 +264,7 @@ class _Stepper:
     s + (h/2) k1 as [1, h/2] against [s; k1], and so is the new state,
     [1, h/6, h/3, h/3, h/6] against the whole block, written into the other
     block's row 0. A batch's products are stacked per member
-    (:func:`_weighted`): a single product over the flattened (5, B L) may
+    (:func:`_vecmat`): a single product over the flattened (5, B L) may
     sum a member in another order than its lone product (it changed some
     bit in 102 of 2,560 random member products), while the stacked form
     keeps every member bit-identical to its solo run.
@@ -285,8 +290,8 @@ class _Stepper:
             s, ks = cur[..., 0, :], [cur[..., j, :] for j in range(1, 5)]
             calls = [bind(s, ks[0], lin)]
             for j, w in enumerate(weights, start=2):
-                calls += [_weighted(w, cur[..., :j, :], stage), bind(stage, ks[j - 1], lin)]
-            calls.append(_weighted(combine, cur, nxt[..., 0, :]))
+                calls += [_vecmat(w, cur[..., :j, :], stage), bind(stage, ks[j - 1], lin)]
+            calls.append(_vecmat(combine, cur, nxt[..., 0, :]))
             self._phases.append((tuple(calls), nxt[..., 0, :]))
         self._phase = 0
         self.state = blocks[0, ..., 0, :]
@@ -307,11 +312,17 @@ class _Stepper:
 
 
 class _Tables:
-    """Precomputed arrays for the fused right-hand side, shared by a batch.
+    """The closed loop's layout and coefficients, stated once for a batch.
 
-    The loop's state is [x padded to (N, mmax) row-major | z | c | eta]; the
-    padded slots stay zero because their rows and columns of ``abar`` and
-    their ``bmask`` and ``wmat`` entries are zero.
+    The loop state is [x padded to (N, mmax) row-major | z | c | eta] of
+    length ``width``, z, c and eta starting at ``z0``, ``c0`` and ``eta0``.
+    The rows of :func:`linear_operator`'s operator are [saturation arguments
+    | Abar x | -xi | Jz], ``rows`` in all, -xi and Jz starting at ``xi0``
+    and ``jz0``. ``gains`` (N, mmax) holds each player's
+    :func:`nashseek.dynamics.gain_row`, and ``lo``/``hi`` the clip pair of
+    each slot of the plant block. The padded slots stay zero because their
+    rows and columns of ``abar`` and their ``mask`` and ``gains`` entries
+    are zero.
     """
 
     def __init__(self, specs: Sequence[PlayerSpec], mode: SeekerMode, g: Digraph):
@@ -321,19 +332,19 @@ class _Tables:
         self.n = n
         self.mmax = mmax
         self.npad = n * mmax
-        self.width = self.npad + 2 * n * n + n
+        self.z0, self.c0, self.eta0 = self.npad, self.npad + n * n, self.npad + 2 * n * n
+        self.width = self.eta0 + n
+        self.xi0, self.jz0 = 2 * self.npad, 2 * self.npad + n * n
+        self.rows = self.jz0 + n
         self.mask = np.arange(mmax) < ms[:, None]
-        self.tails = self.mask.copy()
-        self.tails[:, 0] = False
+        self.tails = self.mask & (np.arange(mmax) > 0)
         # documented-layout index of each loop-state slot (a padded slot maps
         # to its player's last state, the one its non-finite value comes from)
         self.packed = np.concatenate(
-            [np.cumsum(self.mask.ravel()) - 1, ms.sum() + np.arange(2 * n * n + n)]
+            [np.cumsum(self.mask.ravel()) - 1, ms.sum() + np.arange(self.width - self.npad)]
         )
         self.abar = np.zeros((n, mmax, mmax))
-        self.bmask = self.mask.astype(float)
-        self.wmat = np.zeros((n, mmax))
-        self.thm = np.zeros(n)
+        self.gains = np.zeros((n, mmax))
         self.pvec = np.zeros(n)
         self.out_rows = np.zeros((n, mmax))
         self.certified = np.zeros(n)
@@ -349,25 +360,20 @@ class _Tables:
             )
         self.transforms = [built[spec][0] for spec in specs]
         for i, spec in enumerate(specs):
-            tr, row, self.pvec[i], self.certified[i] = built[spec]
             m = spec.order
+            tr, self.gains[i, :m], self.pvec[i], self.certified[i] = built[spec]
             self.abar[i, :m, :m] = tr.a_bar
             self.out_rows[i, :m] = tr.t_matrix[0]  # y = x_1 in bar coordinates
-            self.thm[i] = row[0]
-            self.wmat[i, 1:m] = row[1:]
         deltas = np.array([s.delta for s in specs])
         self.delta_col = deltas[:, None]
-        # clip level per player, inf when unsaturated: min(max(x, -inf), inf) is x
-        self.levels = np.full(n, np.inf) if mode is SeekerMode.UNSATURATED else deltas
-        self.neg_levels = -self.levels
-        # the same per slot of the flat (..., N mmax) plant block
-        self.hi = np.repeat(self.levels, mmax)
+        # clip level per slot of the flat (..., N mmax) plant block, inf when
+        # unsaturated: min(max(x, -inf), inf) is x
+        clip = np.full(n, np.inf) if mode is SeekerMode.UNSATURATED else deltas
+        self.hi = np.repeat(clip, mmax)
         self.lo = -self.hi
         self.rho_augmented = mode is not SeekerMode.UNDIRECTED_ADAPTIVE
         self.weights = g.weights
         self.lap = laplacian(g)
-        # R, the rows of the dense operator of linear_operator
-        self.rows = 2 * self.npad + n * n + n
 
     def operator_bytes(self) -> int:
         """Size of the dense (R, L) operator of :func:`linear_operator`."""
@@ -375,22 +381,25 @@ class _Tables:
 
     def split(self, s: NDArray[np.float64]):
         """Views x (..., N, mmax), z and c (..., N, N), eta (..., N) of a loop state."""
-        lead = s.shape[:-1]
-        n, npad = self.n, self.npad
-        z_end = npad + n * n
+        lead, n = s.shape[:-1], self.n
         return (
-            s[..., :npad].reshape(lead + (n, self.mmax)),
-            s[..., npad:z_end].reshape(lead + (n, n)),
-            s[..., z_end : z_end + n * n].reshape(lead + (n, n)),
-            s[..., z_end + n * n :],
+            s[..., : self.z0].reshape(lead + (n, self.mmax)),
+            s[..., self.z0 : self.c0].reshape(lead + (n, n)),
+            s[..., self.c0 : self.eta0].reshape(lead + (n, n)),
+            s[..., self.eta0 :],
         )
 
     def controls(self, x: NDArray[np.float64], eta: NDArray[np.float64]) -> NDArray[np.float64]:
-        inner = x[..., 0] + self.pvec * eta
-        flat = x.reshape(x.shape[:-2] + (self.npad,))
-        x = np.minimum(np.maximum(flat, self.lo), self.hi).reshape(x.shape)
-        inner = np.minimum(np.maximum(inner, self.neg_levels), self.levels)
-        return -((self.wmat * x).sum(axis=-1) + self.thm * inner)
+        """u = -gain_row . sat([x_1 + p eta | x_2 ...]) per player."""
+        arg = x.copy()
+        arg[..., 0] += self.pvec * eta
+        flat = arg.reshape(arg.shape[:-2] + (self.npad,))
+        np.maximum(flat, self.lo, out=flat)
+        np.minimum(flat, self.hi, out=flat)
+        terms = self.gains * arg
+        # the tail terms summed first, then the innermost term: the order
+        # that keeps logged u bit-identical across versions
+        return -(terms[..., 1:].sum(axis=-1) + terms[..., 0])
 
     def outputs(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
         return (self.out_rows * x).sum(axis=-1)
@@ -437,8 +446,7 @@ def linear_operator(
     """
     n, mmax, npad = tables.n, tables.mmax, tables.npad
     nn = n * n
-    z0, eta0 = npad, npad + 2 * nn
-    xi0, jz0 = 2 * npad, 2 * npad + nn
+    z0, eta0, xi0, jz0 = tables.z0, tables.eta0, tables.xi0, tables.jz0
     op = np.zeros((tables.rows, tables.width))
     # saturation arguments: every real slot of xbar, plus p_i eta_i on the first
     slots = np.flatnonzero(tables.mask)
@@ -460,10 +468,8 @@ def linear_operator(
     op[jz0 + players[:, None], z0 + entries.reshape(n, n)] = game.jacobian
     # u_i = -gain_row_i . sat(arguments_i) added to each of player i's rates,
     # plus the identity on Abar xbar
-    rows = tables.wmat.copy()
-    rows[:, 0] = tables.thm
     gain = np.zeros((npad, 2 * npad))
-    gain[i * mmax + k, i * mmax + l] = -rows[:, None, :] * tables.bmask[:, :, None]
+    gain[i * mmax + k, i * mmax + l] = -tables.gains[:, None, :] * tables.mask[:, :, None]
     gain[slots, npad + slots] = 1.0
     return op, gain
 
@@ -479,7 +485,7 @@ def _blockwise_rhs(tables: _Tables, game: QuadraticGame) -> Callable:
     rho_aug = tables.rho_augmented
     self_gradients = game.self_gradients
     split, controls = tables.split, tables.controls
-    abar, bmask = tables.abar, tables.bmask
+    abar, mask = tables.abar, tables.mask
 
     def bind(s: NDArray[np.float64], out: NDArray[np.float64], lin: NDArray[np.float64]):
         x, z, c, eta = split(s)
@@ -499,25 +505,12 @@ def _blockwise_rhs(tables: _Tables, game: QuadraticGame) -> Callable:
                 zdot[...] = c
             np.multiply(zdot, xi, out=zdot)
             np.negative(zdot, out=zdot)
-            xdot[...] = (abar @ x[..., None])[..., 0] + controls(x, eta)[..., None] * bmask
+            xdot[...] = (abar @ x[..., None])[..., 0] + controls(x, eta)[..., None] * mask
             etadot[...] = self_gradients(z)
 
         return rhs
 
     return bind
-
-
-def _vecmat(v: NDArray[np.float64], m: NDArray[np.float64], out: NDArray[np.float64]) -> Callable:
-    """A call that writes v @ m into ``out``, one BLAS matrix-vector call per vector.
-
-    A stack is multiplied as (B, 1, L) @ (L, R), not as one (B, L) @ (L, R)
-    matrix product, which BLAS may sum in another order than a lone
-    vector's. np.dot of a lone vector makes the same call at a lower fixed
-    cost.
-    """
-    if v.ndim == 1:
-        return partial(np.dot, v, m, out)
-    return partial(np.matmul, v[..., None, :], m, out[..., None, :])
 
 
 def _dense_rhs(tables: _Tables, game: QuadraticGame) -> Callable:
@@ -531,9 +524,7 @@ def _dense_rhs(tables: _Tables, game: QuadraticGame) -> Callable:
     op, gain = linear_operator(tables, game)
     op_t = np.ascontiguousarray(op.T)
     gain_t = np.ascontiguousarray(gain.T)
-    npad, nn = tables.npad, tables.n * tables.n
-    xi0, jz0 = 2 * npad, 2 * npad + nn
-    c0, eta0 = npad + nn, npad + 2 * nn
+    npad, c0, eta0, xi0, jz0 = tables.npad, tables.c0, tables.eta0, tables.xi0, tables.jz0
     hi, lo = tables.hi, tables.lo
     offset = game.offset
     rho_aug = tables.rho_augmented
@@ -566,8 +557,12 @@ def _dense_rhs(tables: _Tables, game: QuadraticGame) -> Callable:
     return bind
 
 
-def _log_bytes(config: SimConfig, n: int) -> int:
-    return (config.steps // config.log_every) * (2 * n + 5) * 8
+def _log_row(n: int) -> tuple[dict[str, int | slice], int]:
+    """Where each logged :class:`Trajectory` field sits in a logged row, and the row's length."""
+    scalars = ("err", "xbar_tail_max", "tilde_norm", "z_residual")
+    places = {"times": 0, "y": slice(1, n + 1), "u": slice(n + 1, 2 * n + 1)}
+    places.update((name, 2 * n + 1 + k) for k, name in enumerate(scalars))
+    return places, 2 * n + 1 + len(scalars)
 
 
 def _materialize(value, shape, name: str) -> NDArray[np.float64]:
@@ -633,7 +628,7 @@ def run_batch(
     cert = check_game(game)
     if not cert.strongly_monotone:
         raise MonotonicityError(cert.monotonicity)
-    log_bytes = _log_bytes(config, n)
+    log_bytes = (config.steps // config.log_every) * _log_row(n)[1] * 8
     if log_bytes > _MAX_LOG_BYTES:
         raise ConfigError(
             f"logged arrays would take {log_bytes / 2**30:.3g} GiB, over the 1 GiB cap; "
@@ -694,7 +689,8 @@ def _integrate(
     h = config.step_size
     members = len(state)
     passes = _BlockPass(tables, ref, config, members)
-    block_rows = _history_rows(config, members * width * 8)
+    # K, the most rows whose block, its carried row 0 included, fits the cap
+    block_rows = min(max(1, _HISTORY_BYTES // (members * width * 8) - 1), config.steps)
 
     if members == 1:
         # a lone member steps as one (L,) vector: numpy's fixed cost per call
@@ -746,24 +742,14 @@ def _integrate(
         if j:
             passes.run(block[: j + 1], k - j)
 
-    n = tables.n
     c_final = tables.split(state.reshape(-1, width))[2].copy()
     results: list[tuple[Trajectory, Summary] | IntegrationError] = []
     for b in range(members):
         if b in faults:
             results.append(faults[b])
             continue
-        log = passes.log[b]
-        traj = Trajectory(
-            times=log[:, 0],
-            y=log[:, 1 : n + 1],
-            u=log[:, n + 1 : 2 * n + 1],
-            err=log[:, 2 * n + 1],
-            xbar_tail_max=log[:, 2 * n + 2],
-            tilde_norm=log[:, 2 * n + 3],
-            z_residual=log[:, 2 * n + 4],
-            c_snapshot=c_final[b],
-        )
+        columns = {name: passes.log[b][:, at] for name, at in passes.places.items()}
+        traj = Trajectory(**columns, c_snapshot=c_final[b])
         mark = None if passes.c_mark is None else passes.c_mark[b]
         summary = _summarize(
             traj, tables, config, passes.c_monotone[b], mark, passes.step_peak[b]
@@ -772,41 +758,28 @@ def _integrate(
     return results
 
 
-def _history_rows(config: SimConfig, row_bytes: int) -> int:
-    """Rows K of a step-history block whose rows take ``row_bytes`` each.
-
-    The most whole log intervals whose K + 1 rows (the carried row 0
-    included) fit ``_HISTORY_BYTES``; where one interval does not fit, the
-    most rows that do, at least one. Never more than the run's steps.
-    """
-    fit = _HISTORY_BYTES // row_bytes - 1
-    every = config.log_every
-    rows = fit - fit % every if fit >= every else max(1, fit)
-    return min(rows, config.steps)
-
-
 class _BlockPass:
     """Per-member results of the passes over one chunk's step-history blocks.
 
     Each :meth:`run` reads a block's rows in stacked calls: u at every row
     for the per-step peak |u| (``step_peak``), c against the row before
-    for the monotonicity audit (``c_monotone``), and the logged columns
-    t | y | u | err | tail | tilde | zres of the rows on the ``log_every``
-    grid, written into the chunk's (B, steps // log_every, 2N + 5) ``log``
-    with one assignment. The logged values are those of the state
-    at their step, computed by the same calls on more rows, so a log does
-    not depend on where the block boundaries fall.
+    for the monotonicity audit (``c_monotone``), and the logged columns of
+    the rows on the ``log_every`` grid, placed as :func:`_log_row` says
+    (``places``) and written into the chunk's (B, steps // log_every,
+    2N + 5) ``log`` with one assignment. The logged values are those of the
+    state at their step, computed by the same calls on more rows, so a log
+    does not depend on where the block boundaries fall.
     """
 
     def __init__(self, tables: _Tables, ref: NDArray[np.float64], config: SimConfig, members: int):
-        n = tables.n
         self.tables = tables
         self.ref = ref
         self.h = config.step_size
         self.every = config.log_every
-        self.log = np.empty((members, config.steps // self.every, 2 * n + 5))
+        self.places, width = _log_row(tables.n)
+        self.log = np.empty((members, config.steps // self.every, width))
         self.logged = 0
-        self.step_peak = np.zeros((members, n))
+        self.step_peak = np.zeros((members, tables.n))
         self.c_monotone = np.ones(members, dtype=bool)
         # c at the first logged row at or after 0.9 t_end, None until one is
         self.mark_t = 0.9 * config.t_end
@@ -818,7 +791,7 @@ class _BlockPass:
         Row 0 is the state after step k0. The block is (J + 1, B, L), or
         (J + 1, L) for a lone member; parked rows are read and not used.
         """
-        tables, n = self.tables, self.tables.n
+        tables = self.tables
         block = block.reshape(len(block), -1, tables.width)
         x, z, c, eta = tables.split(block)
         u = tables.controls(x[1:], eta[1:])
@@ -840,14 +813,17 @@ class _BlockPass:
             return
         x, z, c, eta = x[grid], z[grid], c[grid], eta[grid]
         y = tables.outputs(x)
-        cols = np.empty(y.shape[:-1] + (2 * n + 5,))
-        cols[..., 0] = t[:, None]
-        cols[..., 1 : n + 1] = y
-        cols[..., n + 1 : 2 * n + 1] = u[first :: self.every]
-        cols[..., 2 * n + 1] = np.abs(y - self.ref).max(axis=-1)
-        cols[..., 2 * n + 2] = tables.tail_max(x)
-        cols[..., 2 * n + 3] = np.abs(x[..., 0] + tables.pvec * eta).max(axis=-1)
-        cols[..., 2 * n + 4] = np.abs(z + eta[..., None, :]).max(axis=(-2, -1))
+        cols = np.empty(y.shape[:-1] + self.log.shape[-1:])
+        for name, value in (
+            ("times", t[:, None]),
+            ("y", y),
+            ("u", u[first :: self.every]),
+            ("err", np.abs(y - self.ref).max(axis=-1)),
+            ("xbar_tail_max", tables.tail_max(x)),
+            ("tilde_norm", np.abs(x[..., 0] + tables.pvec * eta).max(axis=-1)),
+            ("z_residual", np.abs(z + eta[..., None, :]).max(axis=(-2, -1))),
+        ):
+            cols[..., self.places[name]] = value
         end = self.logged + t.size
         self.log[:, self.logged : end] = cols.swapaxes(0, 1)
         self.logged = end
@@ -895,14 +871,10 @@ def detect_convergence(
     times, err = traj.times, traj.err
     if times.size == 0:
         return False, None
-    in_window = times >= times[-1] - window - 1e-12
-    window_err = err[in_window]
+    window_err = err[times >= times[-1] - window - 1e-12]
     if window_err.size == 0 or not (window_err < tol).all():
         return False, None
-    bad = np.flatnonzero(~(err < tol))
-    if bad.size == 0:
-        return True, float(times[0])
-    return True, float(times[bad[-1] + 1])
+    return True, _settled_from(times, err < tol)
 
 
 def unsaturated_entry(traj: Trajectory) -> float | None:
@@ -911,12 +883,17 @@ def unsaturated_entry(traj: Trajectory) -> float | None:
     None when the run ends with a tail state outside; the first logged time
     when the whole trajectory stays inside.
     """
-    tail = traj.xbar_tail_max
-    if tail.size == 0:
-        return None
-    bad = np.flatnonzero(tail > 0)
+    return _settled_from(traj.times, ~(traj.xbar_tail_max > 0))
+
+
+def _settled_from(times: NDArray[np.float64], holds: NDArray[np.bool_]) -> float | None:
+    """First logged time from which ``holds`` is true at every row to the end.
+
+    None when it is false at the last row or no row is logged.
+    """
+    bad = np.flatnonzero(~holds)
     if bad.size == 0:
-        return float(traj.times[0])
-    if bad[-1] == tail.size - 1:
+        return float(times[0]) if times.size else None
+    if bad[-1] == holds.size - 1:
         return None
-    return float(traj.times[bad[-1] + 1])
+    return float(times[bad[-1] + 1])

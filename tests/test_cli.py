@@ -174,10 +174,19 @@ class TestExitCodes:
         assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_invalid_json_is_2(self, tmp_path):
+    @pytest.mark.parametrize("command", ["run", "check", "solve-ne"])
+    @pytest.mark.parametrize(
+        "payload",
+        [b"{not json", b"\xff{}", b"[" * 5000 + b"]" * 5000],
+        ids=["malformed", "not-utf-8", "nested-5000-deep"],
+    )
+    def test_invalid_json_is_2(self, tmp_path, capsys, command, payload):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        path.write_bytes(payload)
+        extra = ["--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, str(path), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_assumption_failure_is_3(self, tmp_path, capsys):
         # one-way chain: not strongly connected

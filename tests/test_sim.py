@@ -767,9 +767,18 @@ class TestStepAudit:
         whole = results()
         row_bytes = 3 * sim._Tables(specs, SAT, g).width * 8
         monkeypatch.setattr(sim, "_HISTORY_BYTES", (fit + 1) * row_bytes)
-        rows = sim._history_rows(cfg, row_bytes)
-        assert rows == {1: 1, 2: 2, 4: 3, 7: 6}[fit]
+        filled = []
+        block_pass = sim._BlockPass.run
+
+        def recording(passes, block, k0):
+            filled.append(len(block) - 1)
+            block_pass(passes, block, k0)
+
+        monkeypatch.setattr(sim._BlockPass, "run", recording)
         blocks = results()
+        # the batch's first block holds K rows past its carried row 0, the most that fit
+        rows = filled[0]
+        assert rows == fit
         # the high-gain member faults between its block's first and last rows
         assert isinstance(whole[1], IntegrationError)
         fault_step = round(whole[1].time / cfg.step_size)

@@ -1,0 +1,177 @@
+"""Run the regression set through ``nashseek.cli.main`` and record every output.
+
+Usage: python3 tools/regress.py OUT
+
+Every command runs in-process from this checkout's ``src/``. For a command
+NAME, OUT/NAME holds the files the command wrote (under ``files/``), its
+``stdout``, its ``stderr`` and its ``exit`` code, with OUT written as
+``<OUT>`` in the streams; an exception that escapes ``main`` is recorded as
+its last traceback line in ``exit``. Two checkouts give byte-identical
+results exactly when ``diff -r`` finds nothing between their OUT
+directories:
+
+    python3 tools/regress.py /tmp/a          # in one checkout
+    python3 tools/regress.py /tmp/b          # in the other
+    diff -r /tmp/a /tmp/b
+
+The set: a 100 s run of the worked example; the ``sweep``, ``large_n`` and
+``preflight`` pool entries of the benchmark, generated by
+``benchmarks/workloads.py`` and run as its operations run them; a 20 s run
+of the worked example in each mode; a mixed-order and a faulting replicate
+batch; ``check`` and ``run`` on a config that is not strongly connected;
+``check`` on a missing file; ``paper-example``; and a ring of order-12
+players, where the control law sums enough terms for the order of
+summation to show.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+import traceback
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "benchmarks"))
+sys.dont_write_bytecode = True  # leave no cache files under benchmarks/
+
+import workloads  # noqa: E402
+from nashseek.cli import main  # noqa: E402
+
+SWEEP_ENTRIES = range(workloads.POOL_SIZE)
+LARGE_N_ENTRIES = (0, 1)
+PREFLIGHT_ENTRY = 0
+
+# the smallest configs that replicate, mix orders and fault
+_PAIR = {
+    "game": {"type": "ring", "n": 2},
+    "graph": {"type": "cycle", "n": 2},
+    "players": {"order": 1, "theta": 0.3, "delta": 1.0},
+    "sim": {"step_size": 2e-3, "t_end": 2.0, "log_every": 4, "conv_window": 1.0},
+}
+MIXED_ORDERS = dict(
+    _PAIR,
+    players=[{"order": 1, "theta": 0.3, "delta": 1.0}, {"order": 3, "theta": 0.3, "delta": 1.0}],
+    init={"x0": {"random": {"low": -1, "high": 1}}, "z0": {"random": {"low": -1, "high": 1}}},
+    seed=4,
+)
+# z0 drawn from [0, 6] at this step: some replicates diverge, some do not
+FAULTING = dict(
+    _PAIR,
+    init={"z0": {"random": {"low": 0.0, "high": 6.0}}},
+    seed=5,
+    sim={"step_size": 0.05, "t_end": 2.0, "log_every": 1, "conv_window": 1.0},
+)
+NOT_STRONGLY_CONNECTED = dict(
+    _PAIR,
+    game={"type": "ring", "n": 3},
+    graph={"weights": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]},
+)
+ORDER_12_RING = {
+    "game": {"type": "ring", "n": 3},
+    "graph": {"type": "cycle", "n": 3},
+    "players": {"order": 12, "theta": 0.3, "delta": 1.0},
+    "init": {"x0": {"random": {"low": -1.0, "high": 1.0}}, "z0": 0.5, "c0": 1.0},
+    "sim": {"step_size": 1e-3, "t_end": 50.0, "log_every": 10, "conv_window": 10.0},
+    "seed": 12,
+}
+
+
+def _reference(t_end: float, conv_window: float, **changes) -> dict:
+    config = workloads.pool_inputs("reference", 0)[0].config
+    sim = dict(config["sim"], t_end=t_end, conv_window=conv_window)
+    return {**config, "sim": sim, **changes}
+
+
+def _modes() -> dict[str, dict]:
+    """A 20 s worked-example run in each mode, with the players and graph it requires."""
+    n = 6
+    symmetric = [[float((i - j) % n in (1, n - 1)) for j in range(n)] for i in range(n)]
+
+    def ref(mode: str, **changes) -> dict:
+        return _reference(20.0, 10.0, mode=mode, **changes)
+
+    return {
+        "mode-SaturatedDirected": ref("SaturatedDirected"),
+        "mode-Unsaturated": ref("Unsaturated"),
+        "mode-UndirectedAdaptive": ref("UndirectedAdaptive", graph={"weights": symmetric}),
+        "mode-AlternateForm": ref(
+            "AlternateForm", players={"order": 3, "theta": 1.0 / 3.0, "delta": 1.0, "form": "alternate"}
+        ),
+        "mode-FirstOrder": ref(
+            "FirstOrder",
+            players={"order": 1, "theta": 1.0 / 3.0, "delta": 1.0},
+            init={"x0": [[float(i)] for i in range(1, n + 1)], "z0": 1.0, "c0": 1.0},
+        ),
+    }
+
+
+def commands(inputs: Path, out: Path) -> dict[str, list[str]]:
+    """Each command of the set by name, its config files written under ``inputs``."""
+
+    def config(name: str, data: dict) -> str:
+        path = inputs / f"{name}.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def run(name: str, data: dict, *flags: str) -> list[str]:
+        return ["run", config(name, data), "--out", str(out / name / "files"), *flags]
+
+    cmds = {"reference-100s": run("reference-100s", _reference(100.0, 10.0))}
+    pools = [("sweep", i) for i in SWEEP_ENTRIES]
+    pools += [("large_n", i) for i in LARGE_N_ENTRIES] + [("preflight", PREFLIGHT_ENTRY)]
+    for workload, index in pools:
+        for inp in workloads.pool_inputs(workload, index):
+            stem = inp.key.replace("/", "_")
+            path = config(stem, inp.config)
+            for op in workloads.operations(inp, path, str(out / f"{stem}-run" / "files")):
+                cmds[f"{stem}-{op.kind}"] = op.argv()
+    for name, data in _modes().items():
+        cmds[name] = run(name, data)
+    cmds["mixed-orders"] = run("mixed-orders", MIXED_ORDERS, "--replicates", "3")
+    cmds["faulting"] = run("faulting", FAULTING, "--replicates", "6")
+    cmds["check-reference"] = ["check", config("reference", _reference(1.0, 1.0))]
+    cmds["run-not-strongly-connected"] = run("run-not-strongly-connected", NOT_STRONGLY_CONNECTED)
+    cmds["check-not-strongly-connected"] = ["check", cmds["run-not-strongly-connected"][1]]
+    cmds["check-missing-file"] = ["check", str(inputs / "missing.json")]
+    cmds["paper-example"] = ["paper-example", "--out", str(out / "paper-example" / "files")]
+    cmds["order-12-ring"] = run("order-12-ring", ORDER_12_RING)
+    return cmds
+
+
+def record(name: str, argv: list[str], out: Path) -> None:
+    """Run one command and write its streams and exit code under out/name."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = str(main(argv))
+        except Exception as exc:  # recorded, so a traceback shows up as a difference
+            code = traceback.format_exception_only(type(exc), exc)[-1].strip()
+    where = out / name
+    where.mkdir(parents=True, exist_ok=True)
+    for stream, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue())):
+        (where / stream).write_text(text.replace(str(out), "<OUT>"))
+    (where / "exit").write_text(code.replace(str(out), "<OUT>") + "\n")
+
+
+def run_set(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    out = Path(argv[0]).resolve()
+    if out.exists() and any(out.iterdir()):
+        print(f"{out} is not empty", file=sys.stderr)
+        return 2
+    inputs = out / "inputs"
+    inputs.mkdir(parents=True)
+    for name, cmd in commands(inputs, out).items():
+        print(name, flush=True)
+        record(name, cmd, out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(run_set(sys.argv[1:]))

@@ -52,6 +52,8 @@ _MODE_VALUES = {m.value for m in SeekerMode}
 _TOP_KEYS = {"game", "graph", "mode", "players", "init", "sim", "seed", "allow_large_theta"}
 _PLAYER_KEYS = {"order", "theta", "delta", "auto_delta_margin", "u_limit", "form"}
 _INIT_KEYS = {"x0", "z0", "c0"}
+# the largest n whose n x n float64 matrix fits in 1 GiB
+_MAX_BUILT_IN_N = math.isqrt(2**30 // 8)
 
 
 @dataclass
@@ -134,15 +136,24 @@ def read_json(path: str | Path):
         raise ConfigError(f"{path}: {exc.strerror or exc}") from None
 
 
+def _built_in_size(block: dict, what: str) -> int:
+    n = block.get("n")
+    if not isinstance(n, int) or n < 2:
+        raise ConfigError(f"{what} needs integer n >= 2, got {n!r}")
+    if n > _MAX_BUILT_IN_N:
+        raise ConfigError(
+            f"{what} n = {n} exceeds the cap of {_MAX_BUILT_IN_N}: "
+            "its n x n matrix would take more than 1 GiB"
+        )
+    return n
+
+
 def _game_size(game: dict) -> int:
     if "type" in game:
         if game.get("type") != "ring":
             raise ConfigError(f"unknown game type {game.get('type')!r}")
         _reject_unknown(game, {"type", "n"}, "game")
-        n = game.get("n")
-        if not isinstance(n, int) or n < 2:
-            raise ConfigError(f"ring game needs integer n >= 2, got {n!r}")
-        return n
+        return _built_in_size(game, "ring game")
     _reject_unknown(game, {"jacobian", "offset"}, "game")
     if "jacobian" not in game or "offset" not in game:
         raise ConfigError("explicit game needs both jacobian and offset")
@@ -160,10 +171,7 @@ def _graph_size(graph: dict) -> int:
         if graph.get("type") != "cycle":
             raise ConfigError(f"unknown graph type {graph.get('type')!r}")
         _reject_unknown(graph, {"type", "n"}, "graph")
-        n = graph.get("n")
-        if not isinstance(n, int) or n < 2:
-            raise ConfigError(f"cycle graph needs integer n >= 2, got {n!r}")
-        return n
+        return _built_in_size(graph, "cycle graph")
     _reject_unknown(graph, {"weights"}, "graph")
     if "weights" not in graph:
         raise ConfigError("explicit graph needs a weights matrix")

@@ -15,7 +15,9 @@ coordinate change of :mod:`nashseek.dynamics`, whose exact residuals
 bound; the flat state layout [xbar_1..xbar_N | z | c | eta] that
 ``IntegrationError.component`` indexes (:func:`pack_state`); and the
 textbook RK4 step (:func:`rk4_step`) that the simulator's stepper is
-checked against.
+checked against; and gradient play as one loop with a residual test after
+every iteration (:func:`gradient_play_reference`), which the package's
+blocked loop must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from nashseek.dynamics import FORM_ALTERNATE, FORM_STANDARD, PlayerSpec, Transformation
-from nashseek.errors import NashseekError
-from nashseek.game import QuadraticGame
+from nashseek.errors import ConvergenceError, MonotonicityError, NashseekError
+from nashseek.game import QuadraticGame, check_game
 from nashseek.graph import Digraph, laplacian
 from nashseek.seeker import SeekerMode, _check_mode, integral_scale
 
@@ -271,3 +273,29 @@ def rk4_step(rhs, state: NDArray[np.float64], h: float) -> NDArray[np.float64]:
     k3 = rhs(state + 0.5 * h * k2)
     k4 = rhs(state + h * k3)
     return state + (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (h / 6.0)
+
+
+def gradient_play_reference(
+    game: QuadraticGame, step: float | None = None, max_iters: int = 200_000
+) -> NDArray[np.float64]:
+    """Gradient play as :func:`nashseek.game.solve_nash_gradient_play` states it.
+
+    Damped fixed-point iteration y <- y - step * F(y) from y = 0, with the
+    same default step, testing the gradient residual against 1e-10 before
+    every update.
+    """
+    y = np.zeros(game.n_players)
+    if step is None:
+        cert = check_game(game)
+        if not cert.strongly_monotone:
+            raise MonotonicityError(cert.monotonicity)
+        # divided twice: the square underflows to 0 for 1e-300 entries and
+        # overflows to inf for 1e300 ones
+        lmax = float(cert.lipschitz.max())
+        step = 0.9 * cert.monotonicity / lmax / lmax
+    for _ in range(max_iters):
+        grad = game.pseudo_gradient(y)
+        if np.abs(grad).max() < 1e-10:
+            return y
+        y -= step * grad
+    raise ConvergenceError(float(np.abs(game.pseudo_gradient(y)).max()), max_iters)

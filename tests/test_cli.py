@@ -188,6 +188,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["run", "check", "solve-ne"])
+    def test_built_in_blocks_too_large_to_build_are_2(self, tmp_path, capsys, command):
+        # each 10**7 x 10**7 matrix would take 728 TiB; nothing is allocated
+        data = dict(BASE, game={"type": "ring", "n": 10**7}, graph={"type": "cycle", "n": 10**7})
+        cfg_path = write_config(tmp_path, data)
+        extra = ["--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, cfg_path, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ring game n = 10000000 exceeds the cap of 11585")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_cycle_graph_too_large_to_build_is_2(self, tmp_path, capsys, command):
+        cfg_path = write_config(tmp_path, dict(BASE, graph={"type": "cycle", "n": 10**7}))
+        extra = ["--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, cfg_path, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cycle graph n = 10000000 exceeds the cap of 11585")
+        assert err.count("\n") == 1
+
     def test_assumption_failure_is_3(self, tmp_path, capsys):
         # one-way chain: not strongly connected
         data = dict(

@@ -1,5 +1,8 @@
 """Game model, certificates, and the two equilibrium solvers."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,32 @@ from nashseek import (
     solve_nash_gradient_play,
 )
 from conftest import random_monotone_game
+from oracles import gradient_play_reference
+
+
+def preflight_games(index: int) -> list[QuadraticGame]:
+    """The games of pool entry ``index`` of the benchmark's preflight workload."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+        sys.dont_write_bytecode = dont_write
+    return [
+        QuadraticGame(
+            jacobian=np.array(inp.config["game"]["jacobian"]),
+            offset=np.array(inp.config["game"]["offset"]),
+        )
+        for inp in workloads.pool_inputs("preflight", index)
+    ]
+
+
+def slow_ring(n: int) -> QuadraticGame:
+    """I - 0.94 S with S the cyclic shift: gradient play takes thousands of iterations."""
+    return QuadraticGame(
+        jacobian=np.eye(n) - 0.94 * np.roll(np.eye(n), 1, axis=1), offset=np.ones(n)
+    )
 
 
 class TestRingGame:
@@ -128,3 +157,55 @@ class TestSolvers:
         game = QuadraticGame(jacobian=np.zeros((2, 2)), offset=np.ones(2))
         with pytest.raises(IllConditionedGameError):
             solve_nash_closed_form(game)
+
+
+class TestGradientPlayBlocks:
+    """The blocked loop returns what a residual test after every iteration returns."""
+
+    def test_preflight_games_match_reference(self):
+        games = preflight_games(0)
+        assert [g.n_players for g in games] == [8, 16, 24, 32]
+        for game in games:
+            assert np.array_equal(
+                solve_nash_gradient_play(game), gradient_play_reference(game)
+            )
+
+    def test_random_games_match_reference(self, rng):
+        for n in list(range(2, 41)) + [2, 3, 5, 7, 11, 17, 40]:
+            game = random_monotone_game(n, rng)
+            assert np.array_equal(
+                solve_nash_gradient_play(game), gradient_play_reference(game)
+            ), n
+
+    def test_zero_offset_stops_at_the_start(self):
+        game = QuadraticGame(jacobian=ring_game(5).jacobian, offset=np.zeros(5))
+        y = solve_nash_gradient_play(game)
+        assert np.array_equal(y, np.zeros(5))
+        assert np.array_equal(y, gradient_play_reference(game))
+
+    @pytest.mark.parametrize("max_iters", [0, 1, 3, 255, 256, 257, 1000])
+    def test_exhausted_budget_matches_reference(self, max_iters):
+        game = slow_ring(6)
+        with pytest.raises(ConvergenceError) as got:
+            solve_nash_gradient_play(game, max_iters=max_iters)
+        with pytest.raises(ConvergenceError) as want:
+            gradient_play_reference(game, max_iters=max_iters)
+        assert got.value.iterations == want.value.iterations == max_iters
+        assert got.value.residual == want.value.residual
+        assert str(got.value) == str(want.value)
+
+    def test_stop_inside_a_later_block_matches_reference(self):
+        # thousands of iterations: the stop lands past the first block
+        game = slow_ring(6)
+        assert np.array_equal(
+            solve_nash_gradient_play(game), gradient_play_reference(game)
+        )
+        for step in (0.05, 0.3, 1.0):
+            assert np.array_equal(
+                solve_nash_gradient_play(game, step=step),
+                gradient_play_reference(game, step=step),
+            )
+
+    def test_returned_array_is_not_a_buffer_view(self):
+        y = solve_nash_gradient_play(ring_game(4))
+        assert y.base is None and y.flags.writeable

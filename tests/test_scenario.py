@@ -155,6 +155,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="nodes"):
             parse_config(minimal(graph={"type": "cycle", "n": 3}))
 
+    def test_built_in_size_cap_is_the_largest_1gib_matrix(self):
+        # 11585^2 doubles fit in 1 GiB and 11586^2 do not; the size check
+        # passes or rejects before anything of that size is built
+        for block in ("game", "graph"):
+            kind = {"game": "ring", "graph": "cycle"}[block]
+            with pytest.raises(ConfigError, match="game has .* but graph has"):
+                parse_config(minimal(**{block: {"type": kind, "n": 11585}}))
+            with pytest.raises(ConfigError, match="n = 11586 exceeds the cap of 11585"):
+                parse_config(minimal(**{block: {"type": kind, "n": 11586}}))
+
     def test_unknown_mode(self):
         with pytest.raises(ConfigError, match="mode"):
             parse_config(minimal(mode="Telepathic"))

@@ -19,9 +19,15 @@ except that no dense operator over PROBE_MAX_OPERATOR_BYTES is built. The
 probe drives the checkout's ``sim._Stepper``, so a checkout without one
 cannot be probed. The same probe times the logging layer: ``sim._integrate``
 per step on one member at the INTEGRATE_STEPS sizes, logging every 10
-steps and once, recorded under ``integrate``.
+steps and once, recorded under ``integrate``, and gradient play: the time
+per ``game.solve_nash_gradient_play`` call on the games of pool entry 0 of
+the benchmark's preflight workload at the GRADPLAY_SIZES, recorded under
+``gradplay``.
 
-Everything runs in child processes with BLAS on one thread. The record
+Everything runs in child processes with BLAS on one thread. Each checkout
+gets its own bytecode cache (``PYTHONPYCACHEPREFIX``), empty when the
+record starts, so neither side imports through the other's cache files or
+through stale ones left in its tree. The record
 names the checkout's git sha, a digest of its ``src/``, Python, numpy and
 ``nproc``. Runs take a while: about run_seconds plus 15 s per workload and
 seed, plus the tier-1 suite.
@@ -33,14 +39,16 @@ end-to-end metrics, the pairs the checkout won on each metric, and the
 quartiles of both sides. Its right-hand-side and step probes then
 alternate between PARENT and the checkout, and PARENT's are recorded as
 ``parent_rhs_per_call``. ``rhs_ratio_to_parent`` then holds, per size and
-path, the median over the rounds of each round's checkout/PARENT ratio of
-the scaled medians: both sides of a round run back to back, so the ratio
-cancels the machine's drift, which a minimum over rounds does not.
+path and per gradient-play game, the median over the rounds of each
+round's checkout/PARENT ratio of the scaled medians: both sides of a round
+run back to back, so the ratio cancels the machine's drift, which a
+minimum over rounds does not.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -68,8 +76,16 @@ RHS_REPEATS = 7
 # the logging layer: sim._integrate on the worked example's players at these
 # sizes and step counts, logging every 10 steps and once at the end
 INTEGRATE_STEPS = {6: 1000, 96: 50}
+# gradient play on the preflight workload's games of these sizes
+GRADPLAY_SIZES = (8, 32)
 # probe rounds; with --pairs-against the two sides' probes alternate
 PROBE_ROUNDS = 5
+
+
+@functools.cache
+def pycache_root() -> tempfile.TemporaryDirectory:
+    """This record's bytecode caches, one directory per checkout, removed at exit."""
+    return tempfile.TemporaryDirectory(prefix="bench_record_pycache_")
 
 
 def child_env(checkout: Path) -> dict:
@@ -77,6 +93,9 @@ def child_env(checkout: Path) -> dict:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     env["PYTHONPATH"] = str(checkout / "src")
+    env["PYTHONPYCACHEPREFIX"] = str(
+        Path(pycache_root().name) / hashlib.sha256(str(checkout).encode()).hexdigest()[:16]
+    )
     return env
 
 
@@ -213,7 +232,7 @@ def rhs_rounds(sides: list[Path]) -> list[list[dict]]:
 
 
 # the probe's lists of timed rows
-PROBE_TABLES = ("sizes", "integrate")
+PROBE_TABLES = ("sizes", "integrate", "gradplay")
 
 
 def probe_minima(side: list[dict]) -> dict:
@@ -287,7 +306,7 @@ def rhs_probe() -> dict:
                 row[f"{name}_{layer}us_median"] = statistics.median(per_call)
         rows.append(row)
     return {"players": "order 3, theta 1/3, directed cycle, ring game", "step_size": h,
-            "sizes": rows, "integrate": integrate_rows(h)}
+            "sizes": rows, "integrate": integrate_rows(h), "gradplay": gradplay_rows()}
 
 
 def integrate_rows(h: float) -> list[dict]:
@@ -327,6 +346,33 @@ def integrate_rows(h: float) -> list[dict]:
             row[f"{name}_us_min"] = min(per_step)
             row[f"{name}_us_median"] = statistics.median(per_step)
         rows.append(row)
+    return rows
+
+
+def gradplay_rows() -> list[dict]:
+    """Time per ``solve_nash_gradient_play`` call on preflight pool entry 0's games.
+
+    The games come from this repository's ``benchmarks/workloads.py``, so
+    both sides of a pair solve the same ones.
+    """
+    import numpy as np
+    import workloads
+    from nashseek.game import QuadraticGame, solve_nash_gradient_play
+
+    rows = []
+    for inp in workloads.pool_inputs("preflight", 0):
+        jac = np.array(inp.config["game"]["jacobian"])
+        if len(jac) not in GRADPLAY_SIZES:
+            continue
+        game = QuadraticGame(jacobian=jac, offset=np.array(inp.config["game"]["offset"]))
+
+        def call():
+            solve_nash_gradient_play(game)
+
+        call()
+        per_call = [scaled_time(call, 1) * 1e6 for _ in range(RHS_REPEATS)]
+        rows.append({"n": len(jac), "solve_us_min": min(per_call),
+                     "solve_us_median": statistics.median(per_call)})
     return rows
 
 

@@ -20,8 +20,8 @@ from conftest import random_monotone_game
 from oracles import gradient_play_reference
 
 
-def preflight_games(index: int) -> list[QuadraticGame]:
-    """The games of pool entry ``index`` of the benchmark's preflight workload."""
+def preflight_games() -> list[QuadraticGame]:
+    """The games of pool entry 0 of the benchmark's preflight workload."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
@@ -34,7 +34,7 @@ def preflight_games(index: int) -> list[QuadraticGame]:
             jacobian=np.array(inp.config["game"]["jacobian"]),
             offset=np.array(inp.config["game"]["offset"]),
         )
-        for inp in workloads.pool_inputs("preflight", index)
+        for inp in workloads.pool_inputs("preflight", 0)
     ]
 
 
@@ -163,7 +163,7 @@ class TestGradientPlayBlocks:
     """The blocked loop returns what a residual test after every iteration returns."""
 
     def test_preflight_games_match_reference(self):
-        games = preflight_games(0)
+        games = preflight_games()
         assert [g.n_players for g in games] == [8, 16, 24, 32]
         for game in games:
             assert np.array_equal(

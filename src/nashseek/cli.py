@@ -91,9 +91,12 @@ def write_summary_json(path: Path, summary: Summary, cfg: ScenarioConfig) -> Non
 def _write_outputs(
     out_dir: Path, traj: Trajectory, summary: Summary, cfg: ScenarioConfig, prefix: str = ""
 ) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(out_dir / f"{prefix}trajectory.csv", traj)
-    write_summary_json(out_dir / f"{prefix}summary.json", summary, cfg)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_trajectory_csv(out_dir / f"{prefix}trajectory.csv", traj)
+        write_summary_json(out_dir / f"{prefix}summary.json", summary, cfg)
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs under {out_dir}: {exc.strerror or exc}") from None
 
 
 def _execute(cfg: ScenarioConfig, out_dir: Path, prefix: str = "") -> tuple[Trajectory, Summary]:

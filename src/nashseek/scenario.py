@@ -222,8 +222,10 @@ def _random_bounds(value, where: str) -> tuple[float, float]:
     _reject_unknown(spec, {"low", "high"}, where)
     low = _number(spec, "low", where, -1.0)
     high = _number(spec, "high", where, 1.0)
-    if not low < high:
-        raise ConfigError(f"{where} random bounds need low < high, got [{low}, {high}]")
+    if not (low < high and math.isfinite(high - low)):
+        raise ConfigError(
+            f"{where} random bounds need low < high and a finite high - low, got [{low}, {high}]"
+        )
     return low, high
 
 

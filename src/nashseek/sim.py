@@ -59,13 +59,14 @@ members stay bit-identical to their solo runs.
 Above the byte bound the blockwise right-hand side (a Laplacian product,
 the game's self-gradients and the padded plant block) runs instead, and no
 operator is built; there a step is passes over n^2-wide arrays, not
-numpy's cost per call. A fault keeps the batch's shape: the finite rows
-of a non-finite step are kept, each bit-identical to its member's solo
-step, and each non-finite row re-takes the step alone and blockwise, since
-a dense product turns one overflowed entry into NaN across its member's
-whole row and the blockwise step names the component. A member that still
-faults is recorded and its row parked at zeros; the chunk stops once every
-member has faulted.
+numpy's cost per call. The loop screens each step by the state's sum,
+finite when every entry is. A step that fails the screen keeps the
+batch's shape: its finite rows are kept, each bit-identical to its
+member's solo step, and each non-finite row re-takes the step alone and
+blockwise, since a dense product turns one overflowed entry into NaN
+across its member's whole row. A re-take still non-finite records its
+member's IntegrationError at its first non-finite entry and parks the row
+at zeros; the chunk stops once every member has faulted.
 The agreement of both right-hand sides with the scalar per-player laws in
 ``tests/oracles.py`` is pinned by tests, not assumed.
 
@@ -76,10 +77,10 @@ first step. K is the most rows whose block fits ``_HISTORY_BYTES``
 run, 500 on ``sweep`` and 13 on ``large_n``. Every K steps and
 at the end, one pass over the filled rows computes, in stacked calls, u at
 every step for the per-step peak |u| against the certified bound, c
-against the row before for the monotonicity audit, and the logged columns
-of the rows on the ``log_every`` grid. So ``bound_violated`` and
-``c_monotone`` cover every step, and the log costs one pass per block
-instead of a dozen calls per logged row.
+against the row before in one comparison for the monotonicity audit, and
+the logged columns of the rows on the ``log_every`` grid. So
+``bound_violated`` and ``c_monotone`` cover every step, and the log costs
+one pass per block instead of a dozen calls per logged row.
 """
 
 from __future__ import annotations
@@ -215,26 +216,6 @@ class Summary:
     c_trailing_drift: float | None
 
 
-def _check_finite(state: NDArray[np.float64]) -> None:
-    """Raise IntegrationError when ``state`` has a non-finite entry.
-
-    Its ``component`` is the flat index of the first non-finite entry, so a
-    diverging state is reported once instead of by a warning per stage. One
-    reduction screens the state: its sum is finite when every entry is, so
-    the exact per-entry check runs only when the sum is not. A finite state
-    whose sum overflows passes that check. The caller silences the sum's
-    overflow warning.
-    """
-    if isfinite(state.sum()):
-        return
-    bad = np.flatnonzero(~np.isfinite(state))
-    if bad.size:
-        component = int(bad[0])
-        raise IntegrationError(
-            f"non-finite state component {component} after a step", component=component
-        )
-
-
 def _vecmat(v: NDArray[np.float64], m: NDArray[np.float64], out: NDArray[np.float64]) -> Callable:
     """A call that writes v @ m into ``out``, one BLAS matrix-vector call per member.
 
@@ -269,8 +250,8 @@ class _Stepper:
     bit in 102 of 2,560 random member products), while the stacked form
     keeps every member bit-identical to its solo run.
 
-    A step enters no np.errstate: its caller silences overflow around its
-    loop, as :func:`_integrate` does.
+    A step enters no np.errstate and screens nothing: :func:`_integrate`
+    silences overflow around its loop and screens each step.
     """
 
     def __init__(self, bind: Callable, rows: int, state: NDArray[np.float64], h: float):
@@ -294,20 +275,16 @@ class _Stepper:
             calls.append(_vecmat(combine, cur, nxt[..., 0, :]))
             self._phases.append((tuple(calls), nxt[..., 0, :]))
         self._phase = 0
-        self.state = blocks[0, ..., 0, :]
 
     def step(self) -> NDArray[np.float64]:
         """Advance one step and return the new state, a buffer reused two steps on.
 
-        On a non-finite result it raises, and ``state`` holds that result:
-        rows the caller overwrites there are the next step's start.
+        Rows the caller overwrites in it are the next step's start.
         """
         calls, nxt = self._phases[self._phase]
         for call in calls:
             call()
         self._phase ^= 1
-        self.state = nxt
-        _check_finite(nxt)
         return nxt
 
 
@@ -677,11 +654,12 @@ def _integrate(
     into the next row of a (K + 1, B, L) step-history block, whose row 0
     holds the state before the block's first step, and a
     :class:`_BlockPass` reads the filled rows when the block is full and at
-    the end. A fault changes no shape: a non-finite row re-takes its step
-    from the history block's last row, in place in the stepper's state, or
-    is parked at zeros (see the module docstring). One np.errstate
-    silencing overflow and invalid operations is entered around the whole
-    loop, not once per step, so it covers the block passes as well: a
+    the end. Each step is screened by its state's sum; when the screen
+    fails, each non-finite row re-takes its step from the history block's
+    last row, or is parked at zeros (see the module docstring), in place in
+    the state the stepper steps from next. One np.errstate silencing
+    overflow and invalid operations is entered around the whole loop, not
+    once per step, so it covers the screen and the block passes as well: a
     logged value of a finite state that overflows, such as an output of a
     huge plant state, raises no warning either.
     """
@@ -708,27 +686,24 @@ def _integrate(
     j = 0  # rows of the block filled since its row 0; row j is the next step's start
     with np.errstate(over="ignore", invalid="ignore"):
         while k < steps:
-            try:
-                state = stepper.step()
-            except IntegrationError:
+            state = stepper.step()
+            # a finite state whose sum overflows passes the exact check below
+            if not isfinite(state.sum()):
                 # only the non-finite rows re-take the step, each alone and
                 # blockwise (see the module docstring), written in place
-                state = stepper.state
                 t = (k + 1) * h
                 result, start = state.reshape(-1, width), rows[j].reshape(-1, width)
                 for b in np.flatnonzero(~np.isfinite(result).all(axis=-1)).tolist():
                     if b not in faults:
-                        try:
-                            result[b] = _Stepper(blockwise, tables.rows, start[b], h).step()
+                        result[b] = _Stepper(blockwise, tables.rows, start[b], h).step()
+                        bad = np.flatnonzero(~np.isfinite(result[b]))
+                        if not bad.size:
                             continue
-                        except IntegrationError as exc:
-                            comp = int(tables.packed[exc.component])
-                            faults[b] = IntegrationError(
-                                f"integration fault at t = {t:.6g}: non-finite state "
-                                f"component {comp} after a step",
-                                time=t,
-                                component=comp,
-                            )
+                        comp = int(tables.packed[bad[0]])
+                        what = f"non-finite state component {comp} after a step"
+                        faults[b] = IntegrationError(
+                            f"integration fault at t = {t:.6g}: {what}", time=t, component=comp
+                        )
                     result[b] = 0.0
                 if len(faults) == members:
                     break
@@ -796,15 +771,9 @@ class _BlockPass:
         x, z, c, eta = tables.split(block)
         u = tables.controls(x[1:], eta[1:])
         np.maximum(self.step_peak, np.abs(u).max(axis=0), out=self.step_peak)
-        # c against the row before, over spans of rows whose temporaries stay
-        # within a sixteenth of the block's cap
-        span = max(1, _HISTORY_BYTES // 16 // c[0].nbytes)
-        rows = len(block) - 1
-        dips = np.zeros(block.shape[1], dtype=bool)
-        for i in range(0, rows, span):
-            end = min(i + span, rows)
-            dips |= (c[i + 1 : end + 1] < c[i:end] - _C_MONOTONE_SLACK).any(axis=(0, 2, 3))
-        self.c_monotone &= ~dips
+        # c against the row before, in one comparison whose temporaries are
+        # no larger than the block
+        self.c_monotone &= ~(c[1:] < c[:-1] - _C_MONOTONE_SLACK).any(axis=(0, 2, 3))
         # block row 1 + first is the first on the grid
         first = -(k0 + 1) % self.every
         grid = slice(1 + first, None, self.every)

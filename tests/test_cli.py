@@ -295,6 +295,84 @@ class TestExitCodes:
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
 
+    # malformed blocks that no other test reaches
+    _EYE = [[2.0, 0.0], [0.0, 2.0]]
+    MALFORMED = {
+        "random-low-not-below-high": (
+            {"init": {"z0": {"random": {"low": 1.0, "high": 0.0}}}, "seed": 1},
+            "init.z0 random bounds need low < high",
+        ),
+        "random-not-an-object": (
+            {"init": {"z0": {"random": 5}}, "seed": 1},
+            "init.z0 random block must be an object",
+        ),
+        "players-a-string": ({"players": "abc"}, "players must be one dict or a list of 2 dicts"),
+        "players-too-few": (
+            {"players": [BASE["players"]]},
+            "players must be one dict or a list of 2 dicts",
+        ),
+        "x0-a-string": (
+            {"init": {"x0": "abc"}},
+            "init.x0 must be a scalar, a list of lists, or a random block",
+        ),
+        "sim-a-list": ({"sim": []}, "sim block must be an object"),
+        "game-without-offset": (
+            {"game": {"jacobian": _EYE}},
+            "explicit game needs both jacobian and offset",
+        ),
+        "jacobian-not-square": (
+            {"game": {"jacobian": [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0]], "offset": [0.0, 0.0]}},
+            "game.jacobian must be square, got shape (2, 3)",
+        ),
+        "offset-of-wrong-length": (
+            {"game": {"jacobian": _EYE, "offset": [0.0, 0.0, 0.0]}},
+            "game.offset length must match the jacobian size",
+        ),
+        "graph-without-weights": ({"graph": {}}, "explicit graph needs a weights matrix"),
+    }
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("overrides, message", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_block_is_2(self, tmp_path, capsys, command, overrides, message):
+        cfg_path = write_config(tmp_path, {**BASE, **overrides})
+        extra = ["--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, cfg_path, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("block", ["x0", "z0", "c0"])
+    def test_random_range_wider_than_a_double_is_2(self, tmp_path, capsys, command, block):
+        # high - low overflows, and no generator draws from an infinite range
+        data = dict(BASE, init={block: {"random": {"low": -1e308, "high": 1e308}}}, seed=1)
+        cfg_path = write_config(tmp_path, data)
+        extra = ["--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, cfg_path, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: init.{block} random bounds need low < high")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            (["run", "{cfg}", "--out", "{file}"], "{file}"),
+            (["run", "{cfg}", "--out", "{file}/sub"], "{file}/sub"),
+            (["run", "{cfg}", "--replicates", "2", "--out", "{file}"], "{file}/replicate_00"),
+            (["paper-example", "--out", "{file}"], "{file}"),
+        ],
+        ids=["run", "run-below-a-file", "replicates", "paper-example"],
+    )
+    def test_unwritable_out_is_2(self, tmp_path, capsys, argv, where):
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        names = {"cfg": write_config(tmp_path, BASE), "file": str(afile)}
+        assert main([arg.format(**names) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write outputs under {where.format(**names)}: ")
+        assert err.count("\n") == 1
+        assert afile.read_text() == "kept"
+
     def test_transformation_overflow_is_4(self, tmp_path, capsys):
         # T's entries grow like theta^(-m(m-1)/2) and overflow double precision
         data = dict(BASE, players={"order": 9, "theta": 1e-10, "delta": 1.0})

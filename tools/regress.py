@@ -19,9 +19,10 @@ The set: a 100 s run of the worked example; the ``sweep``, ``large_n`` and
 ``benchmarks/workloads.py`` and run as its operations run them; a 20 s run
 of the worked example in each mode; a mixed-order and a faulting replicate
 batch; ``check`` and ``run`` on a config that is not strongly connected;
-``check`` on a missing file; ``paper-example``; and a ring of order-12
+``check`` on a missing file; ``paper-example``; a ring of order-12
 players, where the control law sums enough terms for the order of
-summation to show.
+summation to show; and a ring of order-2 players started at x0 = 1e308,
+whose state stays finite while its sum overflows.
 """
 
 from __future__ import annotations
@@ -77,6 +78,16 @@ ORDER_12_RING = {
     "init": {"x0": {"random": {"low": -1.0, "high": 1.0}}, "z0": 0.5, "c0": 1.0},
     "sim": {"step_size": 1e-3, "t_end": 50.0, "log_every": 10, "conv_window": 10.0},
     "seed": 12,
+}
+# every entry finite, their sum not: the run passes the exact check behind
+# the loop's finiteness screen and logs nan outputs
+OVERFLOWING_SUM = {
+    "game": {"type": "ring", "n": 3},
+    "graph": {"type": "cycle", "n": 3},
+    "players": {"order": 2, "theta": 0.3, "delta": 1.0},
+    "init": {"x0": 1e308},
+    # the state first goes non-finite at t = 1.66
+    "sim": {"step_size": 2e-3, "t_end": 1.0, "log_every": 4, "conv_window": 0.5},
 }
 
 
@@ -139,6 +150,7 @@ def commands(inputs: Path, out: Path) -> dict[str, list[str]]:
     cmds["check-missing-file"] = ["check", str(inputs / "missing.json")]
     cmds["paper-example"] = ["paper-example", "--out", str(out / "paper-example" / "files")]
     cmds["order-12-ring"] = run("order-12-ring", ORDER_12_RING)
+    cmds["overflowing-sum"] = run("overflowing-sum", OVERFLOWING_SUM)
     return cmds
 
 

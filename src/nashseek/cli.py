@@ -18,8 +18,10 @@ exit code.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -99,6 +101,24 @@ def _write_outputs(
         raise ConfigError(f"cannot write outputs under {out_dir}: {exc.strerror or exc}") from None
 
 
+def _check_out(out_dir: Path) -> None:
+    """Reject an output directory that writing could not create or fill, creating nothing.
+
+    ``out_dir`` must be a writable directory or, where it does not exist yet,
+    its nearest existing ancestor must be; checked before any integration.
+    """
+    nearest = out_dir
+    while not nearest.exists() and nearest != nearest.parent:
+        nearest = nearest.parent
+    if not nearest.is_dir():
+        code = errno.ENOTDIR
+    elif not os.access(nearest, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"cannot write outputs under {out_dir}: {os.strerror(code)}")
+
+
 def _execute(cfg: ScenarioConfig, out_dir: Path, prefix: str = "") -> tuple[Trajectory, Summary]:
     built = build(cfg)
     traj, summary = run(
@@ -133,6 +153,7 @@ def cmd_run(args) -> int:
         raise ConfigError(f"--replicates must be >= 1, got {args.replicates}")
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    _check_out(out)
     if args.replicates == 1:
         _, summary = _execute(cfg, out)
         print(_verdict_line(summary))
@@ -171,6 +192,7 @@ def cmd_run(args) -> int:
 
 def cmd_paper_example(args) -> int:
     out = Path(args.out)
+    _check_out(out)
     cfg = reference_scenario()
     traj, summary = _execute(cfg, out)
     ucfg = reference_scenario(mode="Unsaturated")

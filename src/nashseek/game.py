@@ -71,10 +71,6 @@ class QuadraticGame:
         y = np.asarray(y, dtype=float)
         return self.jacobian @ y + self.offset
 
-    def self_gradients(self, profiles: NDArray[np.floating]) -> NDArray[np.float64]:
-        """Player i's gradient at row i of ``profiles`` (..., N, N), its own estimate."""
-        return (self.jacobian * profiles).sum(axis=-1) + self.offset
-
 
 @dataclass(frozen=True)
 class GameCertificate:

@@ -56,10 +56,10 @@ state + (h/6) (k1 + 2 k2 + 2 k3 + k4), the RK4 oracle in
 products are stacked per member for the same reason as the operator's, so
 members stay bit-identical to their solo runs.
 
-Above the byte bound the blockwise right-hand side (a Laplacian product,
-the game's self-gradients and the padded plant block) runs instead, and no
-operator is built; there a step is passes over n^2-wide arrays, not
-numpy's cost per call. The loop screens each step by the state's sum,
+Above the byte bound the blockwise right-hand side (rowwise J o z, a
+Laplacian product, the pinning term on the graph's arcs only and the padded
+plant block) runs instead, and no operator is built; there a step is passes
+over n^2-wide arrays, not numpy's cost per call. The loop screens each step by the state's sum,
 finite when every entry is. A step that fails the screen keeps the
 batch's shape: its finite rows are kept, each bit-identical to its
 member's solo step, and each non-finite row re-takes the step alone and
@@ -240,7 +240,8 @@ class _Stepper:
     [s | k1 | k2 | k3 | k4], held as (..., 5, L), and two such blocks swap
     each step. The right-hand side is bound to each (input, output) pair
     once, so a step makes no view and allocates nothing beyond the
-    right-hand side's own temporaries (the blockwise one has some). Each
+    right-hand side's own temporaries (the blockwise one's are the size of
+    the plant block, none n^2-wide). Each
     stage argument is one weighted product over the block's leading rows,
     s + (h/2) k1 as [1, h/2] against [s; k1], and so is the new state,
     [1, h/6, h/3, h/3, h/6] against the whole block, written into the other
@@ -452,38 +453,58 @@ def linear_operator(
 
 
 def _blockwise_rhs(tables: _Tables, game: QuadraticGame) -> Callable:
-    """Right-hand side from the Laplacian, the game and the padded plant block.
+    """Right-hand side from the Laplacian, the arcs, the game and the padded plant block.
 
-    Returns ``bind(s, out, lin)`` as :func:`_dense_rhs` does. It makes the
-    views of ``s`` and ``out`` once and ignores ``lin``; the call it returns
-    allocates its n^2 temporaries.
+    Returns ``bind(s, out, lin)`` as :func:`_dense_rhs` does, and writes the
+    same bits as the n^2-wide form in ``tests/oracles.py``. It makes the
+    views of ``s``, ``out`` and ``lin`` once. The call it returns holds
+    rowwise J o z, then -xi, in the -xi rows of ``lin`` that the dense path
+    uses, adds the pinning term on the arcs only, and allocates no n^2
+    temporary.
     """
-    lap, w = tables.lap, tables.weights
+    n, z0, eta0, xi0, jz0 = tables.n, tables.z0, tables.eta0, tables.xi0, tables.jz0
+    neg_lap = -tables.lap
+    w = tables.weights.ravel()
+    arcs = np.flatnonzero(w)
+    arc_w = w[arcs]
+    # per arc (i, j): the loop-state columns of z_ij and eta_j, and lin's of -xi_ij
+    gather = np.stack([z0 + arcs, eta0 + arcs % n])
+    pinned = (..., xi0 + arcs)
+    jac, offset = game.jacobian, game.offset
     rho_aug = tables.rho_augmented
-    self_gradients = game.self_gradients
     split, controls = tables.split, tables.controls
     abar, mask = tables.abar, tables.mask
+    add, multiply, matmul = np.add, np.multiply, np.matmul
+    reduce, subtract_at = np.add.reduce, np.subtract.at
 
     def bind(s: NDArray[np.float64], out: NDArray[np.float64], lin: NDArray[np.float64]):
         x, z, c, eta = split(s)
         xdot, zdot, cdot, etadot = split(out)
+        neg_xi = lin[..., xi0:jz0].reshape(z.shape)
+        x_col, xdot_col = x[..., None], xdot[..., None]
+        pins = np.empty(s.shape[:-1] + gather.shape)
+        pin, eta_j = pins[..., 0, :], pins[..., 1, :]
 
         def rhs() -> None:
-            # in place where the n^2 blocks allow it, in the order of
-            # xi = L z + w (z + eta), zdot = -(c + xi^2) xi, cdot = xi^2
-            xi = lap @ z
-            pinned = z + eta[..., None, :]
-            np.multiply(pinned, w, out=pinned)
-            np.add(xi, pinned, out=xi)
-            np.multiply(xi, xi, out=cdot)
+            # eta's rates first, with J o z held in the -xi rows
+            multiply(jac, z, out=neg_xi)
+            reduce(neg_xi, axis=-1, out=etadot)
+            add(etadot, offset, out=etadot)
+            # -xi = -L z - w (z + eta), the pinning term on the arcs only; then
+            # cdot = xi^2 and zdot = (c + xi^2) (-xi)
+            matmul(neg_lap, z, out=neg_xi)
+            s.take(gather, axis=-1, out=pins)
+            add(pin, eta_j, out=pin)
+            multiply(pin, arc_w, out=pin)
+            subtract_at(lin, pinned, pin)
+            multiply(neg_xi, neg_xi, out=cdot)
             if rho_aug:
-                np.add(c, cdot, out=zdot)
+                add(c, cdot, out=zdot)
+                multiply(zdot, neg_xi, out=zdot)
             else:
-                zdot[...] = c
-            np.multiply(zdot, xi, out=zdot)
-            np.negative(zdot, out=zdot)
-            xdot[...] = (abar @ x[..., None])[..., 0] + controls(x, eta)[..., None] * mask
-            etadot[...] = self_gradients(z)
+                multiply(c, neg_xi, out=zdot)
+            matmul(abar, x_col, out=xdot_col)
+            add(xdot, controls(x, eta)[..., None] * mask, out=xdot)
 
         return rhs
 

@@ -15,9 +15,12 @@ coordinate change of :mod:`nashseek.dynamics`, whose exact residuals
 bound; the flat state layout [xbar_1..xbar_N | z | c | eta] that
 ``IntegrationError.component`` indexes (:func:`pack_state`); and the
 textbook RK4 step (:func:`rk4_step`) that the simulator's stepper is
-checked against; and gradient play as one loop with a residual test after
+checked against; gradient play as one loop with a residual test after
 every iteration (:func:`gradient_play_reference`), which the package's
-blocked loop must reproduce bit for bit.
+blocked loop must reproduce bit for bit; and the blockwise right-hand side
+in its n^2-wide form (:func:`blockwise_rhs_reference`), pinning every
+entry of the estimate matrix, whose bits the simulator's arc-list form
+must write.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from nashseek.errors import ConvergenceError, MonotonicityError, NashseekError
 from nashseek.game import QuadraticGame, check_game
 from nashseek.graph import Digraph, laplacian
 from nashseek.seeker import SeekerMode, _check_mode, integral_scale
+from nashseek.sim import _Tables
 
 
 def saturation(value, delta: float):
@@ -172,6 +176,11 @@ def innovation_matrix(
     return laplacian(g) @ z + g.weights * (z + eta)
 
 
+def self_gradients(game: QuadraticGame, profiles: NDArray[np.floating]) -> NDArray[np.float64]:
+    """Player i's gradient at row i of ``profiles`` (..., N, N), its own estimate."""
+    return (game.jacobian * profiles).sum(axis=-1) + game.offset
+
+
 def consensus_rhs(
     state: SeekerState,
     g: Digraph,
@@ -193,7 +202,7 @@ def consensus_rhs(
     return ConsensusRates(
         z_dot=-gain * xi,
         c_dot=rho,
-        eta_dot=game.self_gradients(state.z),
+        eta_dot=self_gradients(game, state.z),
     )
 
 
@@ -299,3 +308,40 @@ def gradient_play_reference(
             return y
         y -= step * grad
     raise ConvergenceError(float(np.abs(game.pseudo_gradient(y)).max()), max_iters)
+
+
+def blockwise_rhs_reference(tables: _Tables, game: QuadraticGame):
+    """``sim._blockwise_rhs`` as a pass over every entry of the n^2-wide blocks.
+
+    Returns ``bind(s, out, lin)`` like the simulator's; it ignores ``lin``
+    and allocates its n^2 temporaries. The pinning term w o (z + 1 eta^T)
+    is formed over all n^2 entries, zero off the arcs, and xi is negated
+    last.
+    """
+    lap, w = tables.lap, tables.weights
+    rho_aug = tables.rho_augmented
+    split, controls = tables.split, tables.controls
+    abar, mask = tables.abar, tables.mask
+
+    def bind(s, out, lin):
+        x, z, c, eta = split(s)
+        xdot, zdot, cdot, etadot = split(out)
+
+        def rhs() -> None:
+            xi = lap @ z
+            pinned = z + eta[..., None, :]
+            np.multiply(pinned, w, out=pinned)
+            np.add(xi, pinned, out=xi)
+            np.multiply(xi, xi, out=cdot)
+            if rho_aug:
+                np.add(c, cdot, out=zdot)
+            else:
+                zdot[...] = c
+            np.multiply(zdot, xi, out=zdot)
+            np.negative(zdot, out=zdot)
+            xdot[...] = (abar @ x[..., None])[..., 0] + controls(x, eta)[..., None] * mask
+            etadot[...] = self_gradients(game, z)
+
+        return rhs
+
+    return bind

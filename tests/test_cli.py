@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nashseek import parse_config
+from nashseek import parse_config, sim
 from nashseek.cli import main
 
 BASE = {
@@ -358,12 +358,17 @@ class TestExitCodes:
         [
             (["run", "{cfg}", "--out", "{file}"], "{file}"),
             (["run", "{cfg}", "--out", "{file}/sub"], "{file}/sub"),
-            (["run", "{cfg}", "--replicates", "2", "--out", "{file}"], "{file}/replicate_00"),
+            (["run", "{cfg}", "--replicates", "2", "--out", "{file}"], "{file}"),
             (["paper-example", "--out", "{file}"], "{file}"),
         ],
         ids=["run", "run-below-a-file", "replicates", "paper-example"],
     )
-    def test_unwritable_out_is_2(self, tmp_path, capsys, argv, where):
+    def test_unwritable_out_is_2(self, tmp_path, capsys, monkeypatch, argv, where):
+        def refuse(*args):
+            raise AssertionError("integrated before the output directory was checked")
+
+        # the directory is checked up front: no step runs
+        monkeypatch.setattr(sim, "_integrate", refuse)
         afile = tmp_path / "afile"
         afile.write_text("kept")
         names = {"cfg": write_config(tmp_path, BASE), "file": str(afile)}

@@ -17,7 +17,7 @@ from nashseek import (
     solve_nash_gradient_play,
 )
 from conftest import random_monotone_game
-from oracles import gradient_play_reference
+from oracles import gradient_play_reference, self_gradients
 
 
 def preflight_games() -> list[QuadraticGame]:
@@ -95,7 +95,7 @@ class TestQuadraticGame:
         game = ring_game(3)
         profiles = np.array([[1.0, 0.0, 2.0], [0.5, -1.0, 0.0], [0.0, 0.0, 3.0]])
         expected = [game.jacobian[i] @ profiles[i] + game.offset[i] for i in range(3)]
-        np.testing.assert_allclose(game.self_gradients(profiles), expected)
+        np.testing.assert_allclose(self_gradients(game, profiles), expected)
 
     def test_inputs_are_frozen_copies(self):
         jac = 2.0 * np.eye(2)

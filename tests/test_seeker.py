@@ -25,6 +25,7 @@ from oracles import (
     control,
     innovation,
     innovation_matrix,
+    self_gradients,
     tilde_x1,
 )
 
@@ -98,7 +99,7 @@ class TestConsensusRates:
         rates = consensus_rhs(state, g, game, SAT)
         np.testing.assert_allclose(rates.z_dot, -(state.c + xi**2) * xi)
         np.testing.assert_allclose(rates.c_dot, xi**2)
-        np.testing.assert_allclose(rates.eta_dot, game.self_gradients(state.z))
+        np.testing.assert_allclose(rates.eta_dot, self_gradients(game, state.z))
 
     def test_undirected_mode_uses_plain_gain(self, rng):
         n = 3

@@ -35,6 +35,7 @@ from nashseek import (
 from conftest import random_monotone_game, random_strongly_connected
 from oracles import (
     SeekerState,
+    blockwise_rhs_reference,
     consensus_rhs,
     control,
     pack_state,
@@ -496,6 +497,36 @@ class TestRunBatch:
             assert faults["dense", k] == faults["blockwise", k]
         assert faults["dense", 0][1] == 3
 
+    @pytest.mark.parametrize("path", RHS_PATHS)
+    def test_fault_from_a_z_entry_off_the_arcs(self, use_path, path):
+        # z_01 = 1e200 is off the arcs of the directed 3-cycle. Its column's
+        # innovations square to inf at the first stage at (0, 1) and (1, 1),
+        # both off the arcs, where pinning every entry made 0 * inf = NaN in
+        # xi from the next stage on and pinning on the arcs does not. The
+        # fault keeps the time, component and message it had then.
+        use_path(path)
+        game, g, specs = small_setup(orders=(2, 1, 3))
+        cfg = SimConfig(step_size=0.05, t_end=2.0, log_every=1, conv_window=1.0)
+        z0 = np.zeros((3, 3))
+        z0[0, 1] = 1e200
+        tables = sim._Tables(specs, SAT, g)
+        state = tables.initial_state(None, z0, 1.0)
+        rates = np.empty_like(state)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sim._blockwise_rhs(tables, game)(state, rates, np.empty(tables.rows))()
+        x, zdot, cdot, eta = tables.split(rates)
+        assert np.isfinite(x).all() and np.isfinite(eta).all()
+        for block in (zdot, cdot):
+            assert np.argwhere(~np.isfinite(block)).tolist() == [[0, 1], [1, 1]]
+        assert (g.weights[~np.isfinite(zdot)] == 0).all()
+        with pytest.raises(IntegrationError) as info:
+            run(game, g, specs, SAT, z0=z0, config=cfg)
+        assert (info.value.time, info.value.component, str(info.value)) == (
+            0.05,
+            0,
+            "integration fault at t = 0.05: non-finite state component 0 after a step",
+        )
+
     def test_dense_fault_of_one_member_leaves_the_others_dense(self, rng, monkeypatch, use_path):
         # a dense right-hand side that faults wherever c_11 starts high, as a
         # dense-only overflow would, while the blockwise step stays finite;
@@ -877,6 +908,45 @@ def test_dense_stepper_agrees_with_rk4_step(rng, path, members):
             step = sim._Stepper(bind, tables.rows, state, h).step()
             state = rk4_step(rhs, state, h)
             assert (np.abs(step - state) <= 1e-14 * np.maximum(1.0, np.abs(state))).all()
+
+
+@pytest.mark.parametrize("n", [3, 7, 16, 40])
+@pytest.mark.parametrize("mode", list(SeekerMode), ids=lambda mode: mode.value)
+def test_blockwise_rhs_writes_the_bits_of_the_n2_wide_form(n, mode):
+    # random weighted digraphs, games and orders 1 to 5; a lone member and a
+    # stacked batch of three, both read as the stepper's views of its
+    # (..., 5, L) blocks, against the form that pins every entry. lin starts
+    # as NaN, so no rate may read what the call did not write there.
+    rng = np.random.default_rng(n)
+    orders = [1] * n if mode is SeekerMode.FIRST_ORDER else rng.integers(1, 6, size=n).tolist()
+    form = "alternate" if mode is SeekerMode.ALTERNATE_FORM else "standard"
+    specs = tuple(
+        PlayerSpec(order=m, theta=0.3, delta=rng.uniform(0.5, 2.0), u_limit=10.0, form=form)
+        for m in orders
+    )
+    w = random_strongly_connected(n, rng).weights * rng.uniform(0.25, 3.0, size=(n, n))
+    if mode is SeekerMode.UNDIRECTED_ADAPTIVE:
+        w = w + w.T
+    g = Digraph(weights=w)
+    assert len(np.unique(w[w > 0])) > 1
+    game = random_monotone_game(n, rng)
+    tables = sim._Tables(specs, mode, g)
+    new, reference = sim._blockwise_rhs(tables, game), blockwise_rhs_reference(tables, game)
+    for lead in [(), (3,)]:
+        blocks = rng.standard_normal(lead + (5, tables.width)) * 3.0
+        s = blocks[..., 0, :]
+        x, z, c, eta = tables.split(s)
+        x *= tables.mask
+        np.abs(c, out=c)
+        c += 0.5
+        expected = np.empty(lead + (tables.width,))
+        lin = np.full(lead + (tables.rows,), np.nan)
+        for _ in range(2):
+            new(s, blocks[..., 1, :], lin)()
+            reference(s, expected, None)()
+            assert np.isfinite(expected).all()
+            np.testing.assert_array_equal(blocks[..., 1, :], expected)
+            z *= 10.0  # the second call from another state, over lin's leftovers
 
 
 @pytest.mark.parametrize("path", RHS_PATHS)

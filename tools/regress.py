@@ -22,7 +22,9 @@ batch; ``check`` and ``run`` on a config that is not strongly connected;
 ``check`` on a missing file; ``paper-example``; a ring of order-12
 players, where the control law sums enough terms for the order of
 summation to show; and a ring of order-2 players started at x0 = 1e308,
-whose state stays finite while its sum overflows.
+whose state stays finite while its sum overflows; and three replicates of
+16 order-3 players on a weighted digraph, whose operator is over the
+dense bound, so they step as one stacked batch on the blockwise path.
 """
 
 from __future__ import annotations
@@ -78,6 +80,19 @@ ORDER_12_RING = {
     "init": {"x0": {"random": {"low": -1.0, "high": 1.0}}, "z0": 0.5, "c0": 1.0},
     "sim": {"step_size": 1e-3, "t_end": 50.0, "log_every": 10, "conv_window": 10.0},
     "seed": 12,
+}
+# 16 order-3 players: an operator over sim._DENSE_MAX_BYTES, so the
+# replicates step as one stacked blockwise batch, pinned with non-unit
+# weights on a cycle with extra arcs
+_ARCS = {(i, (i + 1) % 16): 1.0 for i in range(16)}
+_ARCS.update({(0, 5): 0.5, (3, 11): 2.5, (7, 2): 1.5, (9, 14): 0.25, (12, 4): 3.0, (15, 8): 0.75})
+STACKED_BLOCKWISE = {
+    "game": {"type": "ring", "n": 16},
+    "graph": {"weights": [[_ARCS.get((i, j), 0.0) for j in range(16)] for i in range(16)]},
+    "players": {"order": 3, "theta": 0.3, "delta": 1.0},
+    "init": {"x0": {"random": {"low": -1.0, "high": 1.0}}, "z0": {"random": {"low": -1.0, "high": 1.0}}},
+    "sim": {"step_size": 2e-3, "t_end": 2.0, "log_every": 5, "conv_window": 1.0},
+    "seed": 16,
 }
 # every entry finite, their sum not: the run passes the exact check behind
 # the loop's finiteness screen and logs nan outputs
@@ -151,6 +166,7 @@ def commands(inputs: Path, out: Path) -> dict[str, list[str]]:
     cmds["paper-example"] = ["paper-example", "--out", str(out / "paper-example" / "files")]
     cmds["order-12-ring"] = run("order-12-ring", ORDER_12_RING)
     cmds["overflowing-sum"] = run("overflowing-sum", OVERFLOWING_SUM)
+    cmds["stacked-blockwise"] = run("stacked-blockwise", STACKED_BLOCKWISE, "--replicates", "3")
     return cmds
 
 

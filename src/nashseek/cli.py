@@ -102,14 +102,9 @@ def _write_outputs(
 
 
 def _check_out(out_dir: Path) -> None:
-    """Reject an output directory that writing could not create or fill, creating nothing.
-
-    ``out_dir`` must be a writable directory or, where it does not exist yet,
-    its nearest existing ancestor must be; checked before any integration.
-    """
-    nearest = out_dir
-    while not nearest.exists() and nearest != nearest.parent:
-        nearest = nearest.parent
+    """Before any integration, and creating nothing, reject an ``out_dir`` that
+    is not a writable directory and whose nearest existing ancestor is not one."""
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not nearest.is_dir():
         code = errno.ENOTDIR
     elif not os.access(nearest, os.W_OK | os.X_OK):

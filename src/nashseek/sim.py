@@ -59,12 +59,12 @@ members stay bit-identical to their solo runs.
 Above the byte bound the blockwise right-hand side (rowwise J o z, a
 Laplacian product, the pinning term on the graph's arcs only and the padded
 plant block) runs instead, and no operator is built; there a step is passes
-over n^2-wide arrays, not numpy's cost per call. The loop screens each step by the state's sum,
-finite when every entry is. A step that fails the screen keeps the
-batch's shape: its finite rows are kept, each bit-identical to its
-member's solo step, and each non-finite row re-takes the step alone and
-blockwise, since a dense product turns one overflowed entry into NaN
-across its member's whole row. A re-take still non-finite records its
+over n^2-wide arrays, not numpy's cost per call. The loop screens each step
+by the state's sum, finite when every entry is. A step that fails the
+screen keeps the batch's shape: its finite rows are kept, each
+bit-identical to its member's solo step, and each non-finite row re-takes
+the step alone and blockwise, since a dense product turns one overflowed
+entry into NaN across its member's whole row. A re-take still non-finite records its
 member's IntegrationError at its first non-finite entry and parks the row
 at zeros; the chunk stops once every member has faulted.
 The agreement of both right-hand sides with the scalar per-player laws in
@@ -125,10 +125,11 @@ _MAX_LOG_BYTES = 2**30
 # Largest dense operator the right-hand side multiplies by; above it the
 # blockwise right-hand side runs. It sits at the measured crossover for
 # order-3 players on a directed cycle, one BLAS thread, 2 MB of L2 per core
-# (rhs_per_call in BENCH_linop.json, from tools/bench_record.py): per call,
-# 28 us dense against 47 us blockwise at n = 12 (a 0.61 MB operator), 45
-# against 47 us at n = 14 (1.05 MB), 62 against 50 us at n = 15 (1.35 MB)
-# and 76 against 48 us at n = 16 (1.70 MB), as the operator leaves the cache.
+# (scaled medians of rhs_per_call in BENCH_edgepin.json, from
+# tools/bench_record.py): per call, 16 us dense against 22 us blockwise at
+# n = 12 (a 0.61 MB operator), 23 against 23 us at n = 14 (1.05 MB), 28
+# against 23 us at n = 15 (1.35 MB) and 44 against 23 us at n = 16
+# (1.70 MB), as the operator leaves the cache.
 _DENSE_MAX_BYTES = 1_200_000
 # Largest step-history block of _integrate, its carried row included; the
 # block is at least one row.

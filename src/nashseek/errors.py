@@ -73,14 +73,14 @@ class ModeOrderError(NashseekError):
 
 
 class ConvergenceError(NashseekError):
-    """An iterative solver ran out of iterations."""
+    """An iterative solver ran out of iterations, or could not start converging."""
 
-    def __init__(self, residual: float, iterations: int):
+    def __init__(self, residual: float, iterations: int, message: str | None = None):
         self.residual = residual
         self.iterations = iterations
         super().__init__(
-            f"no convergence after {iterations} iterations "
-            f"(residual {residual:.3e})"
+            message
+            or f"no convergence after {iterations} iterations (residual {residual:.3e})"
         )
 
 

@@ -105,7 +105,7 @@ def check_game(game: QuadraticGame) -> GameCertificate:
     jac = game.jacobian
     sym = 0.5 * jac + 0.5 * jac.T
     modulus = float(np.linalg.eigvalsh(sym)[0])
-    scale = np.ldexp(1.0, np.frexp(np.abs(jac).max())[1] - 1)
+    scale = _power_of_two_below(jac)
     with np.errstate(over="ignore"):
         lips = np.linalg.norm(jac / scale, axis=1) * scale
     return GameCertificate(monotonicity=modulus, lipschitz=lips)
@@ -129,17 +129,57 @@ def solve_nash_closed_form(game: QuadraticGame) -> NDArray[np.float64]:
     return y
 
 
+def _power_of_two_below(jac: NDArray[np.float64]) -> float:
+    """The power of two at or below max |jac_ij|; dividing by it is exact."""
+    return float(np.ldexp(1.0, np.frexp(np.abs(jac).max())[1] - 1))
+
+
+def _spectral_step(jac: NDArray[np.float64]) -> tuple[float, float]:
+    """The step s that minimizes rho(I - s J) = max_k |1 - s lambda_k|, and that rho.
+
+    phi(s) = max_k |1 - s lambda_k|^2 = 1 + s max_k (|lambda_k|^2 s - 2 Re lambda_k)
+    is convex, so its minimizer is one eigenvalue's own minimizer
+    Re lambda_k / |lambda_k|^2 or a crossing 2 (Re lambda_i - Re lambda_j) /
+    (|lambda_i|^2 - |lambda_j|^2) of two of them; the positive candidate with
+    the smallest phi is taken. The eigenvalues are those of J scaled by a
+    power of two, so |lambda|^2 neither overflows nor underflows; the step is
+    scaled back, and reads inf where it is beyond double range. With no
+    positive candidate it returns (0, 1).
+    """
+    scale = _power_of_two_below(jac)
+    lam = np.linalg.eigvals(jac / scale)
+    # J is real: a conjugate pair has one |1 - s lambda| for every real s
+    lam = lam[lam.imag >= 0]
+    re, sq = lam.real, np.abs(lam) ** 2
+    i, j = np.triu_indices(lam.size, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cands = np.concatenate([re / sq, 2.0 * (re[i] - re[j]) / (sq[i] - sq[j])])
+    cands = cands[np.isfinite(cands) & (cands > 0)]
+    if not cands.size:
+        return 0.0, 1.0
+    # max_k |1 - s lambda_k| at every candidate s, about 2**20 entries at a time
+    slabs = np.array_split(cands, -(-cands.size * lam.size // 2**20))
+    rho = np.concatenate([np.abs(1.0 - np.multiply.outer(s, lam)).max(axis=1) for s in slabs])
+    best = int(np.argmin(rho))
+    with np.errstate(over="ignore"):
+        return float(cands[best] / scale), float(rho[best])
+
+
 def solve_nash_gradient_play(
     game: QuadraticGame, step: float | None = None, max_iters: int = 200_000
 ) -> NDArray[np.float64]:
     """Damped fixed-point iteration y <- y - step * F(y) from y = 0.
 
-    The default step 0.9 * modulus / max(lipschitz)^2 is a heuristic; it is
-    contractive for the games used in this package but not for every strongly
-    monotone game, so callers with adversarial Jacobians should pass their
-    own step. Convergence is declared when the gradient residual falls
-    below 1e-10, which also certifies the answer independently of the
-    iteration count.
+    The default step minimizes the spectral radius rho(I - step * J) over
+    the eigenvalues of J (:func:`_spectral_step`). For an affine map the
+    iteration converges exactly when that radius is below 1, which the
+    strongly monotone games that pass :func:`check_game` allow in exact
+    arithmetic; where it is not below 1 in floating point,
+    :class:`ConvergenceError` is raised before any iteration. It stops at
+    the first iterate whose gradient satisfies
+    ||F(y)||_inf <= 1e-10 * ||offset||_inf, a test relative to the game's
+    scale that certifies the answer independently of the step; with a zero
+    offset it returns y = 0 at once.
 
     The iterates are written in blocks of ``_GRADIENT_PLAY_BLOCK`` (256),
     and the residual test runs once per block over all of its gradients,
@@ -151,11 +191,15 @@ def solve_nash_gradient_play(
         cert = check_game(game)
         if not cert.strongly_monotone:
             raise MonotonicityError(cert.monotonicity)
-        # divided twice: the square underflows to 0 for 1e-300 entries and
-        # overflows to inf for 1e300 ones
-        lmax = float(cert.lipschitz.max())
-        step = 0.9 * cert.monotonicity / lmax / lmax
+        step, rho = _spectral_step(game.jacobian)
+        if not (rho < 1.0 and np.isfinite(step)):
+            raise ConvergenceError(
+                float(np.abs(game.offset).max()), 0,
+                f"gradient play cannot contract in double precision: the best step "
+                f"{step:.3e} leaves rho(I - step * J) = {rho:.17g}",
+            )
     jac, offset = game.jacobian, game.offset
+    tol = 1e-10 * np.abs(offset).max()
     # row k of ys is the iterate whose gradient is row k of grads; row k + 1
     # is the next iterate, and the last row carries over to the next block
     ys = np.zeros((_GRADIENT_PLAY_BLOCK + 1, game.n_players))
@@ -170,7 +214,7 @@ def solve_nash_gradient_play(
             np.add(grad, offset, grad)
             np.multiply(step, grad, scaled)
             np.subtract(y, scaled, nxt)
-        hit = np.flatnonzero(np.abs(grads[:count]).max(axis=1) < 1e-10)
+        hit = np.flatnonzero(np.abs(grads[:count]).max(axis=1) <= tol)
         if hit.size:
             return ys[hit[0]].copy()
         ys[0] = ys[count]

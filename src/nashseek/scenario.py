@@ -163,6 +163,8 @@ def _game_size(game: dict) -> int:
         raise ConfigError(f"game.jacobian must be square, got shape {jac.shape}")
     if off.shape != (jac.shape[0],):
         raise ConfigError("game.offset length must match the jacobian size")
+    if jac.shape[0] < 2:
+        raise ConfigError(f"explicit game needs at least 2 players, got {jac.shape[0]}")
     return jac.shape[0]
 
 

@@ -17,7 +17,9 @@ bound; the flat state layout [xbar_1..xbar_N | z | c | eta] that
 textbook RK4 step (:func:`rk4_step`) that the simulator's stepper is
 checked against; gradient play as one loop with a residual test after
 every iteration (:func:`gradient_play_reference`), which the package's
-blocked loop must reproduce bit for bit; and the blockwise right-hand side
+blocked loop must reproduce bit for bit at the same step, and the step that
+minimizes the iteration's spectral radius found by a search
+(:func:`spectral_step_reference`); and the blockwise right-hand side
 in its n^2-wide form (:func:`blockwise_rhs_reference`), pinning every
 entry of the estimate matrix, whose bits the simulator's arc-list form
 must write.
@@ -25,6 +27,7 @@ must write.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -284,27 +287,55 @@ def rk4_step(rhs, state: NDArray[np.float64], h: float) -> NDArray[np.float64]:
     return state + (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (h / 6.0)
 
 
+def spectral_step_reference(game: QuadraticGame) -> float:
+    """The step s minimizing rho(s) = max_k |1 - s lambda_k|, by ternary search.
+
+    rho is convex in s, equals 1 at s = 0 and is at least 1 from
+    min_k 2 Re lambda_k / |lambda_k|^2 on, so the minimizer lies between.
+    200 thirds shrink that bracket below double resolution. The eigenvalues
+    are those of J over 2**floor(log2 max |J_ij|), and the step is scaled
+    back. Raises :class:`ConvergenceError` when the best rho is not below 1.
+    """
+    scale = 2.0 ** math.floor(math.log2(np.abs(game.jacobian).max()))
+    lam = np.linalg.eigvals(game.jacobian / scale)
+
+    def rho(s: float) -> float:
+        return float(np.abs(1.0 - s * lam).max())
+
+    lo, hi = 0.0, float((2.0 * lam.real / np.abs(lam) ** 2).min())
+    for _ in range(200):
+        third = (hi - lo) / 3.0
+        if rho(lo + third) < rho(hi - third):
+            hi -= third
+        else:
+            lo += third
+    step = (lo + hi) / 2.0
+    if not rho(step) < 1.0:
+        raise ConvergenceError(float(np.abs(game.offset).max()), 0, "no contracting step")
+    return step / scale
+
+
 def gradient_play_reference(
     game: QuadraticGame, step: float | None = None, max_iters: int = 200_000
 ) -> NDArray[np.float64]:
     """Gradient play as :func:`nashseek.game.solve_nash_gradient_play` states it.
 
-    Damped fixed-point iteration y <- y - step * F(y) from y = 0, with the
-    same default step, testing the gradient residual against 1e-10 before
-    every update.
+    Damped fixed-point iteration y <- y - step * F(y) from y = 0, testing
+    ||F(y)||_inf <= 1e-10 * ||offset||_inf before every update. The default
+    step minimizes the spectral radius of I - step * J, found by
+    :func:`spectral_step_reference`, a search rather than the package's
+    candidate formula, so the two defaults agree to rounding, not bit for bit.
     """
     y = np.zeros(game.n_players)
     if step is None:
         cert = check_game(game)
         if not cert.strongly_monotone:
             raise MonotonicityError(cert.monotonicity)
-        # divided twice: the square underflows to 0 for 1e-300 entries and
-        # overflows to inf for 1e300 ones
-        lmax = float(cert.lipschitz.max())
-        step = 0.9 * cert.monotonicity / lmax / lmax
+        step = spectral_step_reference(game)
+    tol = 1e-10 * np.abs(game.offset).max()
     for _ in range(max_iters):
         grad = game.pseudo_gradient(y)
-        if np.abs(grad).max() < 1e-10:
+        if np.abs(grad).max() <= tol:
             return y
         y -= step * grad
     raise ConvergenceError(float(np.abs(game.pseudo_gradient(y)).max()), max_iters)

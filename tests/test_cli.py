@@ -199,6 +199,16 @@ class TestExitCodes:
         assert err.startswith("config error: ring game n = 10000000 exceeds the cap of 11585")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["run", "check", "solve-ne"])
+    def test_one_player_game_is_2(self, tmp_path, capsys, command):
+        # the built-in ring with n = 1 is a config error too
+        data = dict(BASE, game={"jacobian": [[2.0]], "offset": [1.0]}, graph={"weights": [[0.0]]})
+        cfg_path = write_config(tmp_path, data)
+        extra = ["--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, cfg_path, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: explicit game needs at least 2 players, got 1\n"
+
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_cycle_graph_too_large_to_build_is_2(self, tmp_path, capsys, command):
         cfg_path = write_config(tmp_path, dict(BASE, graph={"type": "cycle", "n": 10**7}))
@@ -425,6 +435,35 @@ class TestSolveNe:
         assert main(["solve-ne", cfg_path]) == 0
         # both solvers print the equilibrium -1 / scale for every player
         assert capsys.readouterr().out.count(f"{-1 / scale:.10g}") == 6
+
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_skew_and_extreme_scale_games_solve(self, tmp_path, capsys, scale):
+        # I + 10 (u v^T - v u^T) with u = 1/sqrt(8), v = +-1/sqrt(8): the row-norm
+        # step diverged on it; scaled with its offset, the solution stays put
+        n = 8
+        u = np.full(n, 1.0 / np.sqrt(n))
+        v = np.array([(-1.0) ** i for i in range(n)]) / np.sqrt(n)
+        jac = scale * (np.eye(n) + 10.0 * (np.outer(u, v) - np.outer(v, u)))
+        data = {"game": {"jacobian": jac.tolist(), "offset": [scale] * n}}
+        cfg_path = write_config(tmp_path, data)
+        assert main(["solve-ne", cfg_path]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        deviation = float(out.strip().splitlines()[-1].split(":")[1])
+        closed = np.linalg.solve(jac, -np.full(n, scale))
+        assert deviation <= 1e-6 * np.abs(closed).max()
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_extreme_diagonal_game_with_scaled_offset(self, tmp_path, capsys, scale):
+        # an absolute stop (residual < 1e-10) took y = 0 at 1e-300
+        data = {"game": {"jacobian": (np.eye(2) * scale).tolist(), "offset": [scale, scale]}}
+        cfg_path = write_config(tmp_path, data)
+        assert main(["solve-ne", cfg_path]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[:2] == ["closed-form  : [-1, -1]", "gradient-play: [-1, -1]"]
+        assert float(out.strip().splitlines()[-1].split(":")[1]) <= 1e-6
 
 
 class TestCheck:

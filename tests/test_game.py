@@ -16,8 +16,9 @@ from nashseek import (
     solve_nash_closed_form,
     solve_nash_gradient_play,
 )
+from nashseek.game import _spectral_step
 from conftest import random_monotone_game
-from oracles import gradient_play_reference, self_gradients
+from oracles import gradient_play_reference, self_gradients, spectral_step_reference
 
 
 def preflight_games() -> list[QuadraticGame]:
@@ -39,10 +40,26 @@ def preflight_games() -> list[QuadraticGame]:
 
 
 def slow_ring(n: int) -> QuadraticGame:
-    """I - 0.94 S with S the cyclic shift: gradient play takes thousands of iterations."""
+    """I - 0.94 S with S the cyclic shift: at SLOW_STEP, gradient play takes thousands of iterations."""
     return QuadraticGame(
         jacobian=np.eye(n) - 0.94 * np.roll(np.eye(n), 1, axis=1), offset=np.ones(n)
     )
+
+
+# rho(I - SLOW_STEP * J) = 0.9982 on slow_ring; its best step 1.0 gives 0.94
+SLOW_STEP = 0.03
+
+
+def skew_game(n: int = 8) -> QuadraticGame:
+    """I + 10 (u v^T - v u^T): modulus 1, a skew part ten times larger, offset 1."""
+    u = np.full(n, 1.0 / np.sqrt(n))
+    v = np.array([(-1.0) ** i for i in range(n)]) / np.sqrt(n)
+    return QuadraticGame(jacobian=np.eye(n) + 10.0 * (np.outer(u, v) - np.outer(v, u)), offset=np.ones(n))
+
+
+def at_package_step(game: QuadraticGame, **kwargs) -> np.ndarray:
+    """The per-iteration reference run at the step the package picks by default."""
+    return gradient_play_reference(game, step=_spectral_step(game.jacobian)[0], **kwargs)
 
 
 class TestRingGame:
@@ -144,9 +161,10 @@ class TestSolvers:
             solve_nash_gradient_play(game)
 
     def test_gradient_play_iteration_budget(self):
+        # the default step solves ring_game(3) in about 35 iterations
         game = ring_game(3)
         with pytest.raises(ConvergenceError):
-            solve_nash_gradient_play(game, max_iters=3)
+            solve_nash_gradient_play(game, step=0.05, max_iters=3)
 
     def test_explicit_step_overrides_default(self):
         game = ring_game(3)
@@ -166,16 +184,12 @@ class TestGradientPlayBlocks:
         games = preflight_games()
         assert [g.n_players for g in games] == [8, 16, 24, 32]
         for game in games:
-            assert np.array_equal(
-                solve_nash_gradient_play(game), gradient_play_reference(game)
-            )
+            assert np.array_equal(solve_nash_gradient_play(game), at_package_step(game))
 
     def test_random_games_match_reference(self, rng):
         for n in list(range(2, 41)) + [2, 3, 5, 7, 11, 17, 40]:
             game = random_monotone_game(n, rng)
-            assert np.array_equal(
-                solve_nash_gradient_play(game), gradient_play_reference(game)
-            ), n
+            assert np.array_equal(solve_nash_gradient_play(game), at_package_step(game)), n
 
     def test_zero_offset_stops_at_the_start(self):
         game = QuadraticGame(jacobian=ring_game(5).jacobian, offset=np.zeros(5))
@@ -183,24 +197,24 @@ class TestGradientPlayBlocks:
         assert np.array_equal(y, np.zeros(5))
         assert np.array_equal(y, gradient_play_reference(game))
 
+    # an explicit small step: the default one solves slow_ring in under 400
     @pytest.mark.parametrize("max_iters", [0, 1, 3, 255, 256, 257, 1000])
     def test_exhausted_budget_matches_reference(self, max_iters):
         game = slow_ring(6)
         with pytest.raises(ConvergenceError) as got:
-            solve_nash_gradient_play(game, max_iters=max_iters)
+            solve_nash_gradient_play(game, step=SLOW_STEP, max_iters=max_iters)
         with pytest.raises(ConvergenceError) as want:
-            gradient_play_reference(game, max_iters=max_iters)
+            gradient_play_reference(game, step=SLOW_STEP, max_iters=max_iters)
         assert got.value.iterations == want.value.iterations == max_iters
         assert got.value.residual == want.value.residual
         assert str(got.value) == str(want.value)
 
     def test_stop_inside_a_later_block_matches_reference(self):
-        # thousands of iterations: the stop lands past the first block
+        # thousands of iterations at SLOW_STEP and hundreds at the default:
+        # the stop lands past the first block
         game = slow_ring(6)
-        assert np.array_equal(
-            solve_nash_gradient_play(game), gradient_play_reference(game)
-        )
-        for step in (0.05, 0.3, 1.0):
+        assert np.array_equal(solve_nash_gradient_play(game), at_package_step(game))
+        for step in (SLOW_STEP, 0.05, 0.3, 1.0):
             assert np.array_equal(
                 solve_nash_gradient_play(game, step=step),
                 gradient_play_reference(game, step=step),
@@ -209,3 +223,59 @@ class TestGradientPlayBlocks:
     def test_returned_array_is_not_a_buffer_view(self):
         y = solve_nash_gradient_play(ring_game(4))
         assert y.base is None and y.flags.writeable
+
+
+class TestSpectralStep:
+    """The default step minimizes rho(I - step * J); the stop is relative to the offset."""
+
+    def games(self, rng) -> list[QuadraticGame]:
+        return preflight_games() + [skew_game(), slow_ring(6), ring_game(5)] + [
+            random_monotone_game(n, rng) for n in (2, 3, 4, 7, 12)
+        ]
+
+    def test_step_matches_the_search(self, rng):
+        for game in self.games(rng):
+            step, rho = _spectral_step(game.jacobian)
+            searched = spectral_step_reference(game)
+            lam = np.linalg.eigvals(game.jacobian)
+            assert rho == pytest.approx(np.abs(1.0 - step * lam).max(), abs=1e-12)
+            assert rho <= np.abs(1.0 - searched * lam).max() + 1e-12
+            assert step == pytest.approx(searched, rel=1e-6)
+
+    def test_default_route_agrees_with_the_search_route(self, rng):
+        for game in self.games(rng):
+            np.testing.assert_allclose(
+                solve_nash_gradient_play(game), gradient_play_reference(game), rtol=1e-8
+            )
+
+    def test_preflight_step_and_radius(self):
+        # I - 0.94 S has its spectrum on the circle |lambda - 1| = 0.94
+        for game in preflight_games():
+            step, rho = _spectral_step(game.jacobian)
+            assert step == pytest.approx(1.0, rel=1e-12)
+            assert rho == pytest.approx(0.94, rel=1e-12)
+
+    def test_skew_game_solves(self):
+        # the row-norm step 0.9 * mu / lmax^2 gave rho 1.026 here, and diverged
+        game = skew_game()
+        step, rho = _spectral_step(game.jacobian)
+        assert rho < 0.996
+        y = solve_nash_gradient_play(game)
+        np.testing.assert_allclose(y, solve_nash_closed_form(game), rtol=1e-8)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_extreme_scales_solve(self, scale):
+        # unscaled, |lambda|^2 overflows at 1e300 and underflows at 1e-300;
+        # with an absolute stop, the 1e-300 game stopped at y = 0
+        game = QuadraticGame(jacobian=scale * np.eye(2), offset=np.full(2, scale))
+        np.testing.assert_allclose(solve_nash_gradient_play(game), [-1.0, -1.0], rtol=1e-12)
+
+    def test_no_contracting_step_raises_before_iterating(self):
+        # modulus 1e-20 > 0, but every |1 - s lambda| rounds to at least 1
+        game = QuadraticGame(jacobian=np.array([[1e-20, 1.0], [-1.0, 1e-20]]), offset=np.ones(2))
+        assert check_game(game).strongly_monotone
+        with pytest.raises(ConvergenceError) as got:
+            solve_nash_gradient_play(game)
+        assert got.value.iterations == 0
+        assert str(got.value).startswith("gradient play cannot contract in double precision")
+        assert "\n" not in str(got.value)

@@ -22,9 +22,12 @@ batch; ``check`` and ``run`` on a config that is not strongly connected;
 ``check`` on a missing file; ``paper-example``; a ring of order-12
 players, where the control law sums enough terms for the order of
 summation to show; and a ring of order-2 players started at x0 = 1e308,
-whose state stays finite while its sum overflows; and three replicates of
+whose state stays finite while its sum overflows; three replicates of
 16 order-3 players on a weighted digraph, whose operator is over the
-dense bound, so they step as one stacked batch on the blockwise path.
+dense bound, so they step as one stacked batch on the blockwise path; and
+``solve-ne`` on games that gradient play's step and stop rules must
+handle: a skew part ten times the modulus, J = 1e-300 I and 1e300 I with
+offsets of the same scale, and the preflight ring I - 0.94 S at n = 32.
 """
 
 from __future__ import annotations
@@ -106,6 +109,22 @@ OVERFLOWING_SUM = {
 }
 
 
+def _solve_ne_games() -> dict[str, dict]:
+    """Games for ``solve-ne``, by command name."""
+    n = 8
+    u = [n**-0.5] * n
+    v = [(-1) ** i * n**-0.5 for i in range(n)]
+    # I + 10 (u v^T - v u^T): modulus 1 and a skew part ten times larger
+    skew = [[float(i == j) + 10.0 * (u[i] * v[j] - v[i] * u[j]) for j in range(n)] for i in range(n)]
+    games = {"solve-ne-skew": {"jacobian": skew, "offset": [1.0] * n}}
+    for name, scale in (("tiny", 1e-300), ("huge", 1e300)):
+        eye = [[scale * (i == j) for j in range(2)] for i in range(2)]
+        games[f"solve-ne-{name}"] = {"jacobian": eye, "offset": [scale, scale]}
+    ring = [[1.0 if i == j else -0.94 if j == (i + 1) % 32 else 0.0 for j in range(32)] for i in range(32)]
+    games["solve-ne-ring-32"] = {"jacobian": ring, "offset": [1.0] * 32}
+    return {name: {"game": game} for name, game in games.items()}
+
+
 def _reference(t_end: float, conv_window: float, **changes) -> dict:
     config = workloads.pool_inputs("reference", 0)[0].config
     sim = dict(config["sim"], t_end=t_end, conv_window=conv_window)
@@ -167,6 +186,8 @@ def commands(inputs: Path, out: Path) -> dict[str, list[str]]:
     cmds["order-12-ring"] = run("order-12-ring", ORDER_12_RING)
     cmds["overflowing-sum"] = run("overflowing-sum", OVERFLOWING_SUM)
     cmds["stacked-blockwise"] = run("stacked-blockwise", STACKED_BLOCKWISE, "--replicates", "3")
+    for name, data in _solve_ne_games().items():
+        cmds[name] = ["solve-ne", config(name, data)]
     return cmds
 
 

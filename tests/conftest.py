@@ -1,4 +1,4 @@
-"""Shared helpers for randomized test inputs: monotone games and strongly connected digraphs."""
+"""Shared helpers for test inputs: monotone games and strongly connected digraphs."""
 
 import sys
 
@@ -21,6 +21,18 @@ def random_monotone_game(n: int, rng: np.random.Generator) -> QuadraticGame:
     skew = skew - skew.T
     offset = rng.uniform(-1.0, 1.0, size=n)
     return QuadraticGame(jacobian=sym + skew, offset=offset)
+
+
+def skew_game(n: int = 8, scale: float = 1.0) -> QuadraticGame:
+    """scale * (I + 10 (u v^T - v u^T)) with offset scale * 1, u = 1/sqrt(n), v = +-1/sqrt(n).
+
+    Its modulus is scale and its skew part ten times larger; the row-norm
+    step 0.9 * modulus / max_row_norm^2 does not contract on it.
+    """
+    u = np.full(n, 1.0 / np.sqrt(n))
+    v = np.array([(-1.0) ** i for i in range(n)]) / np.sqrt(n)
+    jac = scale * (np.eye(n) + 10.0 * (np.outer(u, v) - np.outer(v, u)))
+    return QuadraticGame(jacobian=jac, offset=np.full(n, scale))
 
 
 def random_strongly_connected(

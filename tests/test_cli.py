@@ -8,6 +8,7 @@ import pytest
 
 from nashseek import parse_config, sim
 from nashseek.cli import main
+from conftest import skew_game
 
 BASE = {
     "game": {"type": "ring", "n": 2},
@@ -439,19 +440,16 @@ class TestSolveNe:
 
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
     def test_skew_and_extreme_scale_games_solve(self, tmp_path, capsys, scale):
-        # I + 10 (u v^T - v u^T) with u = 1/sqrt(8), v = +-1/sqrt(8): the row-norm
-        # step diverged on it; scaled with its offset, the solution stays put
-        n = 8
-        u = np.full(n, 1.0 / np.sqrt(n))
-        v = np.array([(-1.0) ** i for i in range(n)]) / np.sqrt(n)
-        jac = scale * (np.eye(n) + 10.0 * (np.outer(u, v) - np.outer(v, u)))
-        data = {"game": {"jacobian": jac.tolist(), "offset": [scale] * n}}
+        # the row-norm step diverged on the skew game; scaled with its
+        # offset, the solution stays put
+        game = skew_game(scale=scale)
+        data = {"game": {"jacobian": game.jacobian.tolist(), "offset": game.offset.tolist()}}
         cfg_path = write_config(tmp_path, data)
         assert main(["solve-ne", cfg_path]) == 0
         out, err = capsys.readouterr()
         assert err == ""
         deviation = float(out.strip().splitlines()[-1].split(":")[1])
-        closed = np.linalg.solve(jac, -np.full(n, scale))
+        closed = np.linalg.solve(game.jacobian, -game.offset)
         assert deviation <= 1e-6 * np.abs(closed).max()
 
     @pytest.mark.parametrize("scale", [1e-300, 1e300])

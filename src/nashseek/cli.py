@@ -43,7 +43,6 @@ from .errors import (
 from .game import check_game, solve_nash_closed_form, solve_nash_gradient_play
 from .graph import is_strongly_connected, pinning_diagnostic
 from .scenario import (
-    ScenarioConfig,
     build,
     game_from_block,
     graph_from_block,
@@ -82,16 +81,16 @@ def _json_value(value):
     return value
 
 
-def write_summary_json(path: Path, summary: Summary, cfg: ScenarioConfig) -> None:
+def write_summary_json(path: Path, summary: Summary, cfg: dict) -> None:
     fields = {key: _json_value(value) for key, value in asdict(summary).items()}
-    payload = {**fields, "resolved_config": cfg.to_dict()}
+    payload = {**fields, "resolved_config": cfg}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
 def _write_outputs(
-    out_dir: Path, traj: Trajectory, summary: Summary, cfg: ScenarioConfig, prefix: str = ""
+    out_dir: Path, traj: Trajectory, summary: Summary, cfg: dict, prefix: str = ""
 ) -> None:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -114,17 +113,10 @@ def _check_out(out_dir: Path) -> None:
     raise ConfigError(f"cannot write outputs under {out_dir}: {os.strerror(code)}")
 
 
-def _execute(cfg: ScenarioConfig, out_dir: Path, prefix: str = "") -> tuple[Trajectory, Summary]:
+def _execute(cfg: dict, out_dir: Path, prefix: str = "") -> tuple[Trajectory, Summary]:
     built = build(cfg)
     traj, summary = run(
-        built.game,
-        built.graph,
-        built.specs,
-        built.mode,
-        x0=cfg.x0,
-        z0=cfg.z0,
-        c0=cfg.c0,
-        config=built.sim,
+        built.game, built.graph, built.specs, built.mode, **cfg["init"], config=built.sim
     )
     _write_outputs(out_dir, traj, summary, cfg, prefix)
     return traj, summary
@@ -156,7 +148,7 @@ def cmd_run(args) -> int:
         return 0
     # seed-shifted replicates differ only in their random init draws, so
     # they share game, graph, players, mode and sim and integrate as one batch
-    base_seed = 0 if cfg.seed is None else cfg.seed
+    base_seed = 0 if cfg["seed"] is None else cfg["seed"]
     cfgs = [parse_config({**raw, "seed": base_seed + r}) for r in range(args.replicates)]
     built = build(cfgs[0])
     results = run_batch(
@@ -164,9 +156,9 @@ def cmd_run(args) -> int:
         built.graph,
         built.specs,
         built.mode,
-        [cfg.x0 for cfg in cfgs],
-        [cfg.z0 for cfg in cfgs],
-        [cfg.c0 for cfg in cfgs],
+        [cfg["init"]["x0"] for cfg in cfgs],
+        [cfg["init"]["z0"] for cfg in cfgs],
+        [cfg["init"]["c0"] for cfg in cfgs],
         built.sim,
     )
     fault = None
@@ -203,7 +195,7 @@ def cmd_paper_example(args) -> int:
             "convergence",
             summary.converged,
             f"final error {summary.final_err:.3e} vs tolerance 1e-02 over the last "
-            f"{cfg.sim['conv_window']:g} s",
+            f"{cfg['sim']['conv_window']:g} s",
         ),
         (
             "actuator-bound",
@@ -265,8 +257,8 @@ def cmd_solve_ne(args) -> int:
 
 def cmd_check(args) -> int:
     cfg = parse_config(read_json(args.config))
-    game = game_from_block(cfg.game)
-    graph = graph_from_block(cfg.graph)
+    game = game_from_block(cfg["game"])
+    graph = graph_from_block(cfg["graph"])
     cert = check_game(game)
 
     checks: list[tuple[str, bool, str]] = []
@@ -281,25 +273,29 @@ def cmd_check(args) -> int:
     checks.append(
         ("lipschitz", bool(np.isfinite(cert.lipschitz).all()), f"row bounds l_i = [{lip}]")
     )
-    for i, p in enumerate(cfg.players, start=1):
+    for i, p in enumerate(cfg["players"], start=1):
         in_range = theta_in_design_range(p["theta"])
-        note = "" if in_range else (" [override]" if cfg.allow_large_theta else "")
+        # the override admits [0.5, 1), never a theta outside (0, 1)
+        override = not in_range and cfg["allow_large_theta"] and 0.0 < p["theta"] < 1.0
+        note = " [override]" if override else ""
         checks.append(
             (
                 f"theta-range player {i}",
-                in_range or cfg.allow_large_theta,
+                in_range or override,
                 f"theta = {p['theta']:.6g}, design range (0, 0.5){note}",
             )
         )
         bound = max_control_bound(p["order"], p["theta"], p["delta"], p["form"])
+        positive = p["delta"] > 0 and p["u_limit"] > 0
         checks.append(
             (
                 f"actuator-bound player {i}",
-                bound_within_limit(bound, p["u_limit"]),
-                f"certified delta * sum(gain_row) = {bound:.6g} vs limit {p['u_limit']:.6g}",
+                positive and bound_within_limit(bound, p["u_limit"]),
+                f"certified delta * sum(gain_row) = {bound:.6g} vs limit {p['u_limit']:.6g}"
+                + ("" if positive else " (delta and u_limit must be positive)"),
             )
         )
-    if cfg.mode == "UndirectedAdaptive":  # the one mode that assumes symmetric weights
+    if cfg["mode"] == "UndirectedAdaptive":  # the one mode that assumes symmetric weights
         checks.append(("symmetry", graph.symmetric, "weights[i][j] == weights[j][i] for all i, j"))
     connected = is_strongly_connected(graph)
     checks.append(
@@ -330,7 +326,7 @@ def cmd_check(args) -> int:
     built = build(cfg)
     run_batch(
         built.game, built.graph, built.specs, built.mode,
-        [cfg.x0], [cfg.z0], [cfg.c0], built.sim,
+        [cfg["init"]["x0"]], [cfg["init"]["z0"]], [cfg["init"]["c0"]], built.sim,
     )
     return 0
 

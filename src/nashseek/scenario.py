@@ -17,11 +17,13 @@ A scenario file is one JSON object with the blocks
     allow_large_theta  opt-in for theta >= 0.5 (default false)
 
 Parsing materializes every default and resolves every random draw, so a
-parsed config is plain data: equal configs mean bit-identical runs, and
-``to_dict`` round-trips through JSON unchanged. Parsing validates
-structure only; :func:`build` constructs the run objects and raises what
-PlayerSpec, SimConfig, the game and the graph reject, so preflight tooling
-can report the gain-range and actuator checks as named verdicts first.
+parsed config is the resolved JSON object itself: equal configs mean
+bit-identical runs, and parsing it again returns it unchanged. Its
+``init``, ``sim`` and player blocks are the keyword arguments of ``run``,
+SimConfig and PlayerSpec. Parsing validates structure only; :func:`build`
+constructs the run objects and raises what PlayerSpec, SimConfig, the game
+and the graph reject, so preflight tooling can report the gain-range and
+actuator checks as named verdicts first.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .seeker import SeekerMode
 from .sim import SimConfig
 
 __all__ = [
-    "ScenarioConfig",
     "BuiltScenario",
     "parse_config",
     "build",
@@ -54,34 +55,6 @@ _PLAYER_KEYS = {"order", "theta", "delta", "auto_delta_margin", "u_limit", "form
 _INIT_KEYS = {"x0", "z0", "c0"}
 # the largest n whose n x n float64 matrix fits in 1 GiB
 _MAX_BUILT_IN_N = math.isqrt(2**30 // 8)
-
-
-@dataclass
-class ScenarioConfig:
-    """Fully resolved scenario; every field is plain JSON-compatible data."""
-
-    game: dict
-    graph: dict
-    players: list[dict]
-    mode: str
-    x0: list[list[float]]
-    z0: float | list[list[float]]
-    c0: float | list[list[float]]
-    sim: dict
-    seed: int | None
-    allow_large_theta: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "game": self.game,
-            "graph": self.graph,
-            "mode": self.mode,
-            "players": self.players,
-            "init": {"x0": self.x0, "z0": self.z0, "c0": self.c0},
-            "sim": self.sim,
-            "seed": self.seed,
-            "allow_large_theta": self.allow_large_theta,
-        }
 
 
 @dataclass
@@ -270,7 +243,7 @@ def _resolve_player(p, i: int) -> dict:
     }
 
 
-def parse_config(data: dict) -> ScenarioConfig:
+def parse_config(data: dict) -> dict:
     """Validate raw JSON data and resolve every default and random draw.
 
     Random init blocks are drawn in the fixed order x0, z0, c0 from one
@@ -379,42 +352,32 @@ def parse_config(data: dict) -> ScenarioConfig:
         else:
             sim_resolved[f.name] = _number(sim, f.name, "sim", f.default)
 
-    return ScenarioConfig(
-        game=game,
-        graph=graph,
-        players=players,
-        mode=mode,
-        x0=x0,
-        z0=z0,
-        c0=c0,
-        sim=sim_resolved,
-        seed=seed,
-        allow_large_theta=allow_large_theta,
-    )
+    return {
+        "game": game,
+        "graph": graph,
+        "mode": mode,
+        "players": players,
+        "init": {"x0": x0, "z0": z0, "c0": c0},
+        "sim": sim_resolved,
+        "seed": seed,
+        "allow_large_theta": allow_large_theta,
+    }
 
 
-def build(cfg: ScenarioConfig) -> BuiltScenario:
+def build(cfg: dict) -> BuiltScenario:
     """Construct run-ready objects; raises the underlying validation errors."""
     return BuiltScenario(
-        game=game_from_block(cfg.game),
-        graph=graph_from_block(cfg.graph),
+        game=game_from_block(cfg["game"]),
+        graph=graph_from_block(cfg["graph"]),
         specs=tuple(
-            PlayerSpec(
-                order=p["order"],
-                theta=p["theta"],
-                delta=p["delta"],
-                u_limit=p["u_limit"],
-                form=p["form"],
-                allow_large_theta=cfg.allow_large_theta,
-            )
-            for p in cfg.players
+            PlayerSpec(**p, allow_large_theta=cfg["allow_large_theta"]) for p in cfg["players"]
         ),
-        mode=SeekerMode(cfg.mode),
-        sim=SimConfig(**cfg.sim),
+        mode=SeekerMode(cfg["mode"]),
+        sim=SimConfig(**cfg["sim"]),
     )
 
 
-def reference_scenario(mode: str = "SaturatedDirected") -> ScenarioConfig:
+def reference_scenario(mode: str = "SaturatedDirected") -> dict:
     """Six third-order players on a directed ring, the package's worked example.
 
     Player i starts at plant state (i, 1, 1) in original coordinates with

@@ -69,9 +69,7 @@ def reference_runs():
             built.graph,
             built.specs,
             built.mode,
-            x0=scenario.x0,
-            z0=scenario.z0,
-            c0=scenario.c0,
+            **scenario["init"],
             config=cfg,
         )
     return results
@@ -88,9 +86,7 @@ def companion_run():
         built.graph,
         built.specs,
         built.mode,
-        x0=scenario.x0,
-        z0=scenario.z0,
-        c0=scenario.c0,
+        **scenario["init"],
         config=cfg,
     )
 

@@ -5,7 +5,7 @@ import nashseek
 PUBLIC = """
     BuiltScenario ConfigError ConnectivityError ConvergenceError Digraph FORM_ALTERNATE
     FORM_STANDARD GameCertificate IllConditionedGameError IntegrationError ModeOrderError
-    MonotonicityError NashseekError PinningDiagnostic PlayerSpec QuadraticGame ScenarioConfig
+    MonotonicityError NashseekError PinningDiagnostic PlayerSpec QuadraticGame
     SeekerMode SimConfig SingularTransformError Summary SymmetryError Trajectory Transformation
     build build_transformation certified_bound check_game cycle_digraph delta_for_limit
     detect_convergence gain_row integral_scale is_strongly_connected laplacian max_control_bound

@@ -190,6 +190,15 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["run", "check", "solve-ne"])
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unreadable_config_path_is_2(self, tmp_path, capsys, command, name):
+        path = tmp_path / name
+        extra = ["--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, str(path), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "check", "solve-ne"])
     def test_built_in_blocks_too_large_to_build_are_2(self, tmp_path, capsys, command):
         # each 10**7 x 10**7 matrix would take 728 TiB; nothing is allocated
         data = dict(BASE, game={"type": "ring", "n": 10**7}, graph={"type": "cycle", "n": 10**7})
@@ -281,10 +290,12 @@ class TestExitCodes:
         assert err.startswith("config error: ") and "non-finite number 1e400" in err
         assert err.count("\n") == 1
 
-    # run's flags read the config only after it parses
+    # run's flags read the config only after it parses; a count below one is
+    # a config error of its own
     @pytest.mark.parametrize(
         "data, flags",
         [
+            (BASE, ["--replicates", "0"]),
             ([BASE], ["--replicates", "2"]),
             (None, ["--replicates", "2"]),
             (dict(BASE, seed="x"), ["--replicates", "2"]),
@@ -292,6 +303,7 @@ class TestExitCodes:
             (dict(BASE, seed=True), ["--replicates", "2"]),
         ],
         ids=[
+            "zero-replicates",
             "list-root-replicates",
             "null-root-replicates",
             "string-seed-replicates",
@@ -410,6 +422,13 @@ class TestExitCodes:
 
 
 class TestSolveNe:
+    @pytest.mark.parametrize(
+        "data", [[], {}, {"game": [[1.0]]}], ids=["list-root", "no-game", "game-a-list"]
+    )
+    def test_without_a_game_object_is_2(self, tmp_path, capsys, data):
+        assert main(["solve-ne", write_config(tmp_path, data)]) == 2
+        assert capsys.readouterr().err == "config error: config needs a game block\n"
+
     def test_ring_agreement(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"game": {"type": "ring", "n": 6}})
         assert main(["solve-ne", cfg_path]) == 0
@@ -502,6 +521,32 @@ class TestCheck:
             out = capsys.readouterr().out
             assert "[FAIL] actuator-bound player 1" in out
             assert bound in out
+
+    # values PlayerSpec rejects fail their line whatever the override
+    @pytest.mark.parametrize(
+        "players, line",
+        [
+            (
+                {"order": 1, "theta": 1.5, "delta": 1.0},
+                "[FAIL] theta-range player 1: theta = 1.5, design range (0, 0.5)\n",
+            ),
+            (
+                {"order": 1, "theta": -0.2, "delta": 1.0},
+                "[FAIL] theta-range player 1: theta = -0.2, design range (0, 0.5)\n",
+            ),
+            (
+                {"order": 2, "theta": 0.3, "delta": -1.0, "u_limit": 1.0},
+                "[FAIL] actuator-bound player 1: certified delta * sum(gain_row) = -0.39 "
+                "vs limit 1 (delta and u_limit must be positive)\n",
+            ),
+        ],
+        ids=["theta-above-one", "theta-below-zero", "negative-delta"],
+    )
+    def test_values_player_spec_rejects_fail(self, tmp_path, capsys, players, line):
+        cfg_path = write_config(tmp_path, dict(BASE, players=players, allow_large_theta=True))
+        assert main(["check", cfg_path]) == 3
+        captured = capsys.readouterr()
+        assert line in captured.out and captured.err == ""
 
     def test_disconnected_graph_failure(self, tmp_path, capsys):
         data = dict(
@@ -596,6 +641,7 @@ AGREEMENT_CASES = {
     "alternate-form-mode": (2, {"mode": "AlternateForm"}),
     "undirected-adaptive-mode": (3, {"mode": "UndirectedAdaptive"}),
     "negative-delta": (3, {"players": {"order": 2, "theta": 0.3, "delta": -1.0, "u_limit": 1.0}}),
+    "negative-u-limit": (3, {"players": {"order": 2, "theta": 0.3, "delta": 1.0, "u_limit": -1.0}}),
     "unknown-form": (3, {"players": {"order": 2, "theta": 0.3, "delta": 1.0, "form": "weird"}}),
     "negative-step": (2, {"sim": dict(AGREEMENT_BASE["sim"], step_size=-0.01)}),
     "window-beyond-horizon": (2, {"sim": dict(AGREEMENT_BASE["sim"], conv_window=5.0)}),

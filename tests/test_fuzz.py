@@ -1,15 +1,20 @@
-"""Mutated scenario files: run and check end in a classified exit with strict JSON output.
+"""Mutated scenario files: run, check and solve-ne end in a classified exit
+with strict JSON output and at most one line on stderr.
 
 Each example takes a small valid scenario in one of the five modes,
 replaces, adds or deletes a few of its fields with values of the wrong
 type, out of range or extreme, and drives the command line on it, with or without
 run's --replicates flag. Every outcome must be an exit
 code in {0, 2, 3, 4}, never an uncaught exception, and every summary.json
-written must parse as strict JSON. Values stay small enough that a run
-finishes in milliseconds.
+written must parse as strict JSON. Exit 0 leaves stderr empty; any other
+exit prints exactly one stderr line, except check after a [FAIL] line,
+which prints none. Values stay small enough that a run finishes in
+milliseconds.
 """
 
+import contextlib
 import copy
+import io
 import json
 import tempfile
 import warnings
@@ -105,7 +110,7 @@ def mutate(data: dict, path: tuple, value) -> None:
 
 
 # A command line, split on spaces; run's flags read the config too.
-COMMANDS = ["run", "check", "run --replicates 2"]
+COMMANDS = ["run", "check", "run --replicates 2", "solve-ne"]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -115,6 +120,10 @@ COMMANDS = ["run", "check", "run --replicates 2"]
 @example("SaturatedDirected", [(("players", 0, "order"), 21)], "run")
 # --replicates shifts the seed, so the seed must be validated first
 @example("SaturatedDirected", [(("seed",), "x")], "run --replicates 2")
+# a [FAIL] line ends check with exit 3 and nothing on stderr; an unknown
+# form passes every line and is rejected, with one line, where run rejects it
+@example("SaturatedDirected", [(("players", 0, "theta"), 0.7)], "check")
+@example("SaturatedDirected", [(("players", 0, "form"), "x")], "check")
 # auto_delta_margin divides u_limit by the gain row's sum, which is 0 here
 @example(
     "SaturatedDirected",
@@ -135,10 +144,15 @@ def test_mutated_scenarios_exit_classified(mode, changes, command):
         cfg.write_text(json.dumps(data))
         out = ["--out", str(Path(tmp) / "out")] if command == "run" else []
         argv = [command, str(cfg), *out, *flags]
+        stdout, stderr = io.StringIO(), io.StringIO()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # theta >= 0.5 warns by design
-            code = main(argv)
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
         assert code in (0, 2, 3, 4), (code, data)
+        failed_check = command == "check" and "[FAIL]" in stdout.getvalue()
+        lines = 0 if code == 0 or failed_check else 1
+        assert stderr.getvalue().count("\n") == lines, (code, stderr.getvalue(), data)
         for summary in Path(tmp).rglob("summary.json"):
             json.loads(summary.read_text(), parse_constant=_reject_constant)
 

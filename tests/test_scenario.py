@@ -1,5 +1,7 @@
 """Config parsing, default materialization, and scenario construction."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -25,26 +27,26 @@ def minimal(**overrides):
 class TestDefaults:
     def test_materialized_defaults(self):
         cfg = parse_config(minimal())
-        assert cfg.mode == "SaturatedDirected"
-        assert cfg.x0 == [[0.0], [0.0]]
-        assert cfg.z0 == 0.0
-        assert cfg.c0 == 1.0
-        assert cfg.players[0]["u_limit"] == 1.0
-        assert cfg.players[0]["form"] == "standard"
-        assert cfg.sim == {
+        assert cfg["mode"] == "SaturatedDirected"
+        assert cfg["init"]["x0"] == [[0.0], [0.0]]
+        assert cfg["init"]["z0"] == 0.0
+        assert cfg["init"]["c0"] == 1.0
+        assert cfg["players"][0]["u_limit"] == 1.0
+        assert cfg["players"][0]["form"] == "standard"
+        assert cfg["sim"] == {
             "step_size": 1e-3,
             "t_end": 100.0,
             "log_every": 10,
             "conv_tol": 1e-2,
             "conv_window": 10.0,
         }
-        assert cfg.seed is None
-        assert not cfg.allow_large_theta
+        assert cfg["seed"] is None
+        assert not cfg["allow_large_theta"]
 
     def test_broadcast_and_explicit_players(self):
         cfg = parse_config(minimal())
-        assert len(cfg.players) == 2
-        assert cfg.players[0] == cfg.players[1]
+        assert len(cfg["players"]) == 2
+        assert cfg["players"][0] == cfg["players"][1]
         explicit = minimal(
             players=[
                 {"order": 1, "theta": 0.2, "delta": 1.0},
@@ -52,17 +54,22 @@ class TestDefaults:
             ]
         )
         cfg = parse_config(explicit)
-        assert [p["order"] for p in cfg.players] == [1, 2]
+        assert [p["order"] for p in cfg["players"]] == [1, 2]
 
     def test_round_trip(self):
         cfg = parse_config(
             minimal(
-                init={"x0": [[0.5], [1.5]], "z0": 0.25},
+                init={"x0": [[0.5], [1.5]], "z0": {"random": {"low": -1, "high": 1}}},
                 sim={"t_end": 20.0, "conv_window": 5.0},
                 seed=3,
             )
         )
-        assert parse_config(cfg.to_dict()) == cfg
+        # the blocks in the order summary.json writes them
+        assert list(cfg) == [
+            "game", "graph", "mode", "players", "init", "sim", "seed", "allow_large_theta"
+        ]
+        assert list(cfg["init"]) == ["x0", "z0", "c0"]
+        assert parse_config(json.loads(json.dumps(cfg))) == cfg
 
 
 class TestRandomInit:
@@ -70,9 +77,9 @@ class TestRandomInit:
         data = minimal(init={"z0": {"random": {"low": -1, "high": 1}}}, seed=5)
         a = parse_config(data)
         b = parse_config(data)
-        assert a.z0 == b.z0
+        assert a["init"]["z0"] == b["init"]["z0"]
         c = parse_config(minimal(init={"z0": {"random": {"low": -1, "high": 1}}}, seed=6))
-        assert a.z0 != c.z0
+        assert a["init"]["z0"] != c["init"]["z0"]
 
     def test_x0_random_respects_orders(self):
         data = minimal(
@@ -84,8 +91,8 @@ class TestRandomInit:
             seed=1,
         )
         cfg = parse_config(data)
-        assert [len(row) for row in cfg.x0] == [3, 1]
-        assert all(-2 <= v <= 2 for row in cfg.x0 for v in row)
+        assert [len(row) for row in cfg["init"]["x0"]] == [3, 1]
+        assert all(-2 <= v <= 2 for row in cfg["init"]["x0"] for v in row)
 
     def test_random_needs_seed(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -104,7 +111,7 @@ class TestAutoDelta:
                 }
             )
         )
-        assert cfg.players[0]["delta"] == pytest.approx(1.0)
+        assert cfg["players"][0]["delta"] == pytest.approx(1.0)
 
     def test_fractional_margin(self):
         cfg = parse_config(
@@ -117,7 +124,7 @@ class TestAutoDelta:
                 }
             )
         )
-        assert cfg.players[0]["delta"] == pytest.approx(0.9)
+        assert cfg["players"][0]["delta"] == pytest.approx(0.9)
 
     def test_exactly_one_of_delta_and_margin(self):
         with pytest.raises(ConfigError, match="exactly one"):
@@ -191,7 +198,7 @@ class TestValidation:
         # parsing checks structure only; the theta gate fires on construction
         data = minimal(players={"order": 1, "theta": 0.6, "delta": 1.0})
         cfg = parse_config(data)
-        assert cfg.players[0]["theta"] == 0.6
+        assert cfg["players"][0]["theta"] == 0.6
         with pytest.raises(ValueError, match="0.5"):
             build(parse_config(data))
 
@@ -209,15 +216,15 @@ class TestBuild:
         np.testing.assert_allclose(built.graph.weights, [[0.0, 1.0], [1.0, 0.0]])
         assert built.mode is SeekerMode.SATURATED_DIRECTED
         assert built.specs[0].theta == 0.3
-        assert cfg.z0 == 0.5
-        assert cfg.c0 == [[2.0, 3.0], [4.0, 5.0]]
+        assert cfg["init"]["z0"] == 0.5
+        assert cfg["init"]["c0"] == [[2.0, 3.0], [4.0, 5.0]]
         assert built.sim.t_end == 10.0
 
     def test_reference_scenario(self):
         cfg = reference_scenario()
-        assert len(cfg.players) == 6
-        assert cfg.players[0]["order"] == 3
-        assert cfg.players[0]["u_limit"] == 0.4815
-        assert cfg.x0 == [[float(i), 1.0, 1.0] for i in range(1, 7)]
-        assert cfg.z0 == 1.0 and cfg.c0 == 1.0
-        assert reference_scenario("Unsaturated").mode == "Unsaturated"
+        assert len(cfg["players"]) == 6
+        assert cfg["players"][0]["order"] == 3
+        assert cfg["players"][0]["u_limit"] == 0.4815
+        assert cfg["init"]["x0"] == [[float(i), 1.0, 1.0] for i in range(1, 7)]
+        assert cfg["init"]["z0"] == 1.0 and cfg["init"]["c0"] == 1.0
+        assert reference_scenario("Unsaturated")["mode"] == "Unsaturated"

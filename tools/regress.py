@@ -27,7 +27,10 @@ whose state stays finite while its sum overflows; three replicates of
 dense bound, so they step as one stacked batch on the blockwise path; and
 ``solve-ne`` on games that gradient play's step and stop rules must
 handle: a skew part ten times the modulus, J = 1e-300 I and 1e300 I with
-offsets of the same scale, and the preflight ring I - 0.94 S at n = 32.
+offsets of the same scale, and the preflight ring I - 0.94 S at n = 32;
+``check`` with the large-theta override on a theta above 1, a theta below
+0 and a negative delta, which its per-player lines fail; and ``solve-ne``
+on a file without a game block.
 """
 
 from __future__ import annotations
@@ -106,6 +109,13 @@ OVERFLOWING_SUM = {
     "init": {"x0": 1e308},
     # the state first goes non-finite at t = 1.66
     "sim": {"step_size": 2e-3, "t_end": 1.0, "log_every": 4, "conv_window": 0.5},
+}
+
+# values PlayerSpec rejects whatever the override
+PLAYERS_OUTSIDE_THE_OVERRIDE = {
+    "theta-above-one": {"order": 1, "theta": 1.5, "delta": 1.0},
+    "theta-below-zero": {"order": 1, "theta": -0.2, "delta": 1.0},
+    "negative-delta": {"order": 2, "theta": 0.3, "delta": -1.0, "u_limit": 1.0},
 }
 
 
@@ -188,6 +198,11 @@ def commands(inputs: Path, out: Path) -> dict[str, list[str]]:
     cmds["stacked-blockwise"] = run("stacked-blockwise", STACKED_BLOCKWISE, "--replicates", "3")
     for name, data in _solve_ne_games().items():
         cmds[name] = ["solve-ne", config(name, data)]
+    for name, players in PLAYERS_OUTSIDE_THE_OVERRIDE.items():
+        data = dict(_PAIR, players=players, allow_large_theta=True)
+        cmds[f"check-{name}"] = ["check", config(f"check-{name}", data)]
+    no_game = {key: value for key, value in _PAIR.items() if key != "game"}
+    cmds["solve-ne-no-game"] = ["solve-ne", config("solve-ne-no-game", no_game)]
     return cmds
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import bound_within_limit, max_control_bound, theta_in_design_range
+from .dynamics import spec_verdicts
 from .errors import (
     ConfigError,
     ConnectivityError,
@@ -152,14 +153,7 @@ def cmd_run(args) -> int:
     cfgs = [parse_config({**raw, "seed": base_seed + r}) for r in range(args.replicates)]
     built = build(cfgs[0])
     results = run_batch(
-        built.game,
-        built.graph,
-        built.specs,
-        built.mode,
-        [cfg["init"]["x0"] for cfg in cfgs],
-        [cfg["init"]["z0"] for cfg in cfgs],
-        [cfg["init"]["c0"] for cfg in cfgs],
-        built.sim,
+        built.game, built.graph, built.specs, built.mode, [c["init"] for c in cfgs], built.sim
     )
     fault = None
     for r, (cfg, result) in enumerate(zip(cfgs, results)):
@@ -274,27 +268,8 @@ def cmd_check(args) -> int:
         ("lipschitz", bool(np.isfinite(cert.lipschitz).all()), f"row bounds l_i = [{lip}]")
     )
     for i, p in enumerate(cfg["players"], start=1):
-        in_range = theta_in_design_range(p["theta"])
-        # the override admits [0.5, 1), never a theta outside (0, 1)
-        override = not in_range and cfg["allow_large_theta"] and 0.0 < p["theta"] < 1.0
-        note = " [override]" if override else ""
-        checks.append(
-            (
-                f"theta-range player {i}",
-                in_range or override,
-                f"theta = {p['theta']:.6g}, design range (0, 0.5){note}",
-            )
-        )
-        bound = max_control_bound(p["order"], p["theta"], p["delta"], p["form"])
-        positive = p["delta"] > 0 and p["u_limit"] > 0
-        checks.append(
-            (
-                f"actuator-bound player {i}",
-                positive and bound_within_limit(bound, p["u_limit"]),
-                f"certified delta * sum(gain_row) = {bound:.6g} vs limit {p['u_limit']:.6g}"
-                + ("" if positive else " (delta and u_limit must be positive)"),
-            )
-        )
+        verdicts = spec_verdicts(**p, allow_large_theta=cfg["allow_large_theta"])
+        checks += [(f"{name} player {i}", holds, detail) for name, holds, detail in verdicts]
     if cfg["mode"] == "UndirectedAdaptive":  # the one mode that assumes symmetric weights
         checks.append(("symmetry", graph.symmetric, "weights[i][j] == weights[j][i] for all i, j"))
     connected = is_strongly_connected(graph)
@@ -324,13 +299,11 @@ def cmd_check(args) -> int:
         return 3
     # run's own setup, up to its first step: raises what run raises
     built = build(cfg)
-    run_batch(
-        built.game, built.graph, built.specs, built.mode,
-        [cfg["init"]["x0"]], [cfg["init"]["z0"]], [cfg["init"]["c0"]], built.sim,
-    )
+    run_batch(built.game, built.graph, built.specs, built.mode, [cfg["init"]], built.sim)
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nashseek",

@@ -82,36 +82,52 @@ def _exact_abar(m: int, theta: Fraction, form: str) -> NDArray[np.object_]:
     return abar
 
 
-def theta_in_design_range(theta: float) -> bool:
-    """Whether theta lies in (0, 1/2), the range the convergence guarantee covers."""
-    return 0.0 < theta < 0.5
-
-
 def order_within_cap(order: int) -> bool:
     """Whether an order is at most :data:`MAX_ORDER`, the largest one built in bounded time."""
     return order <= MAX_ORDER
 
 
-def bound_within_limit(bound: float, u_limit: float) -> bool:
-    """Whether a certified control bound meets the actuator limit, up to relative rounding."""
-    return bound <= u_limit + 1e-12 * max(1.0, u_limit)
+def spec_verdicts(
+    order: int, theta: float, delta: float, u_limit: float, form: str, allow_large_theta: bool
+) -> list[tuple[str, bool, str]]:
+    """The gain-range and actuator-bound rules of :class:`PlayerSpec` as ``(name, holds, detail)``.
+
+    theta must lie in (0, 1/2), the range the convergence guarantee covers,
+    or in [1/2, 1) under ``allow_large_theta``. delta and u_limit must be
+    positive, and the certified bound :func:`max_control_bound` of the
+    player's form must meet u_limit, up to relative rounding. ``check``
+    prints these verdicts and PlayerSpec raises on the first that fails.
+    """
+    in_range = 0.0 < theta < 0.5
+    override = not in_range and allow_large_theta and 0.0 < theta < 1.0
+    bound = max_control_bound(order, theta, delta, form)
+    positive = delta > 0 and u_limit > 0
+    return [
+        (
+            "theta-range",
+            in_range or override,
+            f"theta = {theta:.6g}, design range (0, 0.5)" + (" [override]" if override else ""),
+        ),
+        (
+            "actuator-bound",
+            positive and bound <= u_limit + 1e-12 * max(1.0, u_limit),
+            f"certified delta * sum(gain_row) = {bound:.6g} vs limit {u_limit:.6g}"
+            + ("" if positive else " (delta and u_limit must be positive)"),
+        ),
+    ]
 
 
 @dataclass(frozen=True)
 class PlayerSpec:
     """Per-player design parameters.
 
-    order runs from 1 to :data:`MAX_ORDER`.
-
-    theta must lie in (0, 1/2): the boundedness argument for the tail states
-    needs theta/(1-theta) < 1. Values in [1/2, 1) are admitted only with
-    ``allow_large_theta`` and a warning, since the convergence guarantee is
-    void there. The control bound :func:`max_control_bound` of the player's
-    own form, delta times the sum of its :func:`gain_row` (delta itself at
-    order 1, m * theta * delta for the alternate form), must not exceed the
-    actuator limit ``u_limit``. The limit defaults to delta, which the
-    standard form always meets when theta < 1/2 and the alternate form only
-    when m * theta <= 1.
+    order runs from 1 to :data:`MAX_ORDER`; theta, delta and u_limit must
+    pass :func:`spec_verdicts`. theta is held below 1/2 because the
+    boundedness argument for the tail states needs theta/(1-theta) < 1;
+    under ``allow_large_theta`` a theta in [1/2, 1) runs with a warning,
+    since the convergence guarantee is void there. The limit defaults to
+    delta, which the standard form always meets when theta < 1/2 and the
+    alternate form only when m * theta <= 1.
     """
 
     order: int
@@ -127,36 +143,24 @@ class PlayerSpec:
         object.__setattr__(self, "order", int(self.order))
         if not order_within_cap(self.order):
             raise ValueError(f"order {self.order} exceeds the cap of {MAX_ORDER}")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
-        if not theta_in_design_range(self.theta):
-            if not self.allow_large_theta:
-                raise ValueError(
-                    f"theta = {self.theta} is outside the guaranteed range (0, 0.5); "
-                    "pass allow_large_theta=True to run anyway"
-                )
+        if self.form not in (FORM_STANDARD, FORM_ALTERNATE):
+            raise ValueError(
+                f"form must be {FORM_STANDARD!r} or {FORM_ALTERNATE!r}, got {self.form!r}"
+            )
+        if self.u_limit is None:
+            object.__setattr__(self, "u_limit", float(self.delta))
+        verdicts = spec_verdicts(
+            self.order, self.theta, self.delta, self.u_limit, self.form, self.allow_large_theta
+        )
+        for name, holds, detail in verdicts:
+            if not holds:
+                raise ValueError(f"{name}: {detail}")
+        if self.theta >= 0.5:  # admitted by the override
             warnings.warn(
                 f"theta = {self.theta} >= 0.5: tail-state boundedness and the "
                 "convergence guarantee no longer hold",
                 RuntimeWarning,
                 stacklevel=2,
-            )
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.u_limit is None:
-            object.__setattr__(self, "u_limit", float(self.delta))
-        elif self.u_limit <= 0:
-            raise ValueError(f"u_limit must be positive, got {self.u_limit}")
-        if self.form not in (FORM_STANDARD, FORM_ALTERNATE):
-            raise ValueError(
-                f"form must be {FORM_STANDARD!r} or {FORM_ALTERNATE!r}, got {self.form!r}"
-            )
-        bound = max_control_bound(self.order, self.theta, self.delta, self.form)
-        if not bound_within_limit(bound, self.u_limit):
-            raise ValueError(
-                f"control bound delta*sum(gain_row) = {bound:.6g} exceeds the "
-                f"actuator limit u_limit = {self.u_limit:.6g}; shrink delta "
-                f"(e.g. via delta_for_limit) or raise the limit"
             )
 
 

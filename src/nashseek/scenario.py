@@ -20,10 +20,10 @@ Parsing materializes every default and resolves every random draw, so a
 parsed config is the resolved JSON object itself: equal configs mean
 bit-identical runs, and parsing it again returns it unchanged. Its
 ``init``, ``sim`` and player blocks are the keyword arguments of ``run``,
-SimConfig and PlayerSpec. Parsing validates structure only; :func:`build`
-constructs the run objects and raises what PlayerSpec, SimConfig, the game
-and the graph reject, so preflight tooling can report the gain-range and
-actuator checks as named verdicts first.
+SimConfig and PlayerSpec. Parsing validates structure, including the mode
+and form names; :func:`build` constructs the run objects and raises what
+PlayerSpec, SimConfig, the game and the graph reject, so ``check`` can
+first print PlayerSpec's gain-range and actuator verdicts by name.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import MAX_ORDER, PlayerSpec, delta_for_limit, order_within_cap
+from .dynamics import (
+    FORM_ALTERNATE, FORM_STANDARD, MAX_ORDER, PlayerSpec, delta_for_limit, order_within_cap
+)
 from .errors import ConfigError
 from .game import QuadraticGame, ring_game
 from .graph import Digraph, cycle_digraph
@@ -218,9 +220,11 @@ def _resolve_player(p, i: int) -> dict:
     if not order_within_cap(order):
         raise ConfigError(f"{where} order {order} exceeds the cap of {MAX_ORDER}")
     theta = _number(p, "theta", where)
-    form = p.get("form", "standard")
-    if not isinstance(form, str):
-        raise ConfigError(f"{where} form must be a string")
+    form = p.get("form", FORM_STANDARD)
+    if form not in (FORM_STANDARD, FORM_ALTERNATE):
+        raise ConfigError(
+            f"{where} form must be {FORM_STANDARD!r} or {FORM_ALTERNATE!r}, got {form!r}"
+        )
     if ("delta" in p) == ("auto_delta_margin" in p):
         raise ConfigError(f"{where} needs exactly one of delta or auto_delta_margin")
     if "auto_delta_margin" in p:

@@ -88,7 +88,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from math import isfinite
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -591,7 +591,7 @@ def run(
     the closed-form equilibrium. This is :func:`run_batch` with one member;
     its fault is raised.
     """
-    (result,) = run_batch(game, g, specs, mode, [x0], [z0], [c0], config)
+    (result,) = run_batch(game, g, specs, mode, [{"x0": x0, "z0": z0, "c0": c0}], config)
     if isinstance(result, IntegrationError):
         raise result
     return result
@@ -602,15 +602,14 @@ def run_batch(
     g: Digraph,
     specs: Sequence[PlayerSpec],
     mode: SeekerMode,
-    x0s: Sequence,
-    z0s: Sequence,
-    c0s: Sequence,
+    inits: Sequence[Mapping],
     config: SimConfig,
 ) -> Iterator[tuple[Trajectory, Summary] | IntegrationError]:
     """Integrate B scenarios that differ only in their initial x0, z0 and c0.
 
-    Member b starts from ``x0s[b]``, ``z0s[b]`` and ``c0s[b]``, each taking
-    what :func:`run` takes. Everything :func:`run` rejects is rejected
+    Member b starts from ``inits[b]``, a mapping with keys ``x0``, ``z0`` and
+    ``c0``, each taking what :func:`run` takes; a parsed config's ``init``
+    block is one. Everything :func:`run` rejects is rejected
     before this returns; the right-hand sides are built, and members
     integrated, only as the returned iterator is consumed. It yields,
     in member order, each member's ``(Trajectory, Summary)`` or, when its
@@ -641,14 +640,8 @@ def run_batch(
         raise SymmetryError("UndirectedAdaptive mode requires a symmetric weight matrix")
     if not is_strongly_connected(g):
         raise ConnectivityError("communication digraph must be strongly connected")
-    if not len(x0s) == len(z0s) == len(c0s):
-        raise ConfigError(
-            f"got {len(x0s)} x0, {len(z0s)} z0 and {len(c0s)} c0 batch members"
-        )
     tables = _Tables(specs, mode, g)
-    states = np.array(
-        [tables.initial_state(*init) for init in zip(x0s, z0s, c0s)]
-    ).reshape(-1, tables.width)
+    states = np.array([tables.initial_state(**init) for init in inits]).reshape(-1, tables.width)
     chunk = max(1, _MAX_LOG_BYTES // log_bytes)
     return _chunks(tables, game, solve_nash_closed_form(game), states, config, chunk)
 

@@ -642,7 +642,7 @@ AGREEMENT_CASES = {
     "undirected-adaptive-mode": (3, {"mode": "UndirectedAdaptive"}),
     "negative-delta": (3, {"players": {"order": 2, "theta": 0.3, "delta": -1.0, "u_limit": 1.0}}),
     "negative-u-limit": (3, {"players": {"order": 2, "theta": 0.3, "delta": 1.0, "u_limit": -1.0}}),
-    "unknown-form": (3, {"players": {"order": 2, "theta": 0.3, "delta": 1.0, "form": "weird"}}),
+    "unknown-form": (2, {"players": {"order": 2, "theta": 0.3, "delta": 1.0, "form": "weird"}}),
     "negative-step": (2, {"sim": dict(AGREEMENT_BASE["sim"], step_size=-0.01)}),
     "window-beyond-horizon": (2, {"sim": dict(AGREEMENT_BASE["sim"], conv_window=5.0)}),
     # certified bound 1000 * (1 + 5e-13): inside the relative slack on the limit

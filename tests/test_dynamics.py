@@ -110,7 +110,7 @@ class TestPlayerSpec:
 
     def test_actuator_limit_gate(self):
         # certified bound 13/27 exceeds a 0.4 limit
-        with pytest.raises(ValueError, match="delta_for_limit"):
+        with pytest.raises(ValueError, match="actuator-bound: certified delta"):
             PlayerSpec(order=3, theta=1.0 / 3.0, delta=1.0, u_limit=0.4)
         PlayerSpec(order=3, theta=1.0 / 3.0, delta=1.0, u_limit=0.4815)
 

@@ -3,13 +3,16 @@ with strict JSON output and at most one line on stderr.
 
 Each example takes a small valid scenario in one of the five modes,
 replaces, adds or deletes a few of its fields with values of the wrong
-type, out of range or extreme, and drives the command line on it, with or without
-run's --replicates flag. Every outcome must be an exit
+type, out of range or extreme, or with valid values that break a method
+hypothesis or make the run diverge, and drives the command line on it,
+with or without run's --replicates flag. Every outcome must be an exit
 code in {0, 2, 3, 4}, never an uncaught exception, and every summary.json
 written must parse as strict JSON. Exit 0 leaves stderr empty; any other
 exit prints exactly one stderr line, except check after a [FAIL] line,
-which prints none. Values stay small enough that a run finishes in
-milliseconds.
+which prints none. A second property runs check and then run on each
+drawn config: when check exits 0, run exits 0 or 4, and when check exits
+2, run exits 2 with the same stderr line. Values stay small enough that a
+run finishes in milliseconds.
 """
 
 import contextlib
@@ -86,8 +89,20 @@ values = st.sampled_from(
         {"order": 2, "theta": 0.3, "delta": 1.0},
     ]
 )
+# Valid values where they bite, which the pool above rarely draws: a theta
+# in [0.5, 1), which fails check's theta-range line unless overridden, a
+# u_limit below every player's certified bound, and a step that diverges
+# (at t = 2.4 s in every mode) within its horizon. Half the mutations come
+# from here, and lead check to [FAIL] lines and run to exits 3 and 4.
+DIVERGING_SIM = {"step_size": 0.8, "t_end": 16.0, "log_every": 1, "conv_window": 8.0}
+player = st.integers(0, 2)
+in_range = st.one_of(
+    st.tuples(player.map(lambda i: ("players", i, "theta")), st.sampled_from([0.5, 0.6, 0.9])),
+    st.tuples(player.map(lambda i: ("players", i, "u_limit")), st.just(0.05)),
+    st.just((("sim",), DIVERGING_SIM)),
+)
 mutations = st.lists(
-    st.tuples(st.sampled_from(PATHS), st.one_of(st.just(DELETE), values)),
+    st.one_of(st.tuples(st.sampled_from(PATHS), st.one_of(st.just(DELETE), values)), in_range),
     min_size=1,
     max_size=3,
 )
@@ -113,6 +128,30 @@ def mutate(data: dict, path: tuple, value) -> None:
 COMMANDS = ["run", "check", "run --replicates 2", "solve-ne"]
 
 
+def mutated(mode: str, changes: list) -> dict:
+    data = copy.deepcopy(BASES[mode])
+    for path, value in changes:
+        mutate(data, path, value)
+    return data
+
+
+def drive(tmp: str, data: dict, command: str) -> tuple[int, str, str]:
+    """Write ``data`` as a config under ``tmp`` and run ``command`` on it.
+
+    Returns the exit code, stdout and stderr; run writes under ``tmp/out``.
+    """
+    command, *flags = command.split()
+    cfg = Path(tmp) / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    out = ["--out", str(Path(tmp) / "out")] if command == "run" else []
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # theta >= 0.5 warns by design
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([command, str(cfg), *out, *flags])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(BASES)), mutations, st.sampled_from(COMMANDS))
 # the drawn examples rarely put the order cap, or one past it, on an order
@@ -121,7 +160,7 @@ COMMANDS = ["run", "check", "run --replicates 2", "solve-ne"]
 # --replicates shifts the seed, so the seed must be validated first
 @example("SaturatedDirected", [(("seed",), "x")], "run --replicates 2")
 # a [FAIL] line ends check with exit 3 and nothing on stderr; an unknown
-# form passes every line and is rejected, with one line, where run rejects it
+# form is a config error, one line on stderr, as an unknown mode is
 @example("SaturatedDirected", [(("players", 0, "theta"), 0.7)], "check")
 @example("SaturatedDirected", [(("players", 0, "form"), "x")], "check")
 # auto_delta_margin divides u_limit by the gain row's sum, which is 0 here
@@ -135,26 +174,30 @@ COMMANDS = ["run", "check", "run --replicates 2", "solve-ne"]
     "run",
 )
 def test_mutated_scenarios_exit_classified(mode, changes, command):
-    data = copy.deepcopy(BASES[mode])
-    for path, value in changes:
-        mutate(data, path, value)
-    command, *flags = command.split()
+    data = mutated(mode, changes)
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "cfg.json"
-        cfg.write_text(json.dumps(data))
-        out = ["--out", str(Path(tmp) / "out")] if command == "run" else []
-        argv = [command, str(cfg), *out, *flags]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # theta >= 0.5 warns by design
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main(argv)
+        code, stdout, stderr = drive(tmp, data, command)
         assert code in (0, 2, 3, 4), (code, data)
-        failed_check = command == "check" and "[FAIL]" in stdout.getvalue()
+        failed_check = command == "check" and "[FAIL]" in stdout
         lines = 0 if code == 0 or failed_check else 1
-        assert stderr.getvalue().count("\n") == lines, (code, stderr.getvalue(), data)
+        assert stderr.count("\n") == lines, (code, stderr, data)
         for summary in Path(tmp).rglob("summary.json"):
             json.loads(summary.read_text(), parse_constant=_reject_constant)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(BASES)), mutations)
+def test_check_and_run_agree(mode, changes):
+    # check passes only what run starts stepping, and rejects a config error
+    # with run's own message; a [FAIL] line (exit 3) may be check's alone
+    data = mutated(mode, changes)
+    with tempfile.TemporaryDirectory() as tmp:
+        checked, _, check_err = drive(tmp, data, "check")
+        ran, _, run_err = drive(tmp, data, "run")
+    if checked == 0:
+        assert ran in (0, 4), (ran, run_err, data)
+    if checked == 2:
+        assert (ran, run_err) == (2, check_err), data
 
 
 def _reject_constant(name):

@@ -239,7 +239,7 @@ class TestRunValidation:
         with pytest.raises(ConfigError, match=r"z0 has shape \(2, 2\), expected \(3, 3\)"):
             run(game, g, specs, SAT, z0=np.zeros((2, 2)))
         with pytest.raises(ConfigError, match="got 2 player specs for 3 players"):
-            run_batch(game, g, specs[:2], SAT, [None], [0.0], [1.0], SimConfig())
+            run_batch(game, g, specs[:2], SAT, [{"x0": None, "z0": 0.0, "c0": 1.0}], SimConfig())
 
     def test_size_mismatch_rejected(self):
         game, _, specs = small_setup()
@@ -337,7 +337,8 @@ class TestRunBehavior:
         assert info.value.time is not None
         # a batch whose members all fault, at steps 2 and 3, stops at the last
         steps = record_steppers(monkeypatch)["steps"]
-        results = list(run_batch(game, g, specs, SAT, [None] * 2, [1e3, 5.0], [1.0] * 2, cfg))
+        inits = [{"x0": None, "z0": z0, "c0": 1.0} for z0 in (1e3, 5.0)]
+        results = list(run_batch(game, g, specs, SAT, inits, cfg))
         assert [round(r.time / cfg.step_size) for r in results] == [2, 3]
         # three batch steps, each fault's one lone re-take after its step
         assert steps == [(2,), (2,), (), (2,), ()]
@@ -434,7 +435,7 @@ class TestRunBatch:
         x0s = [[rng.uniform(-1, 1, size=s.order) for s in specs] for _ in range(members)]
         z0s = [rng.uniform(-0.5, 0.5, size=(n, n)) for _ in range(members)]
         c0s = [rng.uniform(0.5, 1.5, size=(n, n)) for _ in range(members)]
-        return x0s, z0s, c0s
+        return [{"x0": x0, "z0": z0, "c0": c0} for x0, z0, c0 in zip(x0s, z0s, c0s)]
 
     @pytest.mark.parametrize("mode, path", MODES_ON_PATHS)
     def test_members_match_solo_runs(self, rng, use_path, mode, path):
@@ -445,19 +446,20 @@ class TestRunBatch:
         )
         if mode is SeekerMode.UNDIRECTED_ADAPTIVE:
             g = Digraph(weights=np.ones((3, 3)) - np.eye(3))
-        x0s, z0s, c0s = self.inits(rng, specs, 4)
-        x0s[3], z0s[3], c0s[3] = None, 0.25, 2.0  # defaults and scalars batch too
-        results = list(run_batch(game, g, specs, mode, x0s, z0s, c0s, self.CFG))
+        inits = self.inits(rng, specs, 4)
+        inits[3] = {"x0": None, "z0": 0.25, "c0": 2.0}  # defaults and scalars batch too
+        results = list(run_batch(game, g, specs, mode, inits, self.CFG))
         assert len(results) == 4
-        for result, x0, z0, c0 in zip(results, x0s, z0s, c0s):
-            solo = run(game, g, specs, mode, x0=x0, z0=z0, c0=c0, config=self.CFG)
+        for result, init in zip(results, inits):
+            solo = run(game, g, specs, mode, **init, config=self.CFG)
             assert_same_result(result, solo)
 
     def test_diverging_members_are_reported_and_the_rest_match(self):
         game, g, specs = small_setup(orders=(1, 1, 1))
         cfg = SimConfig(step_size=0.05, t_end=2.0, log_every=1, conv_window=1.0)
         z0s = [0.2, 1e3, -0.3, 1e3]
-        results = list(run_batch(game, g, specs, SAT, [None] * 4, z0s, [1.0] * 4, cfg))
+        inits = [{"x0": None, "z0": z0, "c0": 1.0} for z0 in z0s]
+        results = list(run_batch(game, g, specs, SAT, inits, cfg))
         with pytest.raises(IntegrationError) as info:
             run(game, g, specs, SAT, z0=1e3, config=cfg)
         for b in (1, 3):
@@ -475,7 +477,8 @@ class TestRunBatch:
         cfg = SimConfig(step_size=0.05, t_end=2.0, log_every=1, conv_window=1.0)
         x0 = [np.zeros(2), np.zeros(1), np.full(3, 1.7e308)]
         with np.errstate(over="ignore"):
-            results = list(run_batch(game, g, specs, SAT, [None, x0], [0.0] * 2, [1.0] * 2, cfg))
+            inits = [{"x0": x, "z0": 0.0, "c0": 1.0} for x in (None, x0)]
+            results = list(run_batch(game, g, specs, SAT, inits, cfg))
         assert isinstance(results[1], IntegrationError)
         assert results[1].component == 3
         assert_same_result(results[0], run(game, g, specs, SAT, config=cfg))
@@ -534,16 +537,15 @@ class TestRunBatch:
         use_path("dense")
         poison_dense_rhs(monkeypatch)
         game, g, specs = small_setup()
-        x0s, z0s, c0s = self.inits(rng, specs, 3)
-        c0s[1] = np.full((3, 3), 10.0)
-        results = list(run_batch(game, g, specs, SAT, x0s, z0s, c0s, self.CFG))
-        solo = [run(game, g, specs, SAT, x0=x0s[b], z0=z0s[b], c0=c0s[b], config=self.CFG)
-                for b in range(3)]
+        inits = self.inits(rng, specs, 3)
+        inits[1]["c0"] = np.full((3, 3), 10.0)
+        results = list(run_batch(game, g, specs, SAT, inits, self.CFG))
+        solo = [run(game, g, specs, SAT, **init, config=self.CFG) for init in inits]
         for b in range(3):
             assert_same_result(results[b], solo[b])
         use_path("blockwise")
         for b in range(3):
-            blockwise = run(game, g, specs, SAT, x0=x0s[b], z0=z0s[b], c0=c0s[b], config=self.CFG)
+            blockwise = run(game, g, specs, SAT, **inits[b], config=self.CFG)
             # the high-gain member stepped blockwise throughout, the others densely
             if b == 1:
                 assert_same_result(results[b], blockwise)
@@ -562,7 +564,8 @@ class TestRunBatch:
         game, g, specs = small_setup(orders=(1, 1, 1))
         cfg = SimConfig(step_size=0.05, t_end=2.0, log_every=1, conv_window=1.0)
         z0s, c0s = [0.2, 1e3, -0.3], [10.0, 1.0, 1.0]
-        results = list(run_batch(game, g, specs, SAT, [None] * 3, z0s, c0s, cfg))
+        inits = [{"x0": None, "z0": z0, "c0": c0} for z0, c0 in zip(z0s, c0s)]
+        results = list(run_batch(game, g, specs, SAT, inits, cfg))
         with pytest.raises(IntegrationError) as info:
             run(game, g, specs, SAT, z0=1e3, config=cfg)
         assert isinstance(results[1], IntegrationError)
@@ -586,9 +589,9 @@ class TestRunBatch:
             with pytest.raises(IntegrationError):
                 run(game, g, specs, SAT, z0=1e3, config=cfg)
             poison_dense_rhs(monkeypatch)
-            results = list(
-                run_batch(game, g, specs, SAT, [None] * 3, [0.2, 1e3, -0.3], [10.0, 1.0, 1.0], cfg)
-            )
+            pairs = ((0.2, 10.0), (1e3, 1.0), (-0.3, 1.0))
+            inits = [{"x0": None, "z0": z0, "c0": c0} for z0, c0 in pairs]
+            results = list(run_batch(game, g, specs, SAT, inits, cfg))
         assert [isinstance(r, IntegrationError) for r in results] == [False, True, False]
 
     @pytest.mark.parametrize("repark", [False, True])
@@ -606,7 +609,8 @@ class TestRunBatch:
         if repark:
             poison_rates(monkeypatch, 0.0, hit=np.equal)
         seen = record_steppers(monkeypatch)
-        results = list(run_batch(game, g, specs, SAT, [None] * 3, z0s, [1.0] * 3, cfg))
+        inits = [{"x0": None, "z0": z0, "c0": 1.0} for z0 in z0s]
+        results = list(run_batch(game, g, specs, SAT, inits, cfg))
         # every step of the batch, and one lone re-take of the diverging member
         # after the step it faults at, the second
         assert seen["steps"] == [(3,)] * 2 + [()] + [(3,)] * (cfg.steps - 2)
@@ -639,8 +643,8 @@ class TestRunBatch:
 
     def test_chunked_batch_matches_unchunked(self, rng, monkeypatch):
         game, g, specs = small_setup()
-        x0s, z0s, c0s = self.inits(rng, specs, 5)
-        whole = list(run_batch(game, g, specs, SAT, x0s, z0s, c0s, self.CFG))
+        inits = self.inits(rng, specs, 5)
+        whole = list(run_batch(game, g, specs, SAT, inits, self.CFG))
         shapes = []
         init, step = sim._Stepper.__init__, sim._Stepper.step
 
@@ -657,7 +661,7 @@ class TestRunBatch:
         monkeypatch.setattr(sim, "_MAX_LOG_BYTES", 2 * member_bytes)
         monkeypatch.setattr(sim._Stepper, "__init__", recording_init)
         monkeypatch.setattr(sim._Stepper, "step", recording_step)
-        chunked = list(run_batch(game, g, specs, SAT, x0s, z0s, c0s, self.CFG))
+        chunked = list(run_batch(game, g, specs, SAT, inits, self.CFG))
         steps = self.CFG.steps
         assert shapes == [(2,)] * steps + [(2,)] * steps + [()] * steps
         for a, b in zip(chunked, whole, strict=True):
@@ -666,10 +670,10 @@ class TestRunBatch:
     def test_results_survive_the_next_chunk(self, rng, monkeypatch):
         # no chunk's result shares a buffer that a later chunk writes
         game, g, specs = small_setup()
-        x0s, z0s, c0s = self.inits(rng, specs, 4)
+        inits = self.inits(rng, specs, 4)
         member_bytes = (self.CFG.steps // self.CFG.log_every) * (2 * 3 + 5) * 8
         monkeypatch.setattr(sim, "_MAX_LOG_BYTES", 2 * member_bytes)
-        results = run_batch(game, g, specs, SAT, x0s, z0s, c0s, self.CFG)
+        results = run_batch(game, g, specs, SAT, inits, self.CFG)
         first = [next(results), next(results)]
         kept = copy.deepcopy(first)
         assert len(list(results)) == 2
@@ -683,16 +687,15 @@ class TestRunBatch:
         monkeypatch.setattr(sim, "_dense_rhs", refuse)
         monkeypatch.setattr(sim, "_blockwise_rhs", refuse)
         game, g, specs = small_setup()
-        results = run_batch(game, g, specs, SAT, [None], [0.0], [1.0], self.CFG)
+        results = run_batch(game, g, specs, SAT, [{"x0": None, "z0": 0.0, "c0": 1.0}], self.CFG)
         with pytest.raises(AssertionError, match="right-hand side built"):
             next(results)
 
     def test_input_errors_raise(self):
         game, g, specs = small_setup()
-        with pytest.raises(ConfigError, match="batch members"):
-            run_batch(game, g, specs, SAT, [None, None], [0.0], [1.0, 1.0], self.CFG)
+        inits = [{"x0": x0, "z0": 0.0, "c0": 1.0} for x0 in (None, [np.zeros(2)] * 3)]
         with pytest.raises(ConfigError, match="x0"):
-            run_batch(game, g, specs, SAT, [None, [np.zeros(2)] * 3], [0.0] * 2, [1.0] * 2, self.CFG)
+            run_batch(game, g, specs, SAT, inits, self.CFG)
 
     def test_drift_is_none_without_a_row_in_the_last_tenth(self):
         game, g, specs = small_setup()
@@ -800,7 +803,8 @@ class TestStepAudit:
         z0s = [0.2, 3.0, -0.3]
 
         def results():
-            batch = run_batch(game, g, specs, SAT, [None] * 3, z0s, [1.0] * 3, cfg)
+            inits = [{"x0": None, "z0": z0, "c0": 1.0} for z0 in z0s]
+            batch = run_batch(game, g, specs, SAT, inits, cfg)
             return [*batch, run(game, g, specs, SAT, z0=z0s[0], config=cfg)]
 
         monkeypatch.setattr(sim, "_HISTORY_BYTES", 2**40)
@@ -880,10 +884,10 @@ def saturated_states(rng, members, path):
     """Tables, the path's bind and (members, L) initial states with saturations active."""
     game, g, specs = small_setup()
     tables = sim._Tables(specs, SAT, g)
-    x0s, z0s, c0s = TestRunBatch.inits(rng, specs, members)
-    # initial plant states up to 5 keep the saturations active
-    x0s = [[5 * x for x in x0] for x0 in x0s]
-    state = np.array([tables.initial_state(*init) for init in zip(x0s, z0s, c0s)])
+    inits = TestRunBatch.inits(rng, specs, members)
+    for init in inits:  # initial plant states up to 5 keep the saturations active
+        init["x0"] = [5 * x for x in init["x0"]]
+    state = np.array([tables.initial_state(**init) for init in inits])
     make = sim._dense_rhs if path == "dense" else sim._blockwise_rhs
     return tables, make(tables, game), state
 
@@ -974,7 +978,8 @@ def test_a_finite_state_whose_sum_overflows_is_no_fault(use_path, path):
     start = sim._Tables(specs, SAT, g).initial_state(huge, 0.0, 1.0)
     with np.errstate(over="ignore"):
         assert np.isfinite(start).all() and not np.isfinite(start.sum())
-    results = list(run_batch(game, g, specs, SAT, [huge, None], [0.0] * 2, [1.0] * 2, cfg))
+    inits = [{"x0": x0, "z0": 0.0, "c0": 1.0} for x0 in (huge, None)]
+    results = list(run_batch(game, g, specs, SAT, inits, cfg))
     assert not isinstance(results[0], IntegrationError)
     traj, _ = results[0]
     assert np.isfinite(traj.c_snapshot).all()

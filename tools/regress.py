@@ -29,8 +29,11 @@ dense bound, so they step as one stacked batch on the blockwise path; and
 handle: a skew part ten times the modulus, J = 1e-300 I and 1e300 I with
 offsets of the same scale, and the preflight ring I - 0.94 S at n = 32;
 ``check`` with the large-theta override on a theta above 1, a theta below
-0 and a negative delta, which its per-player lines fail; and ``solve-ne``
-on a file without a game block.
+0 and a negative delta, which its per-player lines fail; ``solve-ne``
+on a file without a game block; and ``run`` on players that PlayerSpec
+rejects (theta 0.6 without the override, the worked example's players
+under a 0.4 limit, a negative delta) and, with ``check``, on an unknown
+form, which is a config error.
 """
 
 from __future__ import annotations
@@ -203,6 +206,18 @@ def commands(inputs: Path, out: Path) -> dict[str, list[str]]:
         cmds[f"check-{name}"] = ["check", config(f"check-{name}", data)]
     no_game = {key: value for key, value in _PAIR.items() if key != "game"}
     cmds["solve-ne-no-game"] = ["solve-ne", config("solve-ne-no-game", no_game)]
+    reference = _reference(1.0, 1.0)
+    rejected = {
+        "theta-0.6": dict(_PAIR, players={"order": 1, "theta": 0.6, "delta": 1.0}),
+        "reference-u-limit-0.4": dict(reference, players=dict(reference["players"], u_limit=0.4)),
+        "negative-delta": dict(_PAIR, players=PLAYERS_OUTSIDE_THE_OVERRIDE["negative-delta"]),
+        "unknown-form": dict(
+            _PAIR, players={"order": 2, "theta": 0.3, "delta": 1.0, "form": "weird"}
+        ),
+    }
+    for name, data in rejected.items():
+        cmds[f"run-{name}"] = run(f"run-{name}", data)
+    cmds["check-unknown-form"] = ["check", cmds["run-unknown-form"][1]]
     return cmds
 
 

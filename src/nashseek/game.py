@@ -30,7 +30,7 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 # gradient play's iterations per residual test
-_GRADIENT_PLAY_BLOCK = 256
+_GRADIENT_PLAY_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -129,9 +129,9 @@ def solve_nash_closed_form(game: QuadraticGame) -> NDArray[np.float64]:
     return y
 
 
-def _power_of_two_below(jac: NDArray[np.float64]) -> float:
-    """The power of two at or below max |jac_ij|; dividing by it is exact."""
-    return float(np.ldexp(1.0, np.frexp(np.abs(jac).max())[1] - 1))
+def _power_of_two_below(a: NDArray[np.float64]) -> float:
+    """The power of two at or below max |a_ij|; dividing by it is exact."""
+    return float(np.ldexp(1.0, np.frexp(np.abs(a).max())[1] - 1))
 
 
 def _spectral_step(jac: NDArray[np.float64]) -> tuple[float, float]:
@@ -181,9 +181,9 @@ def solve_nash_gradient_play(
     scale that certifies the answer independently of the step; with a zero
     offset it returns y = 0 at once.
 
-    The iterates are written in blocks of ``_GRADIENT_PLAY_BLOCK`` (256),
+    The iterates are written in blocks of ``_GRADIENT_PLAY_BLOCK`` (64),
     and the residual test runs once per block over all of its gradients,
-    so up to 255 iterations run past the stop. The first iterate whose
+    so up to 63 iterations run past the stop. The first iterate whose
     gradient passes is returned: the same iterate, bit for bit, that a test
     after every iteration returns.
     """

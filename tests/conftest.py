@@ -1,6 +1,8 @@
-"""Shared helpers for test inputs: monotone games and strongly connected digraphs."""
+"""Shared helpers for test inputs: monotone games, strongly connected digraphs
+and the benchmark's preflight inputs."""
 
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +60,18 @@ def random_strongly_connected(
     if not is_strongly_connected(g):
         raise AssertionError("generator invariant violated: cycle core missing")
     return g
+
+
+def preflight_inputs() -> list:
+    """The inputs of pool entry 0 of the benchmark's preflight workload, N = 8 to 32."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+        sys.dont_write_bytecode = dont_write
+    return workloads.pool_inputs("preflight", 0)
 
 
 @pytest.fixture

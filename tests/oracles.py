@@ -22,7 +22,9 @@ minimizes the iteration's spectral radius found by a search
 (:func:`spectral_step_reference`); and the blockwise right-hand side
 in its n^2-wide form (:func:`blockwise_rhs_reference`), pinning every
 entry of the estimate matrix, whose bits the simulator's arc-list form
-must write.
+must write; and the pinned-Laplacian diagnostic with an eigensolve of
+every block (:func:`pinning_diagnostic_reference`), whose result the
+package's pruned diagnostic must give bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from numpy.typing import NDArray
 from nashseek.dynamics import FORM_ALTERNATE, FORM_STANDARD, PlayerSpec, Transformation
 from nashseek.errors import ConvergenceError, MonotonicityError, NashseekError
 from nashseek.game import QuadraticGame, check_game
-from nashseek.graph import Digraph, laplacian
+from nashseek.graph import Digraph, PinningDiagnostic, laplacian
 from nashseek.seeker import SeekerMode, _check_mode, integral_scale
 from nashseek.sim import _Tables
 
@@ -339,6 +341,22 @@ def gradient_play_reference(
             return y
         y -= step * grad
     raise ConvergenceError(float(np.abs(game.pseudo_gradient(y)).max()), max_iters)
+
+
+def pinning_diagnostic_reference(g: Digraph) -> PinningDiagnostic:
+    """:func:`nashseek.graph.pinning_diagnostic` with every block eigensolved.
+
+    The diagnostic as it stood before it bracketed each block's smallest
+    eigenvalue and dropped the blocks that cannot hold the minimum; the
+    package's result must equal this one bit for bit.
+    """
+    blocks = laplacian(g) + np.eye(g.n) * g.weights.T[:, None, :]
+    eigs = np.linalg.eigvals(blocks)
+    sv = np.linalg.svd(blocks, compute_uv=False)
+    return PinningDiagnostic(
+        min_real_eig=float(eigs.real.min()),
+        condition=float(sv.max() / sv.min()) if sv.min() > 0 else float("inf"),
+    )
 
 
 def blockwise_rhs_reference(tables: _Tables, game: QuadraticGame):

@@ -608,6 +608,24 @@ _HUGE = {
             "graph": {"weights": [[0, 1e308, 1e308], [1, 0, 0], [0, 1, 0]]},
         },
     ),
+    # strongly connected at either end of double range: the pinned-Laplacian
+    # diagnostic passes both; the run's state overflows at 1e300 (exit 4)
+    "weights-1e300": (
+        0,
+        4,
+        {
+            "game": {"type": "ring", "n": 3},
+            "graph": {"weights": [[0, 2e300, 1e300], [1e300, 0, 0], [0, 1e300, 0]]},
+        },
+    ),
+    "weights-1e-300": (
+        0,
+        0,
+        {
+            "game": {"type": "ring", "n": 3},
+            "graph": {"weights": [[0, 2e-300, 1e-300], [1e-300, 0, 0], [0, 1e-300, 0]]},
+        },
+    ),
 }
 
 

@@ -1,8 +1,5 @@
 """Game model, certificates, and the two equilibrium solvers."""
 
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -17,25 +14,18 @@ from nashseek import (
     solve_nash_gradient_play,
 )
 from nashseek.game import _spectral_step
-from conftest import random_monotone_game, skew_game
+from conftest import preflight_inputs, random_monotone_game, skew_game
 from oracles import gradient_play_reference, self_gradients, spectral_step_reference
 
 
 def preflight_games() -> list[QuadraticGame]:
     """The games of pool entry 0 of the benchmark's preflight workload."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
-        sys.dont_write_bytecode = dont_write
     return [
         QuadraticGame(
             jacobian=np.array(inp.config["game"]["jacobian"]),
             offset=np.array(inp.config["game"]["offset"]),
         )
-        for inp in workloads.pool_inputs("preflight", 0)
+        for inp in preflight_inputs()
     ]
 
 
@@ -191,7 +181,7 @@ class TestGradientPlayBlocks:
         assert np.array_equal(y, gradient_play_reference(game))
 
     # an explicit small step: the default one solves slow_ring in under 400
-    @pytest.mark.parametrize("max_iters", [0, 1, 3, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("max_iters", [0, 1, 3, 63, 64, 65, 128, 129, 255, 256, 257, 1000])
     def test_exhausted_budget_matches_reference(self, max_iters):
         game = slow_ring(6)
         with pytest.raises(ConvergenceError) as got:

@@ -12,7 +12,8 @@ from nashseek import (
     laplacian,
     pinning_diagnostic,
 )
-from conftest import random_strongly_connected
+from conftest import preflight_inputs, random_strongly_connected
+from oracles import pinning_diagnostic_reference
 
 
 def closure_strongly_connected(weights: np.ndarray) -> bool:
@@ -96,6 +97,71 @@ class TestLaplacian:
         lap = laplacian(cycle_digraph(4))
         eigs = np.linalg.eigvals(lap)
         assert np.abs(eigs).min() < 1e-12
+
+
+def random_digraph(n: int, rng: np.random.Generator, kind: int) -> Digraph:
+    """A digraph on n nodes, over a shuffled cycle unless ``kind`` is 5.
+
+    kind 0 and 5 give 0/1 weights, 1 lognormal weights, 2 weights spanning
+    10^+-8, 3 weights spanning 10^+-3 at the scale 1e300 or 1e-300 (by n's
+    parity), and 4 uniform weights cubed. Without the cycle the digraph is
+    mostly not strongly connected, so some blocks are singular.
+    """
+    support = rng.random((n, n)) < rng.uniform(0.05, 0.6)
+    if kind != 5:
+        order = rng.permutation(n)
+        support[order, np.roll(order, 1)] = True
+    np.fill_diagonal(support, False)
+    weights = {
+        0: lambda: 1.0,
+        1: lambda: rng.lognormal(0.0, 1.0, (n, n)),
+        2: lambda: 10.0 ** rng.uniform(-8.0, 8.0, (n, n)),
+        3: lambda: 10.0 ** rng.uniform(-3.0, 3.0, (n, n)) * (1e300 if n % 2 else 1e-300),
+        4: lambda: rng.uniform(0.0, 1.0, (n, n)) ** 3,
+        5: lambda: 1.0,
+    }[kind]()
+    return Digraph(weights=support * weights)
+
+
+class TestPinningPruning:
+    """The diagnostic eigensolves only the blocks that can hold the minimum."""
+
+    def test_matches_every_block_eigensolved(self, rng):
+        nonsingular = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(1000):
+                g = random_digraph(int(rng.integers(2, 41)), rng, k % 6)
+                got, want = pinning_diagnostic(g), pinning_diagnostic_reference(g)
+                assert got.min_real_eig == want.min_real_eig, k
+                assert got.condition == want.condition, k
+                nonsingular += got.nonsingular
+        # most draws are nonsingular, so the pruned path is what is tested
+        assert nonsingular > 750
+
+    def test_preflight_graph_eigensolves_fewer_blocks(self, monkeypatch):
+        inp = preflight_inputs()[-1]
+        g = Digraph(weights=np.array(inp.config["graph"]["weights"], dtype=float))
+        assert g.n == 32
+        diag, solved = eigensolved_blocks(g, monkeypatch)
+        assert solved and sum(solved) < g.n
+        assert diag == pinning_diagnostic_reference(g)
+
+    def test_cycle_keeps_every_tied_block(self, monkeypatch):
+        # every block of a cycle is a relabelling of the others: all tie
+        g = cycle_digraph(12)
+        diag, solved = eigensolved_blocks(g, monkeypatch)
+        assert solved == [12]
+        assert diag == pinning_diagnostic_reference(g)
+
+
+def eigensolved_blocks(g: Digraph, monkeypatch) -> tuple:
+    """The diagnostic of g and the number of blocks of each ``eigvals`` call it made."""
+    solved, eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(len(a)) or eigvals(a))
+    diag = pinning_diagnostic(g)
+    monkeypatch.undo()
+    return diag, solved
 
 
 class TestConnectivity:

@@ -22,7 +22,10 @@ per step on one member at the INTEGRATE_STEPS sizes, logging every 10
 steps and once, recorded under ``integrate``, and gradient play: the time
 per ``game.solve_nash_gradient_play`` call on the games of pool entry 0 of
 the benchmark's preflight workload at the GRADPLAY_SIZES, recorded under
-``gradplay``.
+``gradplay``, and the pinned-Laplacian diagnostic: the time per
+``graph.pinning_diagnostic`` call on the graphs of preflight pool entry 0
+(N = 8 to 32), on large_n pool entry 0's graph (n = 96) and on the
+directed 96-cycle, whose blocks all tie, recorded under ``pinning``.
 
 Everything runs in child processes with BLAS on one thread. Each checkout
 gets its own bytecode cache (``PYTHONPYCACHEPREFIX``), empty when the
@@ -39,7 +42,7 @@ end-to-end metrics, the pairs the checkout won on each metric, and the
 quartiles of both sides. Its right-hand-side and step probes then
 alternate between PARENT and the checkout, and PARENT's are recorded as
 ``parent_rhs_per_call``. ``rhs_ratio_to_parent`` then holds, per size and
-path and per gradient-play game, the median over the rounds of each
+path, per gradient-play game and per diagnostic graph, the median over the rounds of each
 round's checkout/PARENT ratio of the scaled medians: both sides of a round
 run back to back, so the ratio cancels the machine's drift, which a
 minimum over rounds does not.
@@ -78,6 +81,8 @@ RHS_REPEATS = 7
 INTEGRATE_STEPS = {6: 1000, 96: 50}
 # gradient play on the preflight workload's games of these sizes
 GRADPLAY_SIZES = (8, 32)
+# the pinned-Laplacian diagnostic: calls per timing, about 2 ms of work
+PINNING_CALLS = {8: 16, 16: 4, 24: 2}
 # probe rounds; with --pairs-against the two sides' probes alternate
 PROBE_ROUNDS = 5
 
@@ -232,7 +237,7 @@ def rhs_rounds(sides: list[Path]) -> list[list[dict]]:
 
 
 # the probe's lists of timed rows
-PROBE_TABLES = ("sizes", "integrate", "gradplay")
+PROBE_TABLES = ("sizes", "integrate", "gradplay", "pinning")
 
 
 def probe_minima(side: list[dict]) -> dict:
@@ -251,7 +256,7 @@ def probe_ratios(change: list[dict], parent: list[dict]) -> list[dict]:
     rows = []
     for table in PROBE_TABLES:
         for i, row in enumerate(change[0][table]):
-            ratios = {"table": table, "n": row["n"]}
+            ratios = {"table": table, **{k: row[k] for k in ("graph", "n") if k in row}}
             for key in row:
                 if key.endswith("_us_median") and key in parent[0][table][i]:
                     ratios[key.replace("_us_median", "_ratio_median")] = statistics.median(
@@ -306,7 +311,8 @@ def rhs_probe() -> dict:
                 row[f"{name}_{layer}us_median"] = statistics.median(per_call)
         rows.append(row)
     return {"players": "order 3, theta 1/3, directed cycle, ring game", "step_size": h,
-            "sizes": rows, "integrate": integrate_rows(h), "gradplay": gradplay_rows()}
+            "sizes": rows, "integrate": integrate_rows(h), "gradplay": gradplay_rows(),
+            "pinning": pinning_rows()}
 
 
 def integrate_rows(h: float) -> list[dict]:
@@ -373,6 +379,36 @@ def gradplay_rows() -> list[dict]:
         per_call = [scaled_time(call, 1) * 1e6 for _ in range(RHS_REPEATS)]
         rows.append({"n": len(jac), "solve_us_min": min(per_call),
                      "solve_us_median": statistics.median(per_call)})
+    return rows
+
+
+def pinning_rows() -> list[dict]:
+    """Time per ``pinning_diagnostic`` call on the preflight and large_n graphs and a cycle.
+
+    The graphs of preflight pool entry 0 and large_n pool entry 0 come from
+    this repository's ``benchmarks/workloads.py``, so both sides of a pair
+    take the same ones. The directed 96-cycle is the diagnostic's worst
+    case: its blocks all tie, so every one is eigensolved.
+    """
+    import numpy as np
+    import workloads
+    from nashseek.graph import Digraph, cycle_digraph, pinning_diagnostic
+
+    inputs = workloads.pool_inputs("preflight", 0) + workloads.pool_inputs("large_n", 0)
+    graphs = [(inp.key.split("/")[0], Digraph(np.array(inp.config["graph"]["weights"])))
+              for inp in inputs]
+    graphs.append(("cycle", cycle_digraph(96)))
+    rows = []
+    for name, g in graphs:
+        calls = PINNING_CALLS.get(g.n, 1)
+
+        def call():
+            pinning_diagnostic(g)
+
+        call()
+        per_call = [scaled_time(call, calls) / calls * 1e6 for _ in range(RHS_REPEATS)]
+        rows.append({"graph": name, "n": g.n, "diagnostic_us_min": min(per_call),
+                     "diagnostic_us_median": statistics.median(per_call)})
     return rows
 
 

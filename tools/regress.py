@@ -33,7 +33,10 @@ offsets of the same scale, and the preflight ring I - 0.94 S at n = 32;
 on a file without a game block; and ``run`` on players that PlayerSpec
 rejects (theta 0.6 without the override, the worked example's players
 under a 0.4 limit, a negative delta) and, with ``check``, on an unknown
-form, which is a config error.
+form, which is a config error; and ``check`` on graphs for its
+pinned-Laplacian line: a strongly connected 3-node digraph at weights of
+1e300 and 1e-300, the chain closed by an arc of 1e-13 (condition 7.4e13),
+a 24-node digraph with weights spanning 10^+-6, and the 24-cycle.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import sys
 import traceback
 from pathlib import Path
@@ -113,6 +117,36 @@ OVERFLOWING_SUM = {
     # the state first goes non-finite at t = 1.66
     "sim": {"step_size": 2e-3, "t_end": 1.0, "log_every": 4, "conv_window": 0.5},
 }
+
+
+def _pinned_laplacian_graphs() -> dict[str, dict]:
+    """Graphs for ``check``'s pinned-Laplacian line, by command name.
+
+    A strongly connected 3-node digraph at 1e300 and at 1e-300; the one-way
+    chain closed by an arc of 1e-13, whose pinned Laplacian has condition
+    7.4e13; 24 nodes on a shuffled cycle with extra arcs, weights spanning
+    10^+-6 (condition 7.8e10, one block eigensolved); and the 24-cycle,
+    whose blocks all tie.
+    """
+    rng = random.Random(24)
+    order = rng.sample(range(24), 24)
+    arcs = {(order[k], order[k - 1]) for k in range(24)}
+    arcs |= {(i, j) for i in range(24) for j in range(24) if i != j and rng.random() < 0.3}
+    weighted = [[10.0 ** rng.uniform(-6, 6) if (i, j) in arcs else 0.0 for j in range(24)]
+                for i in range(24)]
+    graphs = {
+        "weights-1e300": [[0, 2e300, 1e300], [1e300, 0, 0], [0, 1e300, 0]],
+        "weights-1e-300": [[0, 2e-300, 1e-300], [1e-300, 0, 0], [0, 1e-300, 0]],
+        "chain-1e-13": [[0, 0, 1e-13], [1, 0, 0], [0, 1, 0]],
+        "weighted-24": weighted,
+    }
+    configs = {name: dict(_PAIR, game={"type": "ring", "n": len(w)}, graph={"weights": w})
+               for name, w in graphs.items()}
+    configs["cycle-24"] = dict(
+        _PAIR, game={"type": "ring", "n": 24}, graph={"type": "cycle", "n": 24}
+    )
+    return configs
+
 
 # values PlayerSpec rejects whatever the override
 PLAYERS_OUTSIDE_THE_OVERRIDE = {
@@ -218,6 +252,8 @@ def commands(inputs: Path, out: Path) -> dict[str, list[str]]:
     for name, data in rejected.items():
         cmds[f"run-{name}"] = run(f"run-{name}", data)
     cmds["check-unknown-form"] = ["check", cmds["run-unknown-form"][1]]
+    for name, data in _pinned_laplacian_graphs().items():
+        cmds[f"check-{name}"] = ["check", config(f"check-{name}", data)]
     return cmds
 
 

@@ -13,7 +13,7 @@ estimator analysis rests on two matrices derived from the weights:
 
 Each block A_j is a Z-matrix with non-negative row sums, so its eigenvalue
 of least real part is real: tau_j = s - rho(s I - A_j) for any s at or above
-its diagonal. When A_j is nonsingular, P_j = A_j^-1 >= 0 and
+its largest diagonal entry. When A_j is nonsingular, P_j = A_j^-1 >= 0 and
 tau_j = 1 / rho(P_j), and for any positive x the Collatz-Wielandt ratios
 r_i = (P_j x)_i / x_i bracket rho(P_j): 1 / max r <= tau_j <= 1 / min r.
 A block whose lower end lies above another block's upper end cannot hold

@@ -346,9 +346,8 @@ def gradient_play_reference(
 def pinning_diagnostic_reference(g: Digraph) -> PinningDiagnostic:
     """:func:`nashseek.graph.pinning_diagnostic` with every block eigensolved.
 
-    The diagnostic as it stood before it bracketed each block's smallest
-    eigenvalue and dropped the blocks that cannot hold the minimum; the
-    package's result must equal this one bit for bit.
+    No bracket and no block dropped: ``np.linalg.eigvals`` on all n
+    blocks. The package's result must equal this one bit for bit.
     """
     blocks = laplacian(g) + np.eye(g.n) * g.weights.T[:, None, :]
     eigs = np.linalg.eigvals(blocks)

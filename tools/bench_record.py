@@ -42,10 +42,10 @@ end-to-end metrics, the pairs the checkout won on each metric, and the
 quartiles of both sides. Its right-hand-side and step probes then
 alternate between PARENT and the checkout, and PARENT's are recorded as
 ``parent_rhs_per_call``. ``rhs_ratio_to_parent`` then holds, per size and
-path, per gradient-play game and per diagnostic graph, the median over the rounds of each
-round's checkout/PARENT ratio of the scaled medians: both sides of a round
-run back to back, so the ratio cancels the machine's drift, which a
-minimum over rounds does not.
+path, per gradient-play game and per diagnostic graph, the median over the
+rounds of each round's checkout/PARENT ratio of the scaled medians: both
+sides of a round run back to back, so the ratio cancels the machine's
+drift, which a minimum over rounds does not.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ RHS_REPEATS = 7
 INTEGRATE_STEPS = {6: 1000, 96: 50}
 # gradient play on the preflight workload's games of these sizes
 GRADPLAY_SIZES = (8, 32)
-# the pinned-Laplacian diagnostic: calls per timing, about 2 ms of work
+# the pinned-Laplacian diagnostic's calls per timing below n = 32, a few ms of work
 PINNING_CALLS = {8: 16, 16: 4, 24: 2}
 # probe rounds; with --pairs-against the two sides' probes alternate
 PROBE_ROUNDS = 5

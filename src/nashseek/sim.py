@@ -36,8 +36,8 @@ whose row blocks are
     | -xi = -(L z + W o (z + 1 eta^T)), (N, N)
     | rowsum(J o z), N ]
 
-followed by a clip against delta per slot (delta = inf when unsaturated), a
-second product with the gain matrix built from
+followed by one call of numpy's clip ufunc against delta per slot (delta =
+inf when unsaturated), a second product with the gain matrix built from
 :func:`nashseek.dynamics.gain_row` that forms Abar xbar + b u, and the
 elementwise xi^2 and c products. The products are stacked matrix-vector
 products, (B, 1, L) @ (L, R), never one (B, L) @ (L, R) matrix product:
@@ -45,28 +45,32 @@ BLAS may sum a matrix product's rows in another order than a lone vector's,
 and the stacked form keeps every member bit-identical to its solo run.
 At these sizes a step costs numpy's fixed cost per call more than its
 arithmetic. Both right-hand sides take the form ``bind(s, out, lin)``,
-which returns a call that writes the rate at ``s`` into ``out``, and one
+which returns a call that writes the rate at ``s`` into ``out``; the dense
+one returns its seven bound numpy calls as a :class:`_Calls` tuple. One
 :class:`_Stepper`, built once per chunk of members, steps either: it owns
 the state, stage and product buffers, binds the right-hand side to each
-(input, output) pair once, and forms each stage argument and the new state
-as one weighted product over the member's [s | k1 | k2 | k3 | k4] rows,
-in those buffers. That sums in another order than
+(input, output) pair once, splices each :class:`_Calls` into one flat
+tuple of calls per RK4 phase, and forms each stage argument and the new
+state as one weighted product over the member's [s | k1 | k2 | k3 | k4]
+rows, in those buffers. That sums in another order than
 state + (h/6) (k1 + 2 k2 + 2 k3 + k4), the RK4 oracle in
 ``tests/oracles.py``, so the two agree to rounding, not bit for bit; the
 products are stacked per member for the same reason as the operator's, so
-members stay bit-identical to their solo runs.
+members stay bit-identical to their solo runs. A dense step is 32 numpy
+calls with no Python frame per right-hand side, 33 with the loop's screen.
 
 Above the byte bound the blockwise right-hand side (rowwise J o z, a
 Laplacian product, the pinning term on the graph's arcs only and the padded
 plant block) runs instead, and no operator is built; there a step is passes
 over n^2-wide arrays, not numpy's cost per call. The loop screens each step
-by the state's sum, finite when every entry is. A step that fails the
-screen keeps the batch's shape: its finite rows are kept, each
-bit-identical to its member's solo step, and each non-finite row re-takes
-the step alone and blockwise, since a dense product turns one overflowed
-entry into NaN across its member's whole row. A re-take still non-finite records its
-member's IntegrationError at its first non-finite entry and parks the row
-at zeros; the chunk stops once every member has faulted.
+by the state's sum, ``np.add.reduce(state, None)``, finite when every
+entry is. A step that fails the screen keeps the batch's shape: its
+finite rows are kept, each bit-identical to its member's solo step, and
+each non-finite row re-takes the step alone and blockwise, since a dense
+product turns one overflowed entry into NaN across its member's whole
+row. A re-take still non-finite records its member's IntegrationError at
+its first non-finite entry and parks the row at zeros; the chunk stops
+once every member has faulted.
 The agreement of both right-hand sides with the scalar per-player laws in
 ``tests/oracles.py`` is pinned by tests, not assumed.
 
@@ -91,6 +95,7 @@ from math import isfinite
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
+from numpy._core.umath import clip
 from numpy.typing import NDArray
 
 from . import seeker as _seeker
@@ -232,6 +237,18 @@ def _vecmat(v: NDArray[np.float64], m: NDArray[np.float64], out: NDArray[np.floa
     return partial(np.matmul, v[..., None, :], m, out[..., None, :])
 
 
+class _Calls(tuple):
+    """Bound calls made in order when the tuple is called.
+
+    :class:`_Stepper` splices one into its phase's flat tuple of calls, so
+    the calls run with no Python frame of their own.
+    """
+
+    def __call__(self) -> None:
+        for call in self:
+            call()
+
+
 class _Stepper:
     """Classical RK4 on either right-hand side, in buffers it owns.
 
@@ -252,6 +269,8 @@ class _Stepper:
     bit in 102 of 2,560 random member products), while the stacked form
     keeps every member bit-identical to its solo run.
 
+    A bound right-hand side that is a :class:`_Calls` is spliced into its
+    phase's one flat tuple of calls; any other callable stays one call.
     A step enters no np.errstate and screens nothing: :func:`_integrate`
     silences overflow around its loop and screens each step.
     """
@@ -275,7 +294,8 @@ class _Stepper:
             for j, w in enumerate(weights, start=2):
                 calls += [_vecmat(w, cur[..., :j, :], stage), bind(stage, ks[j - 1], lin)]
             calls.append(_vecmat(combine, cur, nxt[..., 0, :]))
-            self._phases.append((tuple(calls), nxt[..., 0, :]))
+            flat = [c for call in calls for c in (call if isinstance(call, _Calls) else [call])]
+            self._phases.append((tuple(flat), nxt[..., 0, :]))
         self._phase = 0
 
     def step(self) -> NDArray[np.float64]:
@@ -346,9 +366,9 @@ class _Tables:
         deltas = np.array([s.delta for s in specs])
         self.delta_col = deltas[:, None]
         # clip level per slot of the flat (..., N mmax) plant block, inf when
-        # unsaturated: min(max(x, -inf), inf) is x
-        clip = np.full(n, np.inf) if mode is SeekerMode.UNSATURATED else deltas
-        self.hi = np.repeat(clip, mmax)
+        # unsaturated: clip(x, -inf, inf) is x
+        levels = np.full(n, np.inf) if mode is SeekerMode.UNSATURATED else deltas
+        self.hi = np.repeat(levels, mmax)
         self.lo = -self.hi
         self.rho_augmented = mode is not SeekerMode.UNDIRECTED_ADAPTIVE
         self.weights = g.weights
@@ -373,8 +393,7 @@ class _Tables:
         arg = x.copy()
         arg[..., 0] += self.pvec * eta
         flat = arg.reshape(arg.shape[:-2] + (self.npad,))
-        np.maximum(flat, self.lo, out=flat)
-        np.minimum(flat, self.hi, out=flat)
+        clip(flat, self.lo, self.hi, flat)
         terms = self.gains * arg
         # the tail terms summed first, then the innermost term: the order
         # that keeps logged u bit-identical across versions
@@ -517,8 +536,10 @@ def _dense_rhs(tables: _Tables, game: QuadraticGame) -> Callable:
 
     Returns ``bind(s, out, lin)``. It takes the input, the output and an
     (..., R) buffer for the operator's product, makes every view of them
-    once, and returns a call that writes the rate at ``s`` into ``out``
-    without allocating.
+    once, and returns a :class:`_Calls` of seven bound numpy calls (six when
+    rho is not augmented) that writes the rate at ``s`` into ``out``
+    without allocating. Each passes its output positionally, which a
+    ufunc takes at a lower fixed cost than the keyword.
     """
     op, gain = linear_operator(tables, game)
     op_t = np.ascontiguousarray(op.T)
@@ -527,31 +548,25 @@ def _dense_rhs(tables: _Tables, game: QuadraticGame) -> Callable:
     hi, lo = tables.hi, tables.lo
     offset = game.offset
     rho_aug = tables.rho_augmented
-    maximum, minimum, multiply, add = np.maximum, np.minimum, np.multiply, np.add
+    multiply, add = np.multiply, np.add
 
     def bind(s: NDArray[np.float64], out: NDArray[np.float64], lin: NDArray[np.float64]):
-        linear = _vecmat(s, op_t, lin)
         arg = lin[..., :npad]
-        plant = _vecmat(lin[..., :xi0], gain_t, out[..., :npad])
         neg_xi = lin[..., xi0:jz0]
         c = s[..., c0:eta0]
         zdot, cdot = out[..., npad:c0], out[..., c0:eta0]
-        jz, etadot = lin[..., jz0:], out[..., eta0:]
-
-        def rhs() -> None:
-            linear()
-            maximum(arg, lo, out=arg)
-            minimum(arg, hi, out=arg)
-            plant()
-            multiply(neg_xi, neg_xi, out=cdot)
-            if rho_aug:
-                add(c, cdot, out=zdot)
-                multiply(zdot, neg_xi, out=zdot)
-            else:
-                multiply(c, neg_xi, out=zdot)
-            add(jz, offset, out=etadot)
-
-        return rhs
+        calls = [
+            _vecmat(s, op_t, lin),
+            partial(clip, arg, lo, hi, arg),
+            _vecmat(lin[..., :xi0], gain_t, out[..., :npad]),
+            partial(multiply, neg_xi, neg_xi, cdot),
+        ]
+        if rho_aug:
+            calls += [partial(add, c, cdot, zdot), partial(multiply, zdot, neg_xi, zdot)]
+        else:
+            calls.append(partial(multiply, c, neg_xi, zdot))
+        calls.append(partial(add, lin[..., jz0:], offset, out[..., eta0:]))
+        return _Calls(calls)
 
     return bind
 
@@ -696,14 +711,14 @@ def _integrate(
 
     steps = config.steps
     faults: dict[int, IntegrationError] = {}
-    copyto = np.copyto
+    copyto, total = np.copyto, np.add.reduce
     k = 0
     j = 0  # rows of the block filled since its row 0; row j is the next step's start
     with np.errstate(over="ignore", invalid="ignore"):
         while k < steps:
             state = stepper.step()
             # a finite state whose sum overflows passes the exact check below
-            if not isfinite(state.sum()):
+            if not isfinite(total(state, None)):
                 # only the non-finite rows re-take the step, each alone and
                 # blockwise (see the module docstring), written in place
                 t = (k + 1) * h

@@ -984,3 +984,54 @@ def test_a_finite_state_whose_sum_overflows_is_no_fault(use_path, path):
     traj, _ = results[0]
     assert np.isfinite(traj.c_snapshot).all()
     assert_same_result(results[1], run(game, g, specs, SAT, config=cfg))
+
+
+def clip_pair(a, lo, hi, out=None):
+    """A saturation as np.maximum, then np.minimum."""
+    return np.minimum(np.maximum(a, lo, out=out), hi, out=out)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("lead", [(), (11,)], ids=["lone", "batch"])
+@pytest.mark.parametrize("mode", [SAT, SeekerMode.UNSATURATED], ids=lambda mode: mode.value)
+def test_clip_ufunc_writes_the_bits_of_maximum_then_minimum(monkeypatch, mode, lead):
+    # sim saturates with numpy's clip ufunc, imported from numpy's private
+    # umath module; if numpy moves or changes it, this fails. Each value of
+    # the edge set fills every plant slot of one row: NaN, the infinities,
+    # the levels +-delta themselves, signed zeros and +-1e308.
+    game, g, specs = small_setup()
+    tables = sim._Tables(specs, mode, g)
+    level = np.inf if mode is SeekerMode.UNSATURATED else 1.0
+    np.testing.assert_array_equal(tables.hi, np.full(tables.npad, level))
+    edges = [np.nan, np.inf, -np.inf, 1.0, -1.0, 0.0, -0.0, 1e308, -1e308, 0.5, -3.0]
+    values = np.repeat(np.array(edges)[:, None], tables.npad, axis=1)
+    for x in list(values) if lead == () else [values]:
+        expected = clip_pair(x, tables.lo, tables.hi)
+        np.testing.assert_array_equal(bits(sim.clip(x, tables.lo, tables.hi)), bits(expected))
+        inplace = x.copy()
+        sim.clip(inplace, tables.lo, tables.hi, inplace)
+        np.testing.assert_array_equal(bits(inplace), bits(expected))
+    # _Tables.controls on the same plant slots, padded ones zero, eta zero
+    x = np.where(tables.mask, values.reshape(len(edges), tables.n, tables.mmax), 0.0)
+    x = x[0] if lead == () else x
+    eta = np.zeros(x.shape[:-1])
+    got = tables.controls(x, eta)
+    monkeypatch.setattr(sim, "clip", clip_pair)
+    np.testing.assert_array_equal(bits(got), bits(tables.controls(x, eta)))
+
+
+@pytest.mark.parametrize("members", [1, 3])
+def test_dense_rhs_clip_writes_the_bits_of_maximum_then_minimum(rng, monkeypatch, members):
+    tables, bind, state = saturated_states(rng, members, "dense")
+    state = state[0] if members == 1 else state
+    out, lin = np.empty_like(state), np.empty(state.shape[:-1] + (tables.rows,))
+    bind(state, out, lin)()
+    # some saturation is active: an argument sits at its level
+    assert (np.abs(lin[..., : tables.npad]) == tables.hi).any()
+    monkeypatch.setattr(sim, "clip", clip_pair)
+    expected = np.empty_like(state)
+    bind(state, expected, lin)()
+    np.testing.assert_array_equal(bits(out), bits(expected))

@@ -25,7 +25,11 @@ the benchmark's preflight workload at the GRADPLAY_SIZES, recorded under
 ``gradplay``, and the pinned-Laplacian diagnostic: the time per
 ``graph.pinning_diagnostic`` call on the graphs of preflight pool entry 0
 (N = 8 to 32), on large_n pool entry 0's graph (n = 96) and on the
-directed 96-cycle, whose blocks all tie, recorded under ``pinning``.
+directed 96-cycle, whose blocks all tie, recorded under ``pinning``. It
+also times the setup layers: one ``dynamics.build_transformation`` call at
+the TRANSFORM_CALLS orders, recorded under ``transform``, and one
+``sim._Tables`` construction for the worked example's players on a directed
+cycle at the TABLES_CALLS sizes, recorded under ``tables``.
 
 Everything runs in child processes with BLAS on one thread. Each checkout
 gets its own bytecode cache (``PYTHONPYCACHEPREFIX``), empty when the
@@ -42,10 +46,10 @@ end-to-end metrics, the pairs the checkout won on each metric, and the
 quartiles of both sides. Its right-hand-side and step probes then
 alternate between PARENT and the checkout, and PARENT's are recorded as
 ``parent_rhs_per_call``. ``rhs_ratio_to_parent`` then holds, per size and
-path, per gradient-play game and per diagnostic graph, the median over the
-rounds of each round's checkout/PARENT ratio of the scaled medians: both
-sides of a round run back to back, so the ratio cancels the machine's
-drift, which a minimum over rounds does not.
+path, per gradient-play game, per diagnostic graph and per setup row, the
+median over the rounds of each round's checkout/PARENT ratio of the scaled
+medians: both sides of a round run back to back, so the ratio cancels the
+machine's drift, which a minimum over rounds does not.
 """
 
 from __future__ import annotations
@@ -83,6 +87,10 @@ INTEGRATE_STEPS = {6: 1000, 96: 50}
 GRADPLAY_SIZES = (8, 32)
 # the pinned-Laplacian diagnostic's calls per timing below n = 32, a few ms of work
 PINNING_CALLS = {8: 16, 16: 4, 24: 2}
+# calls per timing of build_transformation at each order (20 is the cap, about
+# 0.1 s a call) and of _Tables at each size, each timing a few ms at least
+TRANSFORM_CALLS = {1: 64, 3: 16, 10: 1, 20: 1}
+TABLES_CALLS = {3: 16, 6: 16, 24: 16, 96: 8}
 # probe rounds; with --pairs-against the two sides' probes alternate
 PROBE_ROUNDS = 5
 
@@ -237,7 +245,7 @@ def rhs_rounds(sides: list[Path]) -> list[list[dict]]:
 
 
 # the probe's lists of timed rows
-PROBE_TABLES = ("sizes", "integrate", "gradplay", "pinning")
+PROBE_TABLES = ("sizes", "integrate", "gradplay", "pinning", "transform", "tables")
 
 
 def probe_minima(side: list[dict]) -> dict:
@@ -256,7 +264,8 @@ def probe_ratios(change: list[dict], parent: list[dict]) -> list[dict]:
     rows = []
     for table in PROBE_TABLES:
         for i, row in enumerate(change[0][table]):
-            ratios = {"table": table, **{k: row[k] for k in ("graph", "n") if k in row}}
+            ratios = {"table": table,
+                      **{k: row[k] for k in ("graph", "n", "order") if k in row}}
             for key in row:
                 if key.endswith("_us_median") and key in parent[0][table][i]:
                     ratios[key.replace("_us_median", "_ratio_median")] = statistics.median(
@@ -303,16 +312,12 @@ def rhs_probe() -> dict:
             rhs_call = bind(state, np.empty_like(state), np.empty(tables.rows))
             step_call = sim._Stepper(bind, tables.rows, state, h).step
             calls = max(50, RHS_CALLS // n)
-            for layer, call in (("", rhs_call), ("step_", step_call)):
-                call()
-                per_call = [scaled_time(call, calls) / calls * 1e6
-                            for _ in range(RHS_REPEATS)]
-                row[f"{name}_{layer}us_min"] = min(per_call)
-                row[f"{name}_{layer}us_median"] = statistics.median(per_call)
+            for key, call in ((name, rhs_call), (f"{name}_step", step_call)):
+                row.update(per_call_us(key, call, calls))
         rows.append(row)
     return {"players": "order 3, theta 1/3, directed cycle, ring game", "step_size": h,
             "sizes": rows, "integrate": integrate_rows(h), "gradplay": gradplay_rows(),
-            "pinning": pinning_rows()}
+            "pinning": pinning_rows(), "transform": transform_rows(), "tables": tables_rows()}
 
 
 def integrate_rows(h: float) -> list[dict]:
@@ -371,14 +376,8 @@ def gradplay_rows() -> list[dict]:
         if len(jac) not in GRADPLAY_SIZES:
             continue
         game = QuadraticGame(jacobian=jac, offset=np.array(inp.config["game"]["offset"]))
-
-        def call():
-            solve_nash_gradient_play(game)
-
-        call()
-        per_call = [scaled_time(call, 1) * 1e6 for _ in range(RHS_REPEATS)]
-        rows.append({"n": len(jac), "solve_us_min": min(per_call),
-                     "solve_us_median": statistics.median(per_call)})
+        rows.append({"n": len(jac),
+                     **per_call_us("solve", lambda: solve_nash_gradient_play(game), 1)})
     return rows
 
 
@@ -400,16 +399,45 @@ def pinning_rows() -> list[dict]:
     graphs.append(("cycle", cycle_digraph(96)))
     rows = []
     for name, g in graphs:
-        calls = PINNING_CALLS.get(g.n, 1)
-
-        def call():
-            pinning_diagnostic(g)
-
-        call()
-        per_call = [scaled_time(call, calls) / calls * 1e6 for _ in range(RHS_REPEATS)]
-        rows.append({"graph": name, "n": g.n, "diagnostic_us_min": min(per_call),
-                     "diagnostic_us_median": statistics.median(per_call)})
+        rows.append({"graph": name, "n": g.n, **per_call_us(
+            "diagnostic", lambda: pinning_diagnostic(g), PINNING_CALLS.get(g.n, 1))})
     return rows
+
+
+def transform_rows() -> list[dict]:
+    """Time per ``build_transformation`` call at each TRANSFORM_CALLS order, theta 1/3."""
+    from nashseek import PlayerSpec, build_transformation
+
+    rows = []
+    for order, calls in TRANSFORM_CALLS.items():
+        spec = PlayerSpec(order=order, theta=1 / 3, delta=1.0, u_limit=10.0)
+        rows.append({"order": order,
+                     **per_call_us("build", lambda: build_transformation(spec), calls)})
+    return rows
+
+
+def tables_rows() -> list[dict]:
+    """Time per ``sim._Tables`` construction on the worked example's players, directed cycle."""
+    from nashseek import PlayerSpec, SeekerMode, cycle_digraph, sim
+
+    rows = []
+    for n, calls in TABLES_CALLS.items():
+        g = cycle_digraph(n)
+        specs = tuple(PlayerSpec(order=3, theta=1 / 3, delta=1.0, u_limit=0.4815)
+                      for _ in range(n))
+        rows.append({"n": n, **per_call_us(
+            "setup", lambda: sim._Tables(specs, SeekerMode.SATURATED_DIRECTED, g), calls)})
+    return rows
+
+
+def per_call_us(name: str, call, calls: int) -> dict:
+    """Scaled µs per call, minimum and median over RHS_REPEATS timings of ``calls`` calls.
+
+    One call runs first, untimed, so lazy setup stays out of the timings.
+    """
+    call()
+    per_call = [scaled_time(call, calls) / calls * 1e6 for _ in range(RHS_REPEATS)]
+    return {f"{name}_us_min": min(per_call), f"{name}_us_median": statistics.median(per_call)}
 
 
 def scaled_time(call, number: int) -> float:

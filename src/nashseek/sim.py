@@ -128,13 +128,16 @@ _C_MONOTONE_SLACK = 1e-12
 _MAX_STEPS = 10**9
 _MAX_LOG_BYTES = 2**30
 # Largest dense operator the right-hand side multiplies by; above it the
-# blockwise right-hand side runs. It sits at the measured crossover for
+# blockwise right-hand side runs. It was set at the measured crossover for
 # order-3 players on a directed cycle, one BLAS thread, 2 MB of L2 per core
-# (scaled medians of rhs_per_call in BENCH_edgepin.json, from
-# tools/bench_record.py): per call, 16 us dense against 22 us blockwise at
-# n = 12 (a 0.61 MB operator), 23 against 23 us at n = 14 (1.05 MB), 28
-# against 23 us at n = 15 (1.35 MB) and 44 against 23 us at n = 16
-# (1.70 MB), as the operator leaves the cache.
+# (scaled medians of rhs_per_call in BENCH_clipflat.json, from
+# tools/bench_record.py): per call, 17 us dense against 21 us blockwise at
+# n = 12 (a 0.61 MB operator), 19 against 20 us at n = 13 (0.81 MB), 26
+# against 21 us at n = 14 (1.05 MB), 29 against 22 us at n = 15 (1.35 MB)
+# and 44 against 22 us at n = 16 (1.70 MB), as the operator leaves the
+# cache. n = 14 read level in BENCH_edgepin.json (23 against 23 us); the
+# bound stays, since moving it changes which path, and so which bits, a
+# config gets.
 _DENSE_MAX_BYTES = 1_200_000
 # Largest step-history block of _integrate, its carried row included; the
 # block is at least one row.

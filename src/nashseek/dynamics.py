@@ -82,9 +82,18 @@ def _exact_abar(m: int, theta: Fraction, form: str) -> NDArray[np.object_]:
     return abar
 
 
-def order_within_cap(order: int) -> bool:
-    """Whether an order is at most :data:`MAX_ORDER`, the largest one built in bounded time."""
-    return order <= MAX_ORDER
+def check_order_and_form(order, form) -> None:
+    """Raise ValueError unless order is an integer from 1 to :data:`MAX_ORDER` and form is known.
+
+    A bool is not an order. Both :class:`PlayerSpec` and the config parser
+    state their order and form rules through this one check.
+    """
+    if not isinstance(order, (int, np.integer)) or isinstance(order, bool) or order < 1:
+        raise ValueError(f"order must be a positive integer, got {order!r}")
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} exceeds the cap of {MAX_ORDER}")
+    if form not in (FORM_STANDARD, FORM_ALTERNATE):
+        raise ValueError(f"form must be {FORM_STANDARD!r} or {FORM_ALTERNATE!r}, got {form!r}")
 
 
 def spec_verdicts(
@@ -138,15 +147,8 @@ class PlayerSpec:
     allow_large_theta: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.order, (int, np.integer)) or self.order < 1:
-            raise ValueError(f"order must be a positive integer, got {self.order!r}")
+        check_order_and_form(self.order, self.form)
         object.__setattr__(self, "order", int(self.order))
-        if not order_within_cap(self.order):
-            raise ValueError(f"order {self.order} exceeds the cap of {MAX_ORDER}")
-        if self.form not in (FORM_STANDARD, FORM_ALTERNATE):
-            raise ValueError(
-                f"form must be {FORM_STANDARD!r} or {FORM_ALTERNATE!r}, got {self.form!r}"
-            )
         if self.u_limit is None:
             object.__setattr__(self, "u_limit", float(self.delta))
         verdicts = spec_verdicts(

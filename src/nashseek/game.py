@@ -28,6 +28,8 @@ __all__ = [
     "ring_game",
 ]
 
+# the largest condition number the closed-form solve and the pinned-Laplacian
+# diagnostic accept
 _COND_LIMIT = 1e12
 # gradient play's iterations per residual test
 _GRADIENT_PLAY_BLOCK = 64

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .game import _power_of_two_below
+from .game import _COND_LIMIT, _power_of_two_below
 
 __all__ = [
     "Digraph",
@@ -37,8 +37,6 @@ __all__ = [
     "is_strongly_connected",
     "cycle_digraph",
 ]
-
-_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,13 @@ parsed config is the resolved JSON object itself: equal configs mean
 bit-identical runs, and parsing it again returns it unchanged. Its
 ``init``, ``sim`` and player blocks are the keyword arguments of ``run``,
 SimConfig and PlayerSpec. Parsing validates structure, including the mode
-and form names; :func:`build` constructs the run objects and raises what
-PlayerSpec, SimConfig, the game and the graph reject, so ``check`` can
-first print PlayerSpec's gain-range and actuator verdicts by name.
+and form names, and raises every config error that needs neither the game
+nor the graph built: the order and form rules PlayerSpec states, each
+player's mode rule, what SimConfig rejects and the 1 GiB log cap, all
+through the code ``run_batch`` uses. :func:`build` constructs the run
+objects and raises what PlayerSpec's gain verdicts, the game and the graph
+reject, so ``check`` can first print PlayerSpec's gain-range and actuator
+verdicts by name.
 """
 
 from __future__ import annotations
@@ -35,14 +39,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (
-    FORM_ALTERNATE, FORM_STANDARD, MAX_ORDER, PlayerSpec, delta_for_limit, order_within_cap
-)
+from .dynamics import FORM_STANDARD, PlayerSpec, check_order_and_form, delta_for_limit
 from .errors import ConfigError
 from .game import QuadraticGame, ring_game
 from .graph import Digraph, cycle_digraph
-from .seeker import SeekerMode
-from .sim import SimConfig
+from .seeker import SeekerMode, _check_mode
+from .sim import SimConfig, _log_bytes
 
 __all__ = [
     "BuiltScenario",
@@ -215,16 +217,12 @@ def _resolve_player(p, i: int) -> dict:
         if key not in p:
             raise ConfigError(f"{where} is missing {key!r}")
     order = p["order"]
-    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
-        raise ConfigError(f"{where} order must be a positive integer, got {order!r}")
-    if not order_within_cap(order):
-        raise ConfigError(f"{where} order {order} exceeds the cap of {MAX_ORDER}")
-    theta = _number(p, "theta", where)
     form = p.get("form", FORM_STANDARD)
-    if form not in (FORM_STANDARD, FORM_ALTERNATE):
-        raise ConfigError(
-            f"{where} form must be {FORM_STANDARD!r} or {FORM_ALTERNATE!r}, got {form!r}"
-        )
+    try:
+        check_order_and_form(order, form)
+    except ValueError as exc:
+        raise ConfigError(f"{where} {exc}") from None
+    theta = _number(p, "theta", where)
     if ("delta" in p) == ("auto_delta_margin" in p):
         raise ConfigError(f"{where} needs exactly one of delta or auto_delta_margin")
     if "auto_delta_margin" in p:
@@ -285,6 +283,8 @@ def parse_config(data: dict) -> dict:
     if not isinstance(raw_players, list) or len(raw_players) != n:
         raise ConfigError(f"players must be one dict or a list of {n} dicts")
     players = [_resolve_player(p, i) for i, p in enumerate(raw_players)]
+    for p in players:
+        _check_mode(p["order"], p["form"], SeekerMode(mode))
 
     seed = data.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
@@ -355,6 +355,8 @@ def parse_config(data: dict) -> dict:
             sim_resolved[f.name] = value
         else:
             sim_resolved[f.name] = _number(sim, f.name, "sim", f.default)
+    # what run_batch rejects in the sim block alone, before check prints a line
+    _log_bytes(SimConfig(**sim_resolved), n)
 
     return {
         "game": game,

@@ -61,17 +61,15 @@ def integral_scale(spec: PlayerSpec) -> float:
     return float(np.prod(gain_row(spec.order, spec.theta, spec.form)[1:][::-1]))
 
 
-def _check_mode(spec: PlayerSpec, mode: SeekerMode) -> None:
-    if mode is SeekerMode.FIRST_ORDER and spec.order != 1:
-        raise ModeOrderError(
-            f"FirstOrder mode requires order 1 players, got order {spec.order}"
-        )
-    if spec.order >= 2:
+def _check_mode(order: int, form: str, mode: SeekerMode) -> None:
+    """Raise ModeOrderError unless a player of this order and form runs in ``mode``."""
+    if mode is SeekerMode.FIRST_ORDER and order != 1:
+        raise ModeOrderError(f"FirstOrder mode requires order 1 players, got order {order}")
+    if order >= 2:
         want = FORM_ALTERNATE if mode is SeekerMode.ALTERNATE_FORM else FORM_STANDARD
-        if spec.form != want:
+        if form != want:
             raise ModeOrderError(
-                f"mode {mode.value} requires canonical form {want!r}, "
-                f"got {spec.form!r}"
+                f"mode {mode.value} requires canonical form {want!r}, got {form!r}"
             )
 
 

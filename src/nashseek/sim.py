@@ -157,7 +157,11 @@ class SimConfig:
     def __post_init__(self):
         if self.step_size <= 0:
             raise ConfigError(f"step_size must be positive, got {self.step_size}")
-        if not isinstance(self.log_every, (int, np.integer)) or self.log_every < 1:
+        if (
+            not isinstance(self.log_every, (int, np.integer))
+            or isinstance(self.log_every, bool)
+            or self.log_every < 1
+        ):
             raise ConfigError(f"log_every must be a positive integer, got {self.log_every!r}")
         object.__setattr__(self, "log_every", int(self.log_every))
         if not self.t_end >= self.conv_window > 0:
@@ -582,6 +586,17 @@ def _log_row(n: int) -> tuple[dict[str, int | slice], int]:
     return places, 2 * n + 1 + len(scalars)
 
 
+def _log_bytes(config: SimConfig, n: int) -> int:
+    """Bytes of one scenario's logged arrays; a ConfigError when over the 1 GiB cap."""
+    size = (config.steps // config.log_every) * _log_row(n)[1] * 8
+    if size > _MAX_LOG_BYTES:
+        raise ConfigError(
+            f"logged arrays would take {size / 2**30:.3g} GiB, over the 1 GiB cap; "
+            "raise log_every or shorten t_end"
+        )
+    return size
+
+
 def _materialize(value, shape, name: str) -> NDArray[np.float64]:
     if np.ndim(value) == 0:
         return np.full(shape, float(value))
@@ -644,16 +659,11 @@ def run_batch(
     cert = check_game(game)
     if not cert.strongly_monotone:
         raise MonotonicityError(cert.monotonicity)
-    log_bytes = (config.steps // config.log_every) * _log_row(n)[1] * 8
-    if log_bytes > _MAX_LOG_BYTES:
-        raise ConfigError(
-            f"logged arrays would take {log_bytes / 2**30:.3g} GiB, over the 1 GiB cap; "
-            "raise log_every or shorten t_end"
-        )
+    log_bytes = _log_bytes(config, n)
     if len(specs) != n:
         raise ConfigError(f"got {len(specs)} player specs for {n} players")
     for spec in specs:
-        _seeker._check_mode(spec, mode)
+        _seeker._check_mode(spec.order, spec.form, mode)
     if mode is SeekerMode.UNDIRECTED_ADAPTIVE and not g.symmetric:
         raise SymmetryError("UndirectedAdaptive mode requires a symmetric weight matrix")
     if not is_strongly_connected(g):

@@ -220,7 +220,7 @@ def control(i: int, state: SeekerState, spec: PlayerSpec, mode: SeekerMode) -> f
     through the innermost term; every fed-back quantity is saturated except
     in UNSATURATED mode.
     """
-    _check_mode(spec, mode)
+    _check_mode(spec.order, spec.form, mode)
     xbar = state.xbar[i]
     eta_i = float(state.eta[i])
     m = spec.order
@@ -235,6 +235,14 @@ def control(i: int, state: SeekerState, spec: PlayerSpec, mode: SeekerMode) -> f
         return float(-tail - theta * sat(inner))
     tail = sum(theta**k * sat(xbar[m - k]) for k in range(1, m))
     return float(-tail - theta**m * sat(inner))
+
+
+def ascending_integral_scale(m: int, theta: float) -> float:
+    """The standard form's integral scale theta * theta^2 * ... * theta^(m-1), left to right."""
+    scale = 1.0
+    for k in range(1, m):
+        scale *= theta**k
+    return scale
 
 
 def tilde_x1(i: int, state: SeekerState, spec: PlayerSpec) -> float:

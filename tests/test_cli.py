@@ -506,17 +506,26 @@ class TestCheck:
         assert "[FAIL] theta-range player 1" in capsys.readouterr().out
 
     def test_actuator_bound_failure(self, tmp_path, capsys):
-        for players, bound in (
-            ({"order": 3, "theta": 1.0 / 3.0, "delta": 1.0, "u_limit": 0.4}, "0.481481"),
+        for players, mode, bound in (
+            (
+                {"order": 3, "theta": 1.0 / 3.0, "delta": 1.0, "u_limit": 0.4},
+                "SaturatedDirected",
+                "0.481481",
+            ),
             # the first-order law u = -sat(x + eta) reaches delta, not theta * delta
-            ({"order": 1, "theta": 0.3, "delta": 2.0, "u_limit": 1.0}, "= 2 vs limit 1"),
+            (
+                {"order": 1, "theta": 0.3, "delta": 2.0, "u_limit": 1.0},
+                "SaturatedDirected",
+                "= 2 vs limit 1",
+            ),
             # the alternate law reaches m * theta * delta, not the standard series
             (
                 {"order": 3, "theta": 0.4, "delta": 1.0, "u_limit": 0.7, "form": "alternate"},
+                "AlternateForm",
                 "= 1.2 vs limit 0.7",
             ),
         ):
-            cfg_path = write_config(tmp_path, dict(BASE, players=players))
+            cfg_path = write_config(tmp_path, dict(BASE, players=players, mode=mode))
             assert main(["check", cfg_path]) == 3
             out = capsys.readouterr().out
             assert "[FAIL] actuator-bound player 1" in out
@@ -726,6 +735,28 @@ AGREEMENT_CASES = {
 
 
 class TestCheckRunAgreement:
+    # errors of the config alone, on a 3-ring whose verdict lines all pass:
+    # check exits 2 before its first line, with run's message
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"sim": {"t_end": 1.0}},  # shorter than the default 10 s conv_window
+            {"mode": "FirstOrder", "players": {"order": 3, "theta": 0.3, "delta": 1.0}},
+            {"sim": dict(AGREEMENT_BASE["sim"], t_end=2e5)},  # 1.6 GiB of logged rows
+        ],
+        ids=["sim-block", "first-order-mode-order-3", "log-beyond-1gib"],
+    )
+    def test_config_error_exits_2_before_any_line(self, tmp_path, capsys, overrides):
+        cfg_path = write_config(tmp_path, {**AGREEMENT_BASE, **overrides})
+        checked = main(["check", cfg_path])
+        check_out = capsys.readouterr()
+        ran = main(["run", cfg_path, "--out", str(tmp_path / "o")])
+        run_err = capsys.readouterr().err
+        assert checked == ran == 2
+        assert check_out.out == ""
+        assert check_out.err == run_err and run_err.startswith("config error: ")
+        assert run_err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "code, overrides", AGREEMENT_CASES.values(), ids=AGREEMENT_CASES.keys()
     )

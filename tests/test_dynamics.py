@@ -98,6 +98,9 @@ class TestPlayerSpec:
             PlayerSpec(order=0, theta=0.3, delta=1.0)
         with pytest.raises(ValueError):
             PlayerSpec(order=1.5, theta=0.3, delta=1.0)
+        # a bool is an int to isinstance, but no order, as the parser holds
+        with pytest.raises(ValueError, match="order must be a positive integer, got True"):
+            PlayerSpec(order=True, theta=0.3, delta=1.0)
         with pytest.raises(ValueError):
             PlayerSpec(order=2, theta=0.3, delta=-1.0)
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from nashseek import (
 from conftest import random_strongly_connected
 from oracles import (
     GainIntegrityError,
+    ascending_integral_scale,
     SeekerState,
     canonical_a,
     consensus_rhs,
@@ -214,6 +215,14 @@ class TestScalesAndBounds:
         assert integral_scale(
             PlayerSpec(order=3, theta=0.3, delta=1.0, form="alternate")
         ) == pytest.approx(0.09)
+
+    def test_integral_scale_multiplies_ascending_powers(self):
+        # the product's order sets its bits: reversed, it differs in most draws
+        rng = np.random.default_rng(0)
+        for m in range(4, 21):
+            for theta in rng.uniform(0.01, 0.5, size=200).tolist():
+                spec = PlayerSpec(order=m, theta=theta, delta=1.0)
+                assert integral_scale(spec) == ascending_integral_scale(m, theta)
 
     def test_gain_row_is_the_law_and_the_canonical_columns(self):
         # unit bar vectors inside the saturation level read the gains off the

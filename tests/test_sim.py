@@ -100,6 +100,8 @@ class TestSimConfig:
             SimConfig(step_size=0.0)
         with pytest.raises(ConfigError):
             SimConfig(log_every=0)
+        with pytest.raises(ConfigError, match="log_every must be a positive integer, got True"):
+            SimConfig(log_every=True)
         with pytest.raises(ConfigError):
             SimConfig(t_end=5.0, conv_window=10.0)
         with pytest.raises(ConfigError):

@@ -8,55 +8,45 @@ For every workload in BENCHMARK.json the record runs ``benchmarks/run.py``
 of the checkout once per seed 1 to 5 (``--trace 0``), each for the
 ``run_seconds`` that BENCHMARK.json sets, and keeps the median and the
 quartiles of each end-to-end metric over the seeds. It also records the
-tier-1 test wall time (the command of ROADMAP.md), the wall time of
-``nashseek paper-example``, and the per-call time of one RK4 right-hand
-side call and of one whole RK4 step on the worked example's players
-(order 3, theta 1/3, directed cycle) at several sizes n, each scaled by
-the benchmark's speed calibration, as the minimum and the median over
-RHS_REPEATS timings, and then the minimum of each over PROBE_ROUNDS
-probes. Both right-hand sides (dense operator and blockwise) are timed,
-except that no dense operator over PROBE_MAX_OPERATOR_BYTES is built. The
-probe drives the checkout's ``sim._Stepper``, so a checkout without one
-cannot be probed. The same probe times the logging layer: ``sim._integrate``
-per step on one member at the INTEGRATE_STEPS sizes, logging every 10
-steps and once, recorded under ``integrate``, and gradient play: the time
-per ``game.solve_nash_gradient_play`` call on the games of pool entry 0 of
-the benchmark's preflight workload at the GRADPLAY_SIZES, recorded under
-``gradplay``, and the pinned-Laplacian diagnostic: the time per
-``graph.pinning_diagnostic`` call on the graphs of preflight pool entry 0
-(N = 8 to 32), on large_n pool entry 0's graph (n = 96) and on the
-directed 96-cycle, whose blocks all tie, recorded under ``pinning``. It
-also times the setup layers: one ``dynamics.build_transformation`` call at
-the TRANSFORM_CALLS orders, recorded under ``transform``, and one
-``sim._Tables`` construction for the worked example's players on a directed
-cycle at the TABLES_CALLS sizes, recorded under ``tables``.
+tier-1 test wall time (the command of ROADMAP.md), and the scaled per-call
+times of its probe: a child process that imports the checkout's ``src/``
+and times, PROBE_ROUNDS times, each layer of ROADMAP.md's aim 1 on the
+worked example's players (order 3, theta 1/3, ring game, directed cycle)
+unless a row's function says otherwise: one right-hand side call and one
+RK4 step on each path (``sizes``), the logging layer (``integrate``),
+gradient play, the pinned-Laplacian diagnostic, the transformation build,
+``_Tables`` setup, output writing, ``check_game``, and ``nashseek
+paper-example`` (``paper_example``; the record's ``paper_example.wall_s``).
+One function, :func:`per_call_us`, times every row, and each time is kept
+as its minimum over the rounds.
 
 Everything runs in child processes with BLAS on one thread. Each checkout
 gets its own bytecode cache (``PYTHONPYCACHEPREFIX``), empty when the
 record starts, so neither side imports through the other's cache files or
-through stale ones left in its tree. The record
-names the checkout's git sha, a digest of its ``src/``, Python, numpy and
-``nproc``. Runs take a while: about run_seconds plus 15 s per workload and
-seed, plus the tier-1 suite.
+through stale ones left in its tree. The record names the checkout's git
+sha, a digest of its ``src/``, Python, numpy and ``nproc``. Runs take a
+while: about run_seconds plus 8 s per workload and seed, plus the tier-1
+suite and the probe.
 
 With ``--pairs-against PARENT`` it also runs 10 pairs of every workload in
 BENCHMARK.json on PARENT and on the checkout, pair k with seed k on both
 sides, alternating which side runs first, and records each side's
 end-to-end metrics, the pairs the checkout won on each metric, and the
-quartiles of both sides. Its right-hand-side and step probes then
-alternate between PARENT and the checkout, and PARENT's are recorded as
-``parent_rhs_per_call``. ``rhs_ratio_to_parent`` then holds, per size and
-path, per gradient-play game, per diagnostic graph and per setup row, the
-median over the rounds of each round's checkout/PARENT ratio of the scaled
-medians: both sides of a round run back to back, so the ratio cancels the
-machine's drift, which a minimum over rounds does not.
+quartiles of both sides. The probe rounds then alternate between PARENT
+and the checkout, PARENT's are recorded as ``parent_rhs_per_call``, and
+``rhs_ratio_to_parent`` holds, per probe row, the median over the rounds
+of each round's checkout/PARENT ratio of the scaled medians: both sides of
+a round run back to back, so the ratio cancels the machine's drift, which
+a minimum over rounds does not.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import os
 import statistics
@@ -78,19 +68,18 @@ PAIRS = 10
 RHS_SIZES = (3, 6, 12, 13, 14, 15, 16, 20, 24, 96)
 # the dense operator at n = 96 would take 1.5 GB
 PROBE_MAX_OPERATOR_BYTES = 2**27
-RHS_CALLS = 2000
-RHS_REPEATS = 7
-# the logging layer: sim._integrate on the worked example's players at these
-# sizes and step counts, logging every 10 steps and once at the end
+# timings per probe row and round: one keeps the probe's share of a paired
+# record's wall time near a tenth, with paper-example run once per round
+RHS_REPEATS = 1
+# the sizes at which ROADMAP.md's aim 1 asks for each layer
+LAYER_SIZES = (3, 6, 24, 96)
+# the logging layer: sim._integrate at these sizes and step counts per call
 INTEGRATE_STEPS = {6: 1000, 96: 50}
 # gradient play on the preflight workload's games of these sizes
 GRADPLAY_SIZES = (8, 32)
-# the pinned-Laplacian diagnostic's calls per timing below n = 32, a few ms of work
-PINNING_CALLS = {8: 16, 16: 4, 24: 2}
-# calls per timing of build_transformation at each order (20 is the cap, about
-# 0.1 s a call) and of _Tables at each size, each timing a few ms at least
-TRANSFORM_CALLS = {1: 64, 3: 16, 10: 1, 20: 1}
-TABLES_CALLS = {3: 16, 6: 16, 24: 16, 96: 8}
+PINNING_CYCLES = (3, 6, 96)
+# 20 is the cap on a player's order
+TRANSFORM_ORDERS = (1, 3, 10, 20)
 # probe rounds; with --pairs-against the two sides' probes alternate
 PROBE_ROUNDS = 5
 
@@ -217,18 +206,6 @@ def tier1(checkout: Path) -> dict:
     return {"wall_s": wall, "summary": tail}
 
 
-def paper_example(checkout: Path) -> dict:
-    with tempfile.TemporaryDirectory() as out:
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "nashseek.cli", "paper-example", "--out", out],
-            cwd=checkout, env=child_env(checkout), capture_output=True, text=True,
-        )
-        wall = time.perf_counter() - start
-    verdicts = [line for line in proc.stdout.splitlines() if line.startswith("[")]
-    return {"wall_s": wall, "exit": proc.returncode, "verdicts": verdicts}
-
-
 def rhs_rounds(sides: list[Path]) -> list[list[dict]]:
     """Each side's probes, the sides alternating, PROBE_ROUNDS times.
 
@@ -245,7 +222,8 @@ def rhs_rounds(sides: list[Path]) -> list[list[dict]]:
 
 
 # the probe's lists of timed rows
-PROBE_TABLES = ("sizes", "integrate", "gradplay", "pinning", "transform", "tables")
+PROBE_TABLES = ("sizes", "integrate", "gradplay", "pinning", "transform", "tables", "outputs",
+                "check_game", "paper_example")
 
 
 def probe_minima(side: list[dict]) -> dict:
@@ -284,40 +262,52 @@ def rhs_times(checkout: Path) -> dict:
 
 
 def rhs_probe() -> dict:
-    """Per-call times of one right-hand side and one RK4 step at each n, on each path.
+    """Every probe row, in the child process; private pieces such as ``sim._Stepper`` included."""
+    h = 1e-3
+    with tempfile.TemporaryDirectory() as out:
+        return {"players": "order 3, theta 1/3, directed cycle, ring game", "step_size": h,
+                "sizes": sizes_rows(h), "integrate": integrate_rows(h),
+                "gradplay": gradplay_rows(), "pinning": pinning_rows(),
+                "transform": transform_rows(), "tables": tables_rows(),
+                "outputs": outputs_rows(Path(out)), "check_game": check_game_rows(),
+                "paper_example": paper_example_rows(Path(out))}
 
-    Runs in a child process that imports the package under test, on the
-    worked example's players, and times the checkout's own pieces: the
-    bound right-hand side (``sim._dense_rhs`` or ``sim._blockwise_rhs``)
-    and ``sim._Stepper`` stepping it.
-    """
+
+def worked_example(n: int, sim: dict | None = None) -> tuple[dict, object]:
+    """The worked example's players on a ring game over a directed n-cycle: parsed, built."""
+    from nashseek.scenario import build, parse_config
+
+    cfg = parse_config({
+        "game": {"type": "ring", "n": n}, "graph": {"type": "cycle", "n": n},
+        "players": {"order": 3, "theta": 1 / 3, "delta": 1.0, "u_limit": 0.4815},
+        "init": {"x0": [[float(i + 1), 1.0, 1.0] for i in range(n)], "z0": 1.0, "c0": 1.0},
+        "sim": sim or {},
+    })
+    return cfg, build(cfg)
+
+
+def sizes_rows(h: float) -> list[dict]:
+    """Per call of one right-hand side and one RK4 step at each RHS_SIZES n, on each path."""
     import numpy as np
-    from nashseek import PlayerSpec, SeekerMode, cycle_digraph, ring_game, sim
+    from nashseek import sim
 
     binds = {"blockwise": sim._blockwise_rhs, "dense": sim._dense_rhs}
-    h = 1e-3
     rows = []
     for n in RHS_SIZES:
-        game, g = ring_game(n), cycle_digraph(n)
-        specs = tuple(PlayerSpec(order=3, theta=1 / 3, delta=1.0, u_limit=0.4815)
-                      for _ in range(n))
-        x0 = [np.array([float(i + 1), 1.0, 1.0]) for i in range(n)]
-        tables = sim._Tables(specs, SeekerMode.SATURATED_DIRECTED, g)
+        cfg, built = worked_example(n)
+        tables = sim._Tables(built.specs, built.mode, built.graph)
         row = {"n": n, "state_len": tables.width, "operator_bytes": tables.operator_bytes()}
         for name, make in binds.items():
             if name == "dense" and row["operator_bytes"] > PROBE_MAX_OPERATOR_BYTES:
                 continue
-            state = tables.initial_state(x0, 1.0, 1.0)
-            bind = make(tables, game)
+            state = tables.initial_state(**cfg["init"])
+            bind = make(tables, built.game)
             rhs_call = bind(state, np.empty_like(state), np.empty(tables.rows))
             step_call = sim._Stepper(bind, tables.rows, state, h).step
-            calls = max(50, RHS_CALLS // n)
             for key, call in ((name, rhs_call), (f"{name}_step", step_call)):
-                row.update(per_call_us(key, call, calls))
+                row.update(per_call_us(key, call))
         rows.append(row)
-    return {"players": "order 3, theta 1/3, directed cycle, ring game", "step_size": h,
-            "sizes": rows, "integrate": integrate_rows(h), "gradplay": gradplay_rows(),
-            "pinning": pinning_rows(), "transform": transform_rows(), "tables": tables_rows()}
+    return rows
 
 
 def integrate_rows(h: float) -> list[dict]:
@@ -328,34 +318,25 @@ def integrate_rows(h: float) -> list[dict]:
     are built outside the timing, as ``sim._chunks`` builds them, and the
     operator only where ``sim._DENSE_MAX_BYTES`` allows it.
     """
-    import numpy as np
-    from nashseek import PlayerSpec, SeekerMode, SimConfig, cycle_digraph, ring_game, sim
+    from nashseek import SimConfig, sim
     from nashseek.game import solve_nash_closed_form
 
     rows = []
     for n, steps in INTEGRATE_STEPS.items():
-        game, g = ring_game(n), cycle_digraph(n)
-        specs = tuple(PlayerSpec(order=3, theta=1 / 3, delta=1.0, u_limit=0.4815)
-                      for _ in range(n))
-        x0 = [np.array([float(i + 1), 1.0, 1.0]) for i in range(n)]
-        tables = sim._Tables(specs, SeekerMode.SATURATED_DIRECTED, g)
-        dense = (sim._dense_rhs(tables, game)
+        cfg, built = worked_example(n)
+        tables = sim._Tables(built.specs, built.mode, built.graph)
+        dense = (sim._dense_rhs(tables, built.game)
                  if tables.operator_bytes() <= sim._DENSE_MAX_BYTES else None)
-        blockwise = sim._blockwise_rhs(tables, game)
-        ref = solve_nash_closed_form(game)
-        state = tables.initial_state(x0, 1.0, 1.0)[None]
+        blockwise = sim._blockwise_rhs(tables, built.game)
+        ref = solve_nash_closed_form(built.game)
+        state = tables.initial_state(**cfg["init"])[None]
         t_end = steps * h
         row = {"n": n, "steps": steps, "path": "blockwise" if dense is None else "dense"}
         for name, every in (("log_every_10", 10), ("log_once", steps)):
             config = SimConfig(step_size=h, t_end=t_end, log_every=every, conv_window=t_end)
-
-            def call():
-                sim._integrate(tables, dense, blockwise, ref, state, config)
-
-            call()
-            per_step = [scaled_time(call, 1) / steps * 1e6 for _ in range(RHS_REPEATS)]
-            row[f"{name}_us_min"] = min(per_step)
-            row[f"{name}_us_median"] = statistics.median(per_step)
+            per_call = per_call_us(
+                name, lambda: sim._integrate(tables, dense, blockwise, ref, state, config))
+            row.update((key, us / steps) for key, us in per_call.items())
         rows.append(row)
     return rows
 
@@ -377,17 +358,17 @@ def gradplay_rows() -> list[dict]:
             continue
         game = QuadraticGame(jacobian=jac, offset=np.array(inp.config["game"]["offset"]))
         rows.append({"n": len(jac),
-                     **per_call_us("solve", lambda: solve_nash_gradient_play(game), 1)})
+                     **per_call_us("solve", lambda: solve_nash_gradient_play(game))})
     return rows
 
 
 def pinning_rows() -> list[dict]:
-    """Time per ``pinning_diagnostic`` call on the preflight and large_n graphs and a cycle.
+    """Time per ``pinning_diagnostic`` call on the preflight and large_n graphs and cycles.
 
     The graphs of preflight pool entry 0 and large_n pool entry 0 come from
     this repository's ``benchmarks/workloads.py``, so both sides of a pair
-    take the same ones. The directed 96-cycle is the diagnostic's worst
-    case: its blocks all tie, so every one is eigensolved.
+    take the same ones. A directed cycle is the diagnostic's worst case:
+    its blocks all tie, so every one is eigensolved.
     """
     import numpy as np
     import workloads
@@ -396,60 +377,104 @@ def pinning_rows() -> list[dict]:
     inputs = workloads.pool_inputs("preflight", 0) + workloads.pool_inputs("large_n", 0)
     graphs = [(inp.key.split("/")[0], Digraph(np.array(inp.config["graph"]["weights"])))
               for inp in inputs]
-    graphs.append(("cycle", cycle_digraph(96)))
-    rows = []
-    for name, g in graphs:
-        rows.append({"graph": name, "n": g.n, **per_call_us(
-            "diagnostic", lambda: pinning_diagnostic(g), PINNING_CALLS.get(g.n, 1))})
-    return rows
+    graphs += [("cycle", cycle_digraph(n)) for n in PINNING_CYCLES]
+    return [{"graph": name, "n": g.n, **per_call_us("diagnostic", lambda: pinning_diagnostic(g))}
+            for name, g in graphs]
 
 
 def transform_rows() -> list[dict]:
-    """Time per ``build_transformation`` call at each TRANSFORM_CALLS order, theta 1/3."""
+    """Time per ``build_transformation`` call at each TRANSFORM_ORDERS order, theta 1/3."""
     from nashseek import PlayerSpec, build_transformation
 
     rows = []
-    for order, calls in TRANSFORM_CALLS.items():
+    for order in TRANSFORM_ORDERS:
         spec = PlayerSpec(order=order, theta=1 / 3, delta=1.0, u_limit=10.0)
-        rows.append({"order": order,
-                     **per_call_us("build", lambda: build_transformation(spec), calls)})
+        rows.append({"order": order, **per_call_us("build", lambda: build_transformation(spec))})
     return rows
 
 
 def tables_rows() -> list[dict]:
-    """Time per ``sim._Tables`` construction on the worked example's players, directed cycle."""
-    from nashseek import PlayerSpec, SeekerMode, cycle_digraph, sim
+    """Time per ``sim._Tables`` construction at each LAYER_SIZES n."""
+    from nashseek import sim
 
     rows = []
-    for n, calls in TABLES_CALLS.items():
-        g = cycle_digraph(n)
-        specs = tuple(PlayerSpec(order=3, theta=1 / 3, delta=1.0, u_limit=0.4815)
-                      for _ in range(n))
+    for n in LAYER_SIZES:
+        _, built = worked_example(n)
         rows.append({"n": n, **per_call_us(
-            "setup", lambda: sim._Tables(specs, SeekerMode.SATURATED_DIRECTED, g), calls)})
+            "setup", lambda: sim._Tables(built.specs, built.mode, built.graph))})
     return rows
 
 
-def per_call_us(name: str, call, calls: int) -> dict:
-    """Scaled µs per call, minimum and median over RHS_REPEATS timings of ``calls`` calls.
+def outputs_rows(out: Path) -> list[dict]:
+    """Time per ``write_trajectory_csv`` plus ``write_summary_json`` call at each LAYER_SIZES n.
 
-    One call runs first, untimed, so lazy setup stays out of the timings.
+    What they write is a 1 s run's results at the default step and
+    ``log_every``: 100 logged rows.
     """
-    call()
-    per_call = [scaled_time(call, calls) / calls * 1e6 for _ in range(RHS_REPEATS)]
-    return {f"{name}_us_min": min(per_call), f"{name}_us_median": statistics.median(per_call)}
+    from nashseek import run
+    from nashseek.cli import write_summary_json, write_trajectory_csv
+
+    rows = []
+    for n in LAYER_SIZES:
+        cfg, built = worked_example(n, {"t_end": 1.0, "conv_window": 1.0})
+        traj, summary = run(built.game, built.graph, built.specs, built.mode, **cfg["init"],
+                            config=built.sim)
+
+        def write():
+            write_trajectory_csv(out / "trajectory.csv", traj)
+            write_summary_json(out / "summary.json", summary, cfg)
+
+        rows.append({"n": n, "logged_rows": len(traj.times), **per_call_us("write", write)})
+    return rows
 
 
-def scaled_time(call, number: int) -> float:
-    """Wall time of ``number`` calls, scaled as the benchmark scales its times.
+def check_game_rows() -> list[dict]:
+    """Time per ``check_game`` call on the ring game at each LAYER_SIZES n."""
+    from nashseek import check_game, ring_game
 
-    The factor is ``calibrate.REFERENCE_S`` over the mean of the fixed
-    kernel's times just before and just after, so the time reads as on a
+    rows = []
+    for n in LAYER_SIZES:
+        game = ring_game(n)
+        rows.append({"n": n, **per_call_us("check", lambda: check_game(game))})
+    return rows
+
+
+def paper_example_rows(out: Path) -> list[dict]:
+    """Time per ``nashseek paper-example`` run, in process, with its exit code and verdicts."""
+    from nashseek.cli import main
+
+    stdout, codes = io.StringIO(), []
+
+    def paper_example():
+        stdout.seek(0)
+        stdout.truncate()
+        with contextlib.redirect_stdout(stdout):
+            codes.append(main(["paper-example", "--out", str(out)]))
+
+    row = per_call_us("run", paper_example)
+    verdicts = [line for line in stdout.getvalue().splitlines() if line.startswith("[")]
+    return [{"exit": codes[-1], "verdicts": verdicts, **row}]
+
+
+def per_call_us(name: str, call) -> dict:
+    """Scaled µs per call, minimum and median over RHS_REPEATS timings: the one timing rule.
+
+    A timing is one batch of as many calls as ``timeit.Timer.autorange``
+    finds take 0.2 s at least: the search's last batch first, then batches
+    of its size, so a call of 0.2 s or more is timed alone, from its first
+    run. Each is scaled as the benchmark scales an operation: by
+    ``calibrate.REFERENCE_S`` over the median of ``calibrate.WINDOW`` fixed
+    kernel times just before it and as many just after, so it reads as on a
     core at the benchmark's reference speed (see benchmarks/calibrate.py).
     """
-    before = calibrate.kernel()
-    wall = timeit.timeit(call, number=number)
-    return wall * calibrate.REFERENCE_S / ((before + calibrate.kernel()) / 2)
+    timer, window = timeit.Timer(call), range(calibrate.WINDOW)
+    number, per_call = 0, []
+    for _ in range(RHS_REPEATS):
+        before = [calibrate.kernel() for _ in window]
+        number, wall = (number, timer.timeit(number)) if number else timer.autorange()
+        around = before + [calibrate.kernel() for _ in window]
+        per_call.append(wall * calibrate.REFERENCE_S / statistics.median(around) / number * 1e6)
+    return {f"{name}_us_min": min(per_call), f"{name}_us_median": statistics.median(per_call)}
 
 
 def main(argv=None) -> int:
@@ -468,11 +493,12 @@ def main(argv=None) -> int:
     seconds = float(contract(checkout)["run_seconds"])
     record = {"label": args.label, "env": identity(checkout)}
     parent = args.pairs_against.resolve() if args.pairs_against else None
-    print("rhs per call", flush=True)
+    print("probe", flush=True)
     probes = rhs_rounds([checkout] + ([parent] if parent else []))
     record["rhs_per_call"] = probe_minima(probes[0])
-    print("paper-example", flush=True)
-    record["paper_example"] = paper_example(checkout)
+    run = record["rhs_per_call"]["paper_example"][0]
+    record["paper_example"] = {"wall_s": run["run_us_median"] / 1e6, "exit": run["exit"],
+                               "verdicts": run["verdicts"]}
     print("workloads", flush=True)
     record["workloads"] = workloads(checkout, SEEDS, seconds)
     print("tier-1", flush=True)

@@ -35,9 +35,9 @@ end-to-end metrics, the pairs the checkout won on each metric, and the
 quartiles of both sides. The probe rounds then alternate between PARENT
 and the checkout, PARENT's are recorded as ``parent_rhs_per_call``, and
 ``rhs_ratio_to_parent`` holds, per probe row, the median over the rounds
-of each round's checkout/PARENT ratio of the scaled medians: both sides of
-a round run back to back, so the ratio cancels the machine's drift, which
-a minimum over rounds does not.
+of each round's checkout/PARENT ratio of the scaled medians, and each
+round's ratio: both sides of a round run back to back, so the ratio
+cancels the machine's drift, which a minimum over rounds does not.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ def probe_minima(side: list[dict]) -> dict:
 
 
 def probe_ratios(change: list[dict], parent: list[dict]) -> list[dict]:
-    """Per row and timed key, the median over rounds of change/parent scaled medians."""
+    """Per row and timed key: each round's change/parent ratio of scaled medians, and the median."""
     rows = []
     for table in PROBE_TABLES:
         for i, row in enumerate(change[0][table]):
@@ -246,9 +246,10 @@ def probe_ratios(change: list[dict], parent: list[dict]) -> list[dict]:
                       **{k: row[k] for k in ("graph", "n", "order") if k in row}}
             for key in row:
                 if key.endswith("_us_median") and key in parent[0][table][i]:
-                    ratios[key.replace("_us_median", "_ratio_median")] = statistics.median(
-                        c[table][i][key] / p[table][i][key] for c, p in zip(change, parent)
-                    )
+                    rounds = [c[table][i][key] / p[table][i][key] for c, p in zip(change, parent)]
+                    stem = key.removesuffix("_us_median")
+                    ratios[f"{stem}_ratio_median"] = statistics.median(rounds)
+                    ratios[f"{stem}_ratio_rounds"] = rounds
             rows.append(ratios)
     return rows
 

@@ -68,8 +68,8 @@ PAIRS = 10
 RHS_SIZES = (3, 6, 12, 13, 14, 15, 16, 20, 24, 96)
 # the dense operator at n = 96 would take 1.5 GB
 PROBE_MAX_OPERATOR_BYTES = 2**27
-# timings per probe row and round: one keeps the probe's share of a paired
-# record's wall time near a tenth, with paper-example run once per round
+# timings per probe row and round: with one, the probe takes about an eighth
+# of a paired record's wall time and runs paper-example once per side and round
 RHS_REPEATS = 1
 # the sizes at which ROADMAP.md's aim 1 asks for each layer
 LAYER_SIZES = (3, 6, 24, 96)

@@ -593,6 +593,19 @@ class TestCheck:
         # a check-only verdict: run skips the O(n^4) diagnostic
         assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 0
 
+    def test_pinned_laplacian_past_the_size_cap(self, tmp_path, capsys):
+        # the largest n whose three (n, n, n) float64 stacks fit in 1 GiB
+        assert 24 * 355**3 <= 2**30 < 24 * 356**3
+        data = dict(BASE, game={"type": "ring", "n": 356}, graph={"type": "cycle", "n": 356})
+        assert main(["check", write_config(tmp_path, data)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        fails = [line for line in captured.out.splitlines() if line.startswith("[FAIL]")]
+        assert fails == [
+            "[FAIL] pinned-laplacian: not run at n = 356: past n = 355, its three (n, n, n) "
+            "float64 stacks would take more than the 1 GiB cap"
+        ]
+
 
 # Extreme but finite inputs, each with the exit code of check and of run.
 _HUGE = {

@@ -7,18 +7,18 @@ The record is written to BENCH_<label>.json at the root of this repository.
 For every workload in BENCHMARK.json the record runs ``benchmarks/run.py``
 of the checkout once per seed 1 to 5 (``--trace 0``), each for the
 ``run_seconds`` that BENCHMARK.json sets, and keeps the median and the
-quartiles of each end-to-end metric over the seeds. It also records the
-tier-1 test wall time (the command of ROADMAP.md), and the scaled per-call
-times of its probe: a child process that imports the checkout's ``src/``
-and times, PROBE_ROUNDS times, each layer of ROADMAP.md's aim 1 on the
+quartiles of each end-to-end metric over the seeds (``workloads``). It also
+records the tier-1 test wall time (the command of ROADMAP.md), and the scaled
+per-call times of its probe: a child process that imports the checkout's
+``src/`` and times, PROBE_ROUNDS times, each layer of ROADMAP.md's aim 1 on the
 worked example's players (order 3, theta 1/3, ring game, directed cycle)
 unless a row's function says otherwise: one right-hand side call and one
 RK4 step on each path (``sizes``), the logging layer (``integrate``),
 gradient play, the pinned-Laplacian diagnostic, the transformation build,
 ``_Tables`` setup, output writing, ``check_game``, and ``nashseek
 paper-example`` (``paper_example``; the record's ``paper_example.wall_s``).
-One function, :func:`per_call_us`, times every row, and each time is kept
-as its minimum over the rounds.
+One function, :func:`per_call_us`, times every row once per round, and each
+time is kept as its minimum over the rounds.
 
 Everything runs in child processes with BLAS on one thread. Each checkout
 gets its own bytecode cache (``PYTHONPYCACHEPREFIX``), empty when the
@@ -28,11 +28,12 @@ sha, a digest of its ``src/``, Python, numpy and ``nproc``. Runs take a
 while: about run_seconds plus 8 s per workload and seed, plus the tier-1
 suite and the probe.
 
-With ``--pairs-against PARENT`` it also runs 10 pairs of every workload in
-BENCHMARK.json on PARENT and on the checkout, pair k with seed k on both
-sides, alternating which side runs first, and records each side's
-end-to-end metrics, the pairs the checkout won on each metric, and the
-quartiles of both sides. The probe rounds then alternate between PARENT
+With ``--pairs-against PARENT`` the workloads run as 10 pairs on PARENT and
+on the checkout, pair k with seed k on both sides, alternating which side
+runs first, and the record also keeps each side's end-to-end metrics, the
+pairs the checkout won on each metric, and the quartiles of both sides
+(``pairs``). ``workloads`` then holds the checkout's runs of pairs 1 to 5,
+the same runs as in ``pairs``. The probe rounds then alternate between PARENT
 and the checkout, PARENT's are recorded as ``parent_rhs_per_call``, and
 ``rhs_ratio_to_parent`` holds, per probe row, the median over the rounds
 of each round's checkout/PARENT ratio of the scaled medians, and each
@@ -68,13 +69,10 @@ PAIRS = 10
 RHS_SIZES = (3, 6, 12, 13, 14, 15, 16, 20, 24, 96)
 # the dense operator at n = 96 would take 1.5 GB
 PROBE_MAX_OPERATOR_BYTES = 2**27
-# timings per probe row and round: with one, the probe takes about an eighth
-# of a paired record's wall time and runs paper-example once per side and round
-RHS_REPEATS = 1
 # the sizes at which ROADMAP.md's aim 1 asks for each layer
 LAYER_SIZES = (3, 6, 24, 96)
 # the logging layer: sim._integrate at these sizes and step counts per call
-INTEGRATE_STEPS = {6: 1000, 96: 50}
+INTEGRATE_STEPS = {3: 1000, 6: 1000, 24: 200, 96: 50}
 # gradient play on the preflight workload's games of these sizes
 GRADPLAY_SIZES = (8, 32)
 PINNING_CYCLES = (3, 6, 96)
@@ -136,29 +134,18 @@ def contract(checkout: Path) -> dict:
     return json.loads((checkout / "BENCHMARK.json").read_text())
 
 
-def workloads(checkout: Path, seeds: list[int], seconds: float) -> dict:
-    result = {}
-    for workload in (w["name"] for w in contract(checkout)["workloads"]):
-        per_metric: dict[str, list[float]] = {}
-        units, failed, attempted = {}, 0, 0
-        for seed in seeds:
-            line = bench_run(checkout, workload, seed, seconds)
-            failed += line["failed"]
-            attempted += line["attempted"]
-            for name, metric in line["metrics"].items():
-                per_metric.setdefault(name, []).append(metric["value"])
-                units[name] = metric["unit"]
-            print(f"  {workload} seed {seed}: "
-                  + ", ".join(f"{k}={v['value']:.4g}" for k, v in line["metrics"].items()),
-                  flush=True)
-        result[workload] = {
-            "seeds": seeds,
-            "seconds": seconds,
-            "failed": failed,
-            "attempted": attempted,
-            "metrics": {k: {"unit": units[k], **quartiles(v)} for k, v in per_metric.items()},
-        }
-    return result
+def alternate(sides: list[Path], rounds: int, run) -> list[list]:
+    """Each side's ``run(side, k)`` for k below ``rounds``, the side that goes first alternating.
+
+    The machine's speed drifts over minutes, so a time taken on one side
+    minutes after the other is noise; see :func:`pairs` and :func:`probe_ratios`.
+    """
+    results: list[list] = [[] for _ in sides]
+    for k in range(rounds):
+        order = range(len(sides))
+        for i in order if k % 2 == 0 else reversed(order):
+            results[i].append(run(sides[i], k))
+    return results
 
 
 def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -170,30 +157,50 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     )
     if proc.returncode != 0:
         raise SystemExit(f"{workload} seed {seed} failed:\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    print(f"  {workload} seed {seed} {checkout}: "
+          + ", ".join(f"{k}={v['value']:.4g}" for k, v in line["metrics"].items()), flush=True)
+    return line
 
 
-def pairs(checkout: Path, parent: Path, workload: str, count: int, seconds: float) -> dict:
-    better = {m["name"]: m["better"] for m in contract(checkout)["end_to_end"]}
-    sides: dict[str, list[dict]] = {"parent": [], "change": []}
-    for k in range(count):
-        order = [("parent", parent), ("change", checkout)]
-        for side, path in order if k % 2 == 0 else order[::-1]:
-            line = bench_run(path, workload, k + 1, seconds)
-            sides[side].append({m: v["value"] for m, v in line["metrics"].items()}
-                               | {"failed": line["failed"]})
-        print(f"  {workload} pair {k + 1}: " + ", ".join(
-            f"{side} op_p50_s={runs[-1]['op_p50_s']:.4g}" for side, runs in sides.items()),
-            flush=True)
+def workloads(runs: dict[str, list[dict]], seconds: float) -> dict:
+    """Per workload, the checkout's result lines at SEEDS summed and in quartiles.
+
+    ``runs`` holds each workload's result lines of the checkout, seed 1 first.
+    """
+    result = {}
+    for workload, lines in runs.items():
+        lines = lines[: len(SEEDS)]
+        result[workload] = {
+            "seeds": SEEDS,
+            "seconds": seconds,
+            "failed": sum(line["failed"] for line in lines),
+            "attempted": sum(line["attempted"] for line in lines),
+            "metrics": {name: {"unit": metric["unit"],
+                               **quartiles([line["metrics"][name]["value"] for line in lines])}
+                        for name, metric in lines[0]["metrics"].items()},
+        }
+    return result
+
+
+def pairs(workload: str, parent: list[dict], change: list[dict], better: dict,
+          seconds: float) -> dict:
+    """Both sides' result lines of one workload, pair k at seed k + 1, as pair k's record.
+
+    ``better`` maps each end-to-end metric to "lower" or "higher"; pair k
+    ran the parent first when k is even (:func:`alternate`).
+    """
+    count = len(change)
     result = {"workload": workload, "seconds": seconds, "seeds": list(range(1, count + 1)),
               "first": ["parent" if k % 2 == 0 else "change" for k in range(count)]}
     for metric, direction in better.items():
-        a = [run[metric] for run in sides["parent"]]
-        b = [run[metric] for run in sides["change"]]
+        a = [line["metrics"][metric]["value"] for line in parent]
+        b = [line["metrics"][metric]["value"] for line in change]
         wins = sum((y < x) if direction == "lower" else (y > x) for x, y in zip(a, b))
         result[metric] = {"parent": quartiles(a), "change": quartiles(b),
                           "change_wins": wins, "pairs": count}
-    result["failed"] = {side: sum(r["failed"] for r in runs) for side, runs in sides.items()}
+    result["failed"] = {side: sum(line["failed"] for line in lines)
+                        for side, lines in (("parent", parent), ("change", change))}
     return result
 
 
@@ -206,52 +213,34 @@ def tier1(checkout: Path) -> dict:
     return {"wall_s": wall, "summary": tail}
 
 
-def rhs_rounds(sides: list[Path]) -> list[list[dict]]:
-    """Each side's probes, the sides alternating, PROBE_ROUNDS times.
-
-    The machine's speed drifts over minutes, so a time taken once, or on
-    one side minutes after the other, is noise; see :func:`probe_minima`
-    and :func:`probe_ratios`.
-    """
-    runs: list[list[dict]] = [[] for _ in sides]
-    for r in range(PROBE_ROUNDS):
-        order = list(range(len(sides)))
-        for k in order if r % 2 == 0 else order[::-1]:
-            runs[k].append(rhs_times(sides[k]))
-    return runs
-
-
-# the probe's lists of timed rows
-PROBE_TABLES = ("sizes", "integrate", "gradplay", "pinning", "transform", "tables", "outputs",
-                "check_game", "paper_example")
-
-
 def probe_minima(side: list[dict]) -> dict:
     """One side's probe rounds merged: each time as its minimum over the rounds."""
-    merged = {**side[0], "rounds": PROBE_ROUNDS}
-    for table in PROBE_TABLES:
-        merged[table] = [
-            {key: min(probe[table][i][key] for probe in side) for key in row}
-            for i, row in enumerate(side[0][table])
-        ]
+    merged = {**side[0], "rounds": len(side)}
+    for table, rows in side[0].items():
+        if isinstance(rows, list):
+            merged[table] = [
+                {key: min(probe[table][i][key] for probe in side) for key in row}
+                for i, row in enumerate(rows)
+            ]
     return merged
 
 
 def probe_ratios(change: list[dict], parent: list[dict]) -> list[dict]:
-    """Per row and timed key: each round's change/parent ratio of scaled medians, and the median."""
-    rows = []
-    for table in PROBE_TABLES:
-        for i, row in enumerate(change[0][table]):
-            ratios = {"table": table,
-                      **{k: row[k] for k in ("graph", "n", "order") if k in row}}
+    """Per row and timed key: each round's change/parent ratio of scaled times, and the median."""
+    ratios = []
+    for table, rows in change[0].items():
+        if not isinstance(rows, list):
+            continue
+        for i, row in enumerate(rows):
+            entry = {"table": table, **{k: row[k] for k in ("graph", "n", "order") if k in row}}
             for key in row:
-                if key.endswith("_us_median") and key in parent[0][table][i]:
+                if key.endswith("_us") and key in parent[0][table][i]:
                     rounds = [c[table][i][key] / p[table][i][key] for c, p in zip(change, parent)]
-                    stem = key.removesuffix("_us_median")
-                    ratios[f"{stem}_ratio_median"] = statistics.median(rounds)
-                    ratios[f"{stem}_ratio_rounds"] = rounds
-            rows.append(ratios)
-    return rows
+                    stem = key.removesuffix("_us")
+                    entry[f"{stem}_ratio_median"] = statistics.median(rounds)
+                    entry[f"{stem}_ratio_rounds"] = rounds
+            ratios.append(entry)
+    return ratios
 
 
 def rhs_times(checkout: Path) -> dict:
@@ -458,24 +447,21 @@ def paper_example_rows(out: Path) -> list[dict]:
 
 
 def per_call_us(name: str, call) -> dict:
-    """Scaled µs per call, minimum and median over RHS_REPEATS timings: the one timing rule.
+    """Scaled µs per call, as ``{name}_us``: the one timing rule.
 
-    A timing is one batch of as many calls as ``timeit.Timer.autorange``
-    finds take 0.2 s at least: the search's last batch first, then batches
-    of its size, so a call of 0.2 s or more is timed alone, from its first
-    run. Each is scaled as the benchmark scales an operation: by
-    ``calibrate.REFERENCE_S`` over the median of ``calibrate.WINDOW`` fixed
-    kernel times just before it and as many just after, so it reads as on a
-    core at the benchmark's reference speed (see benchmarks/calibrate.py).
+    The timing is one batch of as many calls as ``timeit.Timer.autorange``
+    finds take 0.2 s at least, the search's last batch, so a call of 0.2 s
+    or more is timed alone, from its first run. It is scaled as the
+    benchmark scales an operation: by ``calibrate.REFERENCE_S`` over the
+    median of ``calibrate.WINDOW`` fixed kernel times just before it and as
+    many just after, so it reads as on a core at the benchmark's reference
+    speed (see benchmarks/calibrate.py).
     """
-    timer, window = timeit.Timer(call), range(calibrate.WINDOW)
-    number, per_call = 0, []
-    for _ in range(RHS_REPEATS):
-        before = [calibrate.kernel() for _ in window]
-        number, wall = (number, timer.timeit(number)) if number else timer.autorange()
-        around = before + [calibrate.kernel() for _ in window]
-        per_call.append(wall * calibrate.REFERENCE_S / statistics.median(around) / number * 1e6)
-    return {f"{name}_us_min": min(per_call), f"{name}_us_median": statistics.median(per_call)}
+    window = range(calibrate.WINDOW)
+    before = [calibrate.kernel() for _ in window]
+    number, wall = timeit.Timer(call).autorange()
+    around = before + [calibrate.kernel() for _ in window]
+    return {f"{name}_us": wall * calibrate.REFERENCE_S / statistics.median(around) / number * 1e6}
 
 
 def main(argv=None) -> int:
@@ -494,20 +480,28 @@ def main(argv=None) -> int:
     seconds = float(contract(checkout)["run_seconds"])
     record = {"label": args.label, "env": identity(checkout)}
     parent = args.pairs_against.resolve() if args.pairs_against else None
+    # the checkout first, then the parent if there is one
+    sides = [checkout] + ([parent] if parent else [])
     print("probe", flush=True)
-    probes = rhs_rounds([checkout] + ([parent] if parent else []))
+    probes = alternate(sides, PROBE_ROUNDS, lambda side, _: rhs_times(side))
     record["rhs_per_call"] = probe_minima(probes[0])
     run = record["rhs_per_call"]["paper_example"][0]
-    record["paper_example"] = {"wall_s": run["run_us_median"] / 1e6, "exit": run["exit"],
+    record["paper_example"] = {"wall_s": run["run_us"] / 1e6, "exit": run["exit"],
                                "verdicts": run["verdicts"]}
     print("workloads", flush=True)
-    record["workloads"] = workloads(checkout, SEEDS, seconds)
+    # per workload, [parent's lines, checkout's lines] or [checkout's lines]: the
+    # parent runs first in even pairs
+    runs = {}
+    for name in (w["name"] for w in contract(checkout)["workloads"]):
+        runs[name] = alternate(sides[::-1], PAIRS if parent else len(SEEDS),
+                               lambda side, k: bench_run(side, name, k + 1, seconds))
+    record["workloads"] = workloads({w: lines[-1] for w, lines in runs.items()}, seconds)
     print("tier-1", flush=True)
     record["tier1"] = tier1(checkout)
     if parent:
-        print("pairs", flush=True)
-        record["pairs"] = [pairs(checkout, parent, w["name"], PAIRS, seconds)
-                           for w in contract(checkout)["workloads"]]
+        better = {m["name"]: m["better"] for m in contract(checkout)["end_to_end"]}
+        record["pairs"] = [pairs(w, lines[0], lines[1], better, seconds)
+                           for w, lines in runs.items()]
         record["parent_rhs_per_call"] = probe_minima(probes[1])
         record["rhs_ratio_to_parent"] = probe_ratios(probes[0], probes[1])
     path = ROOT / f"BENCH_{args.label}.json"

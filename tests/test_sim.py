@@ -794,6 +794,57 @@ class TestStepAudit:
         assert calls[-1] == cfg.steps
         assert not summary.c_monotone
 
+    # the audit forgives a fall of _C_MONOTONE_SLACK = 1e-12 per step
+    @pytest.mark.parametrize("dip, monotone", [(3e-12, False), (5e-13, True)])
+    def test_gain_dip_at_the_slack(self, monkeypatch, use_path, dip, monotone):
+        use_path("dense")
+        make = sim._dense_rhs
+        cfg = SimConfig(step_size=1e-3, t_end=0.05, log_every=10, conv_window=0.05)
+
+        def falling(tables, game):
+            bind = make(tables, game)
+            gains = slice(tables.npad + tables.n**2, tables.npad + 2 * tables.n**2)
+
+            def falling_bind(s, out, lin):
+                rhs = bind(s, out, lin)
+
+                def fallen():
+                    rhs()
+                    out[..., gains] = -dip / cfg.step_size
+
+                return fallen
+
+            return falling_bind
+
+        monkeypatch.setattr(sim, "_dense_rhs", falling)
+        game, g, specs = small_setup()
+        _, summary = run(game, g, specs, SAT, config=cfg)
+        # every gain fell from c0 = 1 by dip on each step
+        for c in summary.c_final_range:
+            assert 1.0 - c == pytest.approx(cfg.steps * dip, rel=1e-3)
+        assert summary.c_monotone is monotone
+
+    # the audit forgives a peak 1e-9 above the certified bound
+    @pytest.mark.parametrize("under, violated", [(3e-9, True), (5e-10, False)])
+    def test_bound_at_the_tolerance(self, monkeypatch, under, violated):
+        game, g, specs = small_setup()
+        x0 = [np.full(s.order, 0.4) for s in specs]
+        cfg = SimConfig(step_size=1e-2, t_end=2.0, log_every=25, conv_window=0.5)
+        _, summary = run(game, g, specs, SAT, x0=x0, z0=0.2, config=cfg)
+        assert not summary.bound_violated
+        peak = summary.step_max_abs_u[2]
+        bound = peak - under
+        certified = sim._seeker.certified_bound
+        monkeypatch.setattr(
+            sim._seeker,
+            "certified_bound",
+            lambda spec, mode: bound if spec == specs[2] else certified(spec, mode),
+        )
+        _, summary = run(game, g, specs, SAT, x0=x0, z0=0.2, config=cfg)
+        assert summary.certified_bounds[2] == bound
+        assert summary.step_max_abs_u[2] == peak
+        assert summary.bound_violated is violated
+
     @pytest.mark.parametrize("fit", [1, 2, 4, 7])
     def test_block_boundaries_leave_results_unchanged(self, monkeypatch, fit):
         # blocks of K < steps rows, whose boundaries need not fall on logged

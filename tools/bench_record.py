@@ -25,7 +25,7 @@ gets its own bytecode cache (``PYTHONPYCACHEPREFIX``), empty when the
 record starts, so neither side imports through the other's cache files or
 through stale ones left in its tree. The record names the checkout's git
 sha, a digest of its ``src/``, Python, numpy and ``nproc``. Runs take a
-while: about run_seconds plus 8 s per workload and seed, plus the tier-1
+while: about run_seconds plus 8 s per workload, seed and side, plus the tier-1
 suite and the probe.
 
 With ``--pairs-against PARENT`` the workloads run as 10 pairs on PARENT and
@@ -36,7 +36,7 @@ pairs the checkout won on each metric, and the quartiles of both sides
 the same runs as in ``pairs``. The probe rounds then alternate between PARENT
 and the checkout, PARENT's are recorded as ``parent_rhs_per_call``, and
 ``rhs_ratio_to_parent`` holds, per probe row, the median over the rounds
-of each round's checkout/PARENT ratio of the scaled medians, and each
+of each round's checkout/PARENT ratio of the scaled times, and each
 round's ratio: both sides of a round run back to back, so the ratio
 cancels the machine's drift, which a minimum over rounds does not.
 """
@@ -185,7 +185,7 @@ def workloads(runs: dict[str, list[dict]], seconds: float) -> dict:
 
 def pairs(workload: str, parent: list[dict], change: list[dict], better: dict,
           seconds: float) -> dict:
-    """Both sides' result lines of one workload, pair k at seed k + 1, as pair k's record.
+    """One workload's record in ``pairs``, from both sides' result lines, pair k at seed k + 1.
 
     ``better`` maps each end-to-end metric to "lower" or "higher"; pair k
     ran the parent first when k is even (:func:`alternate`).
@@ -480,7 +480,6 @@ def main(argv=None) -> int:
     seconds = float(contract(checkout)["run_seconds"])
     record = {"label": args.label, "env": identity(checkout)}
     parent = args.pairs_against.resolve() if args.pairs_against else None
-    # the checkout first, then the parent if there is one
     sides = [checkout] + ([parent] if parent else [])
     print("probe", flush=True)
     probes = alternate(sides, PROBE_ROUNDS, lambda side, _: rhs_times(side))

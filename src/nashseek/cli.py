@@ -198,7 +198,7 @@ def cmd_paper_example(args) -> int:
         ),
         (
             "actuator-bound",
-            peak <= cap + 1e-9,
+            not summary.bound_violated,
             f"max |u| {peak:.6f} vs certified 13/27 = {cap:.6f}",
         ),
         (

@@ -23,11 +23,11 @@ bit-identical runs, and parsing it again returns it unchanged. Its
 SimConfig and PlayerSpec. Parsing validates structure, including the mode
 and form names, and raises every config error that needs neither the game
 nor the graph built: the order and form rules PlayerSpec states, each
-player's mode rule, what SimConfig rejects and the 1 GiB log cap, all
-through the code ``run_batch`` uses. :func:`build` constructs the run
-objects and raises what PlayerSpec's gain verdicts, the game and the graph
-reject, so ``check`` can first print PlayerSpec's gain-range and actuator
-verdicts by name.
+player's mode rule, what SimConfig rejects, the 1 GiB log cap and the
+rules on x0, z0 and c0, all through the code ``run_batch`` uses.
+:func:`build` constructs the run objects and raises what PlayerSpec's gain
+verdicts, the game and the graph reject, so ``check`` can first print
+PlayerSpec's gain-range and actuator verdicts by name.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import ConfigError
 from .game import QuadraticGame, ring_game
 from .graph import Digraph, cycle_digraph
 from .seeker import SeekerMode, _check_mode
-from .sim import SimConfig, _log_bytes
+from .sim import SimConfig, _init_arrays, _log_bytes
 
 __all__ = [
     "BuiltScenario",
@@ -309,19 +309,10 @@ def parse_config(data: dict) -> dict:
     elif _is_scalar(raw_x0):
         x0 = [[float(raw_x0)] * m for m in orders]
     elif isinstance(raw_x0, list):
-        if len(raw_x0) != n:
-            raise ConfigError(f"init.x0 must list {n} per-player state vectors")
-        x0 = []
-        for i, (row, m) in enumerate(zip(raw_x0, orders)):
-            if (
-                not isinstance(row, (list, tuple))
-                or len(row) != m
-                or not all(_is_scalar(v) for v in row)
-            ):
-                raise ConfigError(
-                    f"init.x0[{i}] must be a flat list of length {m} (player order)"
-                )
-            x0.append([float(v) for v in row])
+        for i, row in enumerate(raw_x0):
+            if not isinstance(row, (list, tuple)) or not all(_is_scalar(v) for v in row):
+                raise ConfigError(f"init.x0[{i}] must be a flat list of numbers")
+        x0 = [[float(v) for v in row] for row in raw_x0]
     else:
         raise ConfigError("init.x0 must be a scalar, a list of lists, or a random block")
 
@@ -331,30 +322,29 @@ def parse_config(data: dict) -> dict:
             return rng.uniform(low, high, size=(n, n)).tolist()
         if _is_scalar(raw):
             return float(raw)
-        arr = _numeric(raw, f"init.{name}")
-        if arr.shape != (n, n):
-            raise ConfigError(f"init.{name} must be a scalar or an {n}x{n} matrix")
-        return arr.tolist()
+        if not isinstance(raw, list):
+            raise ConfigError(f"init.{name} must be a scalar, a list of lists, or a random block")
+        return _numeric(raw, f"init.{name}").tolist()
 
     z0 = resolve_matrix(raw_z0, "z0")
     c0 = resolve_matrix(raw_c0, "c0")
-    if (np.asarray(c0, dtype=float) <= 0).any():
-        raise ConfigError("initial adaptive gains must be positive (c0 > 0 elementwise)")
+    # the rules on initial conditions, in run_batch's code; built x0 rows meet them
+    _init_arrays(x0 if isinstance(raw_x0, list) else None, z0, c0, orders)
 
     sim = data.get("sim", {})
     if not isinstance(sim, dict):
         raise ConfigError("sim block must be an object")
     sim_fields = fields(SimConfig)
     _reject_unknown(sim, {f.name for f in sim_fields}, "sim")
-    sim_resolved = {}
-    for f in sim_fields:
-        if isinstance(f.default, int):
-            value = sim.get(f.name, f.default)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"sim.{f.name} must be an integer")
-            sim_resolved[f.name] = value
-        else:
-            sim_resolved[f.name] = _number(sim, f.name, "sim", f.default)
+    # SimConfig states the integer rule of log_every, its one integer field
+    sim_resolved = {
+        f.name: (
+            sim.get(f.name, f.default)
+            if isinstance(f.default, int)
+            else _number(sim, f.name, "sim", f.default)
+        )
+        for f in sim_fields
+    }
     # what run_batch rejects in the sim block alone, before check prints a line
     _log_bytes(SimConfig(**sim_resolved), n)
 

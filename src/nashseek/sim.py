@@ -416,26 +416,11 @@ class _Tables:
 
     def initial_state(self, x0, z0, c0) -> NDArray[np.float64]:
         """Loop state of one scenario from original-coordinate plant states."""
-        n = self.n
-        if x0 is None:
-            x0 = [np.zeros(tr.order) for tr in self.transforms]
-        if len(x0) != n:
-            raise ConfigError(f"x0 has {len(x0)} entries for {n} players")
-        x = np.zeros((n, self.mmax))
-        for i, tr in enumerate(self.transforms):
-            xi = np.asarray(x0[i], dtype=float).ravel()
-            if xi.shape != (tr.order,):
-                raise ConfigError(
-                    f"x0[{i}] has shape {xi.shape}, expected ({tr.order},)"
-                )
+        rows, z_init, c_init = _init_arrays(x0, z0, c0, [tr.order for tr in self.transforms])
+        x = np.zeros((self.n, self.mmax))
+        for i, (tr, xi) in enumerate(zip(self.transforms, rows)):
             x[i, : tr.order] = tr.t_inverse @ xi
-        z_init = _materialize(z0, (n, n), "z0")
-        c_init = _materialize(c0, (n, n), "c0")
-        if (c_init <= 0).any():
-            raise ConfigError(
-                f"initial adaptive gains must be positive, got min {c_init.min():.6g}"
-            )
-        return np.concatenate([x.ravel(), z_init.ravel(), c_init.ravel(), np.zeros(n)])
+        return np.concatenate([x.ravel(), z_init.ravel(), c_init.ravel(), np.zeros(self.n)])
 
 
 def linear_operator(
@@ -604,6 +589,29 @@ def _materialize(value, shape, name: str) -> NDArray[np.float64]:
     if arr.shape != shape:
         raise ConfigError(f"{name} has shape {arr.shape}, expected {shape}")
     return arr.copy()
+
+
+def _init_arrays(x0, z0, c0, orders: Sequence[int]):
+    """One scenario's x0 rows (zero plants when x0 is None), z0 and c0 as float arrays.
+
+    x0 has one row per player, as long as its order; z0 and c0 are scalars
+    or N x N; c0 starts positive. A ConfigError names the entry that breaks a rule.
+    """
+    n = len(orders)
+    if x0 is None:
+        rows = [np.zeros(m) for m in orders]
+    elif len(x0) != n:
+        raise ConfigError(f"init.x0 has {len(x0)} entries for {n} players")
+    else:
+        rows = [np.asarray(row, dtype=float).ravel() for row in x0]
+        for i, (row, m) in enumerate(zip(rows, orders)):
+            if row.shape != (m,):
+                raise ConfigError(f"init.x0[{i}] has shape {row.shape}, expected ({m},)")
+    z_init = _materialize(z0, (n, n), "init.z0")
+    c_init = _materialize(c0, (n, n), "init.c0")
+    if (c_init <= 0).any():
+        raise ConfigError(f"init.c0 must be positive (adaptive gains), got min {c_init.min():.6g}")
+    return rows, z_init, c_init
 
 
 def run(

@@ -338,6 +338,11 @@ class TestExitCodes:
             {"init": {"x0": "abc"}},
             "init.x0 must be a scalar, a list of lists, or a random block",
         ),
+        # null would otherwise become a nan estimate
+        "z0-null": (
+            {"init": {"z0": None}},
+            "init.z0 must be a scalar, a list of lists, or a random block",
+        ),
         "sim-a-list": ({"sim": []}, "sim block must be an object"),
         "game-without-offset": (
             {"game": {"jacobian": _EYE}},
@@ -690,6 +695,11 @@ AGREEMENT_CASES = {
         0,
         {"players": {"order": 1, "theta": 0.3, "delta": 1000.0 * (1 + 5e-13), "u_limit": 1000.0}},
     ),
+    # certified bound 1000 * (1 + 3e-12): past the slack of 1e-12 relative
+    "bound-just-over-limit": (
+        3,
+        {"players": {"order": 1, "theta": 0.3, "delta": 1000.0 * (1 + 3e-12), "u_limit": 1000.0}},
+    ),
     "theta-beyond-one": (
         3,
         {"players": {"order": 2, "theta": 1.5, "delta": 1.0}, "allow_large_theta": True},
@@ -756,8 +766,18 @@ class TestCheckRunAgreement:
             {"sim": {"t_end": 1.0}},  # shorter than the default 10 s conv_window
             {"mode": "FirstOrder", "players": {"order": 3, "theta": 0.3, "delta": 1.0}},
             {"sim": dict(AGREEMENT_BASE["sim"], t_end=2e5)},  # 1.6 GiB of logged rows
+            {"init": {"x0": [[0.0, 0.0], [0.0, 0.0], [0.0]]}},
+            {"init": {"z0": [[0.0, 0.0], [0.0, 0.0]]}},
+            {"init": {"c0": 0}},
         ],
-        ids=["sim-block", "first-order-mode-order-3", "log-beyond-1gib"],
+        ids=[
+            "sim-block",
+            "first-order-mode-order-3",
+            "log-beyond-1gib",
+            "x0-row-short",
+            "z0-2x2-on-3-ring",
+            "c0-zero",
+        ],
     )
     def test_config_error_exits_2_before_any_line(self, tmp_path, capsys, overrides):
         cfg_path = write_config(tmp_path, {**AGREEMENT_BASE, **overrides})

@@ -1,5 +1,6 @@
 """Canonical forms, the coordinate change, and control-bound arithmetic."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -82,11 +83,17 @@ class TestPlayerSpec:
         assert spec.form == FORM_STANDARD
 
     def test_theta_range_gate(self):
-        with pytest.raises(ValueError, match="0.5"):
-            PlayerSpec(order=2, theta=0.6, delta=1.0)
-        with pytest.warns(RuntimeWarning):
-            spec = PlayerSpec(order=2, theta=0.6, delta=1.0, allow_large_theta=True)
-        assert spec.theta == 0.6
+        # the design range (0, 1/2) is open: 1/2 itself runs only under the override
+        for theta in (0.6, 0.5):
+            with pytest.raises(ValueError, match=r"theta-range: .*\(0, 0\.5\)"):
+                PlayerSpec(order=2, theta=theta, delta=1.0)
+            with pytest.warns(RuntimeWarning):
+                spec = PlayerSpec(order=2, theta=theta, delta=1.0, allow_large_theta=True)
+            assert spec.theta == theta
+        below = np.nextafter(0.5, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert PlayerSpec(order=2, theta=below, delta=1.0).theta == below
         # outside (0, 1) is invalid regardless of the override
         with pytest.raises(ValueError):
             PlayerSpec(order=2, theta=1.2, delta=1.0, allow_large_theta=True)

@@ -179,10 +179,13 @@ class TestDetectors:
         traj = synthetic_traj([0.1, 0.2, 0.3], err=[0.0, 0.0, 0.5])
         assert detect_convergence(traj, 1e-2, 0.2) == (False, None)
 
-    def test_spike_inside_window(self):
+    # a spike 0.4 s and 0.8 s before the end of a 1 s window: the second is
+    # in the window's older half
+    @pytest.mark.parametrize("spike", [95, 91], ids=["newer-half", "older-half"])
+    def test_spike_inside_window(self, spike):
         times = np.arange(1, 101) * 0.1
         err = np.full(100, 1e-4)
-        err[95] = 0.5
+        err[spike] = 0.5
         traj = synthetic_traj(times, err=err)
         assert detect_convergence(traj, 1e-2, 1.0) == (False, None)
 
@@ -706,6 +709,19 @@ class TestRunBatch:
         assert traj.times.tolist() == [pytest.approx(0.6)]
         assert summary.c_trailing_drift is None
 
+    def test_drift_is_measured_from_the_first_row_of_the_last_tenth(self):
+        # rows every 0.07 s: the first at or after 0.9 t_end = 1.8 is at 1.82
+        game, g, specs = small_setup()
+        x0 = [np.full(s.order, 0.4) for s in specs]
+        cfg = SimConfig(step_size=0.01, t_end=2.0, log_every=7, conv_window=0.5)
+        traj, summary = run(game, g, specs, SAT, x0=x0, z0=0.2, config=cfg)
+        t_mark = traj.times[traj.times >= 0.9 * cfg.t_end][0]
+        assert t_mark == pytest.approx(1.82)
+        cut, _ = run(game, g, specs, SAT, x0=x0, z0=0.2, config=replace(cfg, t_end=t_mark))
+        drift = np.abs(traj.c_snapshot - cut.c_snapshot).max()
+        assert drift > 0
+        assert summary.c_trailing_drift == drift
+
 
 def poison_rates(monkeypatch, threshold, hit=np.greater):
     """Make both bound right-hand sides write NaN rates wherever c_11 > ``threshold``.
@@ -920,6 +936,21 @@ def test_tables_build_one_transformation_per_distinct_spec(monkeypatch):
     assert sorted(calls) == ["certified_bound"] * 3 + ["gain_row"] * 3 + ["integral_scale"] * 3
     for spec, tr in zip(specs, tables.transforms):
         np.testing.assert_array_equal(tr.t_inverse, build(spec).t_inverse)
+
+
+def test_order_12_controls_are_pinned_bit_for_bit():
+    # the tail terms are summed before the innermost one; at order 12 another
+    # summation order changes the rounding of u
+    specs = (PlayerSpec(order=12, theta=0.3, delta=1.0),) * 3
+    tables = sim._Tables(specs, SAT, cycle_digraph(3))
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1.5, 1.5, size=(3, 12))
+    eta = rng.uniform(-1.0, 1.0, size=3)
+    assert [v.hex() for v in tables.controls(x, eta)] == [
+        "-0x1.44dc8d78c8ad3p-4",
+        "0x1.c88b2b6d80d98p-3",
+        "-0x1.0303e9beceb5fp-2",
+    ]
 
 
 def allocating(bind, rows):

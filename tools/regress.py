@@ -36,7 +36,10 @@ under a 0.4 limit, a negative delta) and, with ``check``, on an unknown
 form, which is a config error; and ``check`` on graphs for its
 pinned-Laplacian line: a strongly connected 3-node digraph at weights of
 1e300 and 1e-300, the chain closed by an arc of 1e-13 (condition 7.4e13),
-a 24-node digraph with weights spanning 10^+-6, and the 24-cycle.
+a 24-node digraph with weights spanning 10^+-6, and the 24-cycle; and
+``run`` and ``check`` on a ring of three order-2 players with an x0 row
+one entry short, a 2x2 z0, c0 = 0 or ``log_every`` = 2.5, each a config
+error.
 """
 
 from __future__ import annotations
@@ -155,6 +158,21 @@ PLAYERS_OUTSIDE_THE_OVERRIDE = {
     "negative-delta": {"order": 2, "theta": 0.3, "delta": -1.0, "u_limit": 1.0},
 }
 
+# a ring of three order-2 players, and one init or sim entry each that
+# breaks a rule of run's inputs
+_RING_3 = dict(
+    _PAIR,
+    game={"type": "ring", "n": 3},
+    graph={"type": "cycle", "n": 3},
+    players={"order": 2, "theta": 0.3, "delta": 1.0},
+)
+MALFORMED_RING_3 = {
+    "x0-row-short": {"init": {"x0": [[0.0, 0.0], [0.0, 0.0], [0.0]]}},
+    "z0-2x2": {"init": {"z0": [[0.0, 0.0], [0.0, 0.0]]}},
+    "c0-zero": {"init": {"c0": 0.0}},
+    "log-every-2.5": {"sim": dict(_PAIR["sim"], log_every=2.5)},
+}
+
 
 def _solve_ne_games() -> dict[str, dict]:
     """Games for ``solve-ne``, by command name."""
@@ -254,6 +272,9 @@ def commands(inputs: Path, out: Path) -> dict[str, list[str]]:
     cmds["check-unknown-form"] = ["check", cmds["run-unknown-form"][1]]
     for name, data in _pinned_laplacian_graphs().items():
         cmds[f"check-{name}"] = ["check", config(f"check-{name}", data)]
+    for name, changes in MALFORMED_RING_3.items():
+        cmds[f"run-{name}"] = run(f"run-{name}", {**_RING_3, **changes})
+        cmds[f"check-{name}"] = ["check", cmds[f"run-{name}"][1]]
     return cmds
 
 
